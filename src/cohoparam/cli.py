@@ -99,6 +99,19 @@ def _parse_subset(text: str | None) -> frozenset[int]:
         raise InvalidWeightError(f"bad subset {text!r}") from None
 
 
+# count flags and the least value each accepts
+_COUNT_FLAGS = {"max_size": 1, "elements": 0, "max_n": 0, "max_rank": 0}
+
+
+def _check_counts(args) -> None:
+    for name, least in _COUNT_FLAGS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            need = "positive" if least else "non-negative"
+            raise InvalidWeightError(f"{flag} must be {need}, got {value}")
+
+
 def _weight_or_zero(args, datum) -> HalfIntVector:
     if getattr(args, "weight", None):
         return _parse_weight(args.weight, datum.ambient_dim)
@@ -683,6 +696,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.fn(args)
     except (UnsupportedGroupError, WeylSizeError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)

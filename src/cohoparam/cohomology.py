@@ -33,14 +33,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb
 
 from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
 from .halfint import HalfIntVector
-from .packets import packet, unitary_packet_members
+from .packets import _levi_blocks, packet, unitary_packet_members
 from .params import CohomParameter, GLParameter, QuadAtom, standard_rep_parameter
 from .rootdata import build_classical_dual
 from .weyl import compact_weyl_catalog
+from .weyl import _simple_weyl_order  # the one table of closed-form Weyl orders
 
 __all__ = [
     "InnerFormReport",
@@ -304,18 +305,6 @@ def partition_independence(N: int, flavor: str) -> dict:
 # packet sums
 
 
-def _levi_blocks_sizes(n: int, S: frozenset[int]) -> tuple[int, ...]:
-    sizes, cur = [], 1
-    for j in range(1, n):
-        if j in S:
-            cur += 1
-        else:
-            sizes.append(cur)
-            cur = 1
-    sizes.append(cur)
-    return tuple(sizes)
-
-
 @dataclass(frozen=True)
 class PacketSumReport:
     """Packet cohomology total with every route that could compute it."""
@@ -356,7 +345,7 @@ def packet_cohomology_sum(descriptor: str, param: CohomParameter) -> PacketSumRe
     notes = []
     fam = cat.datum.family
     n = cat.ambient_dim
-    blocks = _levi_blocks_sizes(n, param.S)
+    blocks = tuple(len(block) for block in _levi_blocks(n, param.S))
     if fam in ("GL_R", "SL_R"):
         flavor = "SO" if (fam == "SL_R" and n % 2 == 0) else "O"
         routes["levi_product"] = levi_cohomology(blocks, flavor).total * (
@@ -372,8 +361,8 @@ def packet_cohomology_sum(descriptor: str, param: CohomParameter) -> PacketSumRe
         half = n // 2
         first_factor = frozenset(i for i in param.S if i < half)
         prod = PoincarePolynomial.one()
-        for size in _levi_blocks_sizes(half, first_factor):
-            prod = prod * symmetric_space_poincare("U_n", size)
+        for block in _levi_blocks(half, first_factor):
+            prod = prod * symmetric_space_poincare("U_n", len(block))
         routes["levi_product"] = prod.total
     elif fam == "U":
         A, B = cat.datum.signature
@@ -470,15 +459,12 @@ def innerform_sum_compact(descriptor: str) -> InnerFormReport:
     if size < 1:
         raise UnsupportedGroupError(f"size {size} < 1 in {descriptor!r}")
     if kind == "U":
-        rank, weyl_order = size, factorial(size)
+        rank, weyl_order = size, _simple_weyl_order("A", size - 1)
     elif kind == "Sp":
-        rank, weyl_order = size, (2**size) * factorial(size)
+        rank, weyl_order = size, _simple_weyl_order("C", size)
     else:
         rank = size // 2
-        if size % 2 == 1:
-            weyl_order = (2**rank) * factorial(rank)
-        else:
-            weyl_order = (2 ** max(rank - 1, 0)) * factorial(rank)
+        weyl_order = _simple_weyl_order("B" if size % 2 else "D", rank)
     classes = []
     total = 0
     for k in range(rank + 1):
@@ -543,12 +529,11 @@ def _orthogonal_compact_weyl_order(p: int, q: int) -> int:
     if p < 0 or q < 0:
         raise InvalidWeightError(f"bad signature ({p},{q})")
     a, b = p // 2, q // 2
-    base = (2**a) * factorial(a) * (2**b) * factorial(b)
+    base = _simple_weyl_order("B", a) * _simple_weyl_order("B", b)
     if p % 2 == 1 or q % 2 == 1:
         return base
     if p == 0 or q == 0:
-        n = a + b
-        return (2 ** max(n - 1, 0)) * factorial(n)
+        return _simple_weyl_order("D", a + b)
     return base // 2
 
 
@@ -612,7 +597,14 @@ def innerform_sum_quasisplit(descriptor: str) -> InnerFormReport:
     elif fam in ("SO_odd", "SO_even"):
         p, q = datum.signature
         N = p + q
-        w_theta_order = _so_twisted_order(fam, n, q)
+        # |W^theta| is all of W, except for SO(odd,odd): theta flips the
+        # last sign there, and its fixed points form W(B_{n-1})
+        if fam == "SO_odd":
+            w_theta_order = _simple_weyl_order("B", n)
+        elif q % 2 == 0:
+            w_theta_order = _simple_weyl_order("D", n)
+        else:
+            w_theta_order = _simple_weyl_order("B", n - 1)
         lhs = 0
         for q2 in range(q % 2, N + 1, 2):
             p2 = N - q2
@@ -642,15 +634,6 @@ def innerform_sum_quasisplit(descriptor: str) -> InnerFormReport:
         betti_total=betti,
         notes=tuple(notes),
     )
-
-
-def _so_twisted_order(fam: str, n: int, q: int) -> int:
-    """|W^theta| for the orthogonal families, by formula."""
-    if fam == "SO_odd":
-        return (2**n) * factorial(n)
-    if q % 2 == 0:
-        return (2 ** (n - 1)) * factorial(n)
-    return (2 ** (n - 1)) * factorial(n - 1)
 
 
 # ---------------------------------------------------------------------------

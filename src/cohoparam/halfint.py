@@ -129,18 +129,6 @@ class HalfIntVector:
         self._check_len(other)
         return Fraction(sum(a * b for a, b in zip(self.twice, other.twice)), 4)
 
-    def concat(self, other: "HalfIntVector") -> "HalfIntVector":
-        return HalfIntVector(self.twice + other.twice)
-
-    def slice(self, start: int, stop: int) -> "HalfIntVector":
-        return HalfIntVector(self.twice[start:stop])
-
-    def reversed(self) -> "HalfIntVector":
-        return HalfIntVector(self.twice[::-1])
-
-    def sorted_desc(self) -> "HalfIntVector":
-        return HalfIntVector(tuple(sorted(self.twice, reverse=True)))
-
     def _check_len(self, other: "HalfIntVector") -> None:
         if len(self.twice) != len(other.twice):
             raise ValueError(

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
 from .params import CohomParameter

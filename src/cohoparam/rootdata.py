@@ -16,6 +16,10 @@ Three diagram involutions matter downstream:
 * ``theta``  -- iota o gamma; a standard parabolic is *self-associate*
   exactly when theta preserves its simple-root subset.
 
+Each involution is stored twice: as a permutation of simple-root indices
+and as a `WeylElement`, the signed coordinate permutation that
+`cohoparam.weyl` also uses for Weyl-group elements.
+
 Everything is exact: coordinates are `HalfIntVector`s, linear solves run
 over `fractions.Fraction`.
 """
@@ -32,10 +36,10 @@ from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
 from .halfint import HalfIntVector, solve_rational
 
 __all__ = [
-    "AmbientMap",
     "Factor",
     "RootDatum",
     "StandardParabolic",
+    "WeylElement",
     "PrincipalSL2",
     "EpsilonElement",
     "build_classical_dual",
@@ -51,19 +55,56 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# linear maps on the ambient coordinate space
+# signed permutations of the ambient coordinates
 
 
 @dataclass(frozen=True)
-class AmbientMap:
-    """A signed coordinate permutation: e_i |-> signs[i] * e_{perm[i]}."""
+class WeylElement:
+    """A signed permutation: e_i |-> signs[i] * e_{perm[i]} (0-based).
+
+    One type serves both the Weyl groups of `cohoparam.weyl` and the
+    diagram involutions of a datum (``galois_linear``, ``iota_linear``,
+    ``theta_linear``).
+    """
 
     perm: tuple[int, ...]
     signs: tuple[int, ...]
 
     @classmethod
-    def identity(cls, n: int) -> "AmbientMap":
+    def identity(cls, n: int) -> "WeylElement":
         return cls(tuple(range(n)), (1,) * n)
+
+    @property
+    def n(self) -> int:
+        return len(self.perm)
+
+    @property
+    def is_identity(self) -> bool:
+        return all(p == i for i, p in enumerate(self.perm)) and all(
+            s == 1 for s in self.signs
+        )
+
+    @property
+    def sort_key(self) -> tuple:
+        return (tuple(0 if s == 1 else 1 for s in self.signs), self.perm)
+
+    def __mul__(self, other: "WeylElement") -> "WeylElement":
+        """self o other (apply `other` first)."""
+        perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
+        signs = tuple(
+            other.signs[i] * self.signs[other.perm[i]]
+            for i in range(len(self.perm))
+        )
+        return WeylElement(perm, signs)
+
+    def inverse(self) -> "WeylElement":
+        n = len(self.perm)
+        perm = [0] * n
+        signs = [1] * n
+        for i in range(n):
+            perm[self.perm[i]] = i
+            signs[self.perm[i]] = self.signs[i]
+        return WeylElement(tuple(perm), tuple(signs))
 
     def apply(self, v: HalfIntVector) -> HalfIntVector:
         out = [0] * len(self.perm)
@@ -71,28 +112,18 @@ class AmbientMap:
             out[self.perm[i]] = self.signs[i] * t
         return HalfIntVector(tuple(out))
 
-    def compose(self, other: "AmbientMap") -> "AmbientMap":
-        """self o other (apply `other` first)."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
-        signs = tuple(
-            other.signs[i] * self.signs[other.perm[i]] for i in range(len(self.perm))
-        )
-        return AmbientMap(perm, signs)
+    def __str__(self) -> str:
+        """Window notation: image of e_1..e_n as signed 1-based indices."""
+        return "(" + " ".join(
+            f"{'-' if s < 0 else ''}{p + 1}" for p, s in zip(self.perm, self.signs)
+        ) + ")"
 
-    def inverse(self) -> "AmbientMap":
-        n = len(self.perm)
-        perm = [0] * n
-        signs = [1] * n
-        for i in range(n):
-            perm[self.perm[i]] = i
-            signs[self.perm[i]] = self.signs[i]
-        return AmbientMap(tuple(perm), tuple(signs))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm)) and all(
-            s == 1 for s in self.signs
-        )
+    def to_json(self) -> dict:
+        return {
+            "perm": [p + 1 for p in self.perm],
+            "signs": list(self.signs),
+            "window": str(self),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +242,7 @@ class RootDatum:
     family: str
     factors: tuple[Factor, ...]
     galois_index: tuple[int, ...]
-    galois_linear: AmbientMap
+    galois_linear: WeylElement
     signature: tuple[int, int] | None = None
 
     # -- coordinates -------------------------------------------------------
@@ -283,7 +314,7 @@ class RootDatum:
     # -- diagram involutions -------------------------------------------------
 
     @cached_property
-    def iota_linear(self) -> AmbientMap:
+    def iota_linear(self) -> WeylElement:
         """-w0, factor by factor."""
         perm: list[int] = []
         signs: list[int] = []
@@ -299,9 +330,9 @@ class RootDatum:
                 signs.extend([1] * (f.dim - 1) + [-1])
             else:
                 raise ValueError(f.cartan)
-        return AmbientMap(tuple(perm), tuple(signs))
+        return WeylElement(tuple(perm), tuple(signs))
 
-    def _index_map(self, linear: AmbientMap) -> tuple[int, ...]:
+    def _index_map(self, linear: WeylElement) -> tuple[int, ...]:
         out = []
         for i in range(1, self.rank + 1):
             image = linear.apply(self.alpha(i))
@@ -320,8 +351,16 @@ class RootDatum:
         return self._index_map(self.iota_linear)
 
     @cached_property
-    def theta_linear(self) -> AmbientMap:
-        return self.iota_linear.compose(self.galois_linear)
+    def theta_linear(self) -> WeylElement:
+        """iota o gamma, checked once here for every later conjugation by it."""
+        theta = self.iota_linear * self.galois_linear
+        if sorted(theta.perm) != list(range(theta.n)) or any(
+            s not in (1, -1) for s in theta.signs
+        ):
+            raise MathCheckError(
+                f"{self.descriptor}: theta is not a signed permutation: {theta}"
+            )
+        return theta
 
     @cached_property
     def theta_index(self) -> tuple[int, ...]:
@@ -362,7 +401,8 @@ _GROUP_RE = re.compile(
 def parse_group(descriptor: str) -> tuple[str, int, int | str]:
     """Parse a group descriptor into (family, first, second).
 
-    Accepted: GL(n,R) GL(n,C) SL(n,R) U(p,q) Sp(2n,R) SO(p,q).
+    Accepted: GL(n,R) GL(n,C) SL(n,R) U(p,q) Sp(2n,R) SO(p,q), with
+    n >= 1, p+q >= 1 for U and p+q >= 2 for SO.
     """
     m = _GROUP_RE.match(descriptor)
     if not m:
@@ -394,6 +434,8 @@ def parse_group(descriptor: str) -> tuple[str, int, int | str]:
             raise UnsupportedGroupError(f"{descriptor!r}: expected two integers")
         if first + second < 1:
             raise UnsupportedGroupError(f"{descriptor!r}: empty signature")
+        if kind == "SO" and first + second < 2:
+            raise UnsupportedGroupError(f"{descriptor!r}: SO(p,q) needs p+q >= 2")
     return kind, first, second
 
 
@@ -424,14 +466,14 @@ def build_classical_dual(descriptor: str) -> RootDatum:
             family="GL_R" if kind == "GL" else "SL_R",
             factors=(f,),
             galois_index=tuple(range(1, n)),
-            galois_linear=AmbientMap.identity(n),
+            galois_linear=WeylElement.identity(n),
         )
 
     if kind == "GL" and second == "C":
         n = first
         f1 = Factor("A", n - 1, n, 0, "GL")
         f2 = Factor("A", n - 1, n, n, "GL")
-        swap = AmbientMap(
+        swap = WeylElement(
             tuple(list(range(n, 2 * n)) + list(range(n))), (1,) * (2 * n)
         )
         # the swap sends factor-1 node i to factor-2 node i
@@ -450,7 +492,7 @@ def build_classical_dual(descriptor: str) -> RootDatum:
         p, q = first, second
         n = p + q
         f = Factor("A", n - 1, n, 0, "GL")
-        flip = AmbientMap(tuple(range(n - 1, -1, -1)), (-1,) * n)
+        flip = WeylElement(tuple(range(n - 1, -1, -1)), (-1,) * n)
         return RootDatum(
             descriptor=canon,
             family="U",
@@ -468,7 +510,7 @@ def build_classical_dual(descriptor: str) -> RootDatum:
             family="Sp_R",
             factors=(f,),
             galois_index=tuple(range(1, n + 1)),
-            galois_linear=AmbientMap.identity(n),
+            galois_linear=WeylElement.identity(n),
         )
 
     # SO(p,q)
@@ -482,7 +524,7 @@ def build_classical_dual(descriptor: str) -> RootDatum:
             family="SO_odd",
             factors=(f,),
             galois_index=tuple(range(1, n + 1)),
-            galois_linear=AmbientMap.identity(n),
+            galois_linear=WeylElement.identity(n),
             signature=(p, q),
         )
     n = total // 2
@@ -494,10 +536,10 @@ def build_classical_dual(descriptor: str) -> RootDatum:
     inner_of_split = q % 2 == n % 2
     n_roots = n if n >= 2 else 0
     if inner_of_split:
-        galois_linear = AmbientMap.identity(n)
+        galois_linear = WeylElement.identity(n)
         galois_index = tuple(range(1, n_roots + 1))
     else:
-        galois_linear = AmbientMap(
+        galois_linear = WeylElement(
             tuple(range(n)), (1,) * (n - 1) + (-1,) if n >= 1 else ()
         )
         # the last sign flip swaps the fork nodes e_{n-1}-e_n <-> e_{n-1}+e_n
@@ -571,15 +613,8 @@ class StandardParabolic:
             acc = acc + coroot
         return acc.scale(1, 2)
 
-    @property
-    def rho_levi(self) -> HalfIntVector:
-        acc = HalfIntVector((0,) * self.datum.ambient_dim)
-        for root, _ in self.levi_positive():
-            acc = acc + root
-        return acc.scale(1, 2)
 
-
-def opposition_involution(datum: RootDatum) -> tuple[tuple[int, ...], AmbientMap]:
+def opposition_involution(datum: RootDatum) -> tuple[tuple[int, ...], WeylElement]:
     """The opposition involution: (1-based index map, linear -w0)."""
     return datum.iota_index, datum.iota_linear
 

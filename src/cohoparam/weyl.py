@@ -1,9 +1,11 @@
 """Signed-permutation Weyl machinery.
 
-Elements act on ambient coordinates by e_i |-> signs[i] * e_{perm[i]}
-(0-based), the same convention as `AmbientMap`.  Everything that returns a
-collection returns a tuple sorted by `WeylElement.sort_key`, so identical
-inputs always serialize identically.
+Elements are `WeylElement`s, signed permutations acting on ambient
+coordinates by e_i |-> signs[i] * e_{perm[i]} (0-based).  The class lives
+in `cohoparam.rootdata`, whose diagram involutions are signed permutations
+too, and is re-exported here.  Everything that returns a collection returns
+a tuple sorted by `WeylElement.sort_key`, so identical inputs always
+serialize identically.
 
 The size of any group this module is asked to write down is capped:
 `COHOPARAM_MAX_WEYL` (default 10**6).  Requests past the cap raise
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 from .errors import MathCheckError, UnsupportedGroupError, WeylSizeError
 from .halfint import HalfIntVector
 from .rootdata import (
-    AmbientMap,
     RootDatum,
     StandardParabolic,
+    WeylElement,
     build_classical_dual,
     parse_group,
 )
@@ -71,85 +73,7 @@ def max_weyl_size() -> int:
 
 
 # ---------------------------------------------------------------------------
-# elements
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """A signed permutation: e_i |-> signs[i] * e_{perm[i]} (0-based)."""
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    @classmethod
-    def identity(cls, n: int) -> "WeylElement":
-        return cls(tuple(range(n)), (1,) * n)
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm)) and all(
-            s == 1 for s in self.signs
-        )
-
-    @property
-    def n_flips(self) -> int:
-        return self.signs.count(-1)
-
-    @property
-    def sort_key(self) -> tuple:
-        return (tuple(0 if s == 1 else 1 for s in self.signs), self.perm)
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        """self o other (apply `other` first)."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
-        signs = tuple(
-            other.signs[i] * self.signs[other.perm[i]]
-            for i in range(len(self.perm))
-        )
-        return WeylElement(perm, signs)
-
-    def inverse(self) -> "WeylElement":
-        n = len(self.perm)
-        perm = [0] * n
-        signs = [1] * n
-        for i in range(n):
-            perm[self.perm[i]] = i
-            signs[self.perm[i]] = self.signs[i]
-        return WeylElement(tuple(perm), tuple(signs))
-
-    def apply(self, v: HalfIntVector) -> HalfIntVector:
-        out = [0] * len(self.perm)
-        for i, t in enumerate(v.twice):
-            out[self.perm[i]] = self.signs[i] * t
-        return HalfIntVector(tuple(out))
-
-    def to_ambient(self) -> AmbientMap:
-        return AmbientMap(self.perm, self.signs)
-
-    @classmethod
-    def from_ambient(cls, m: AmbientMap) -> "WeylElement":
-        if sorted(m.perm) != list(range(len(m.perm))) or any(
-            s not in (1, -1) for s in m.signs
-        ):
-            raise MathCheckError(f"not a signed permutation: {m}")
-        return cls(tuple(m.perm), tuple(m.signs))
-
-    def __str__(self) -> str:
-        """Window notation: image of e_1..e_n as signed 1-based indices."""
-        return "(" + " ".join(
-            f"{'-' if s < 0 else ''}{p + 1}" for p, s in zip(self.perm, self.signs)
-        ) + ")"
-
-    def to_json(self) -> dict:
-        return {
-            "perm": [p + 1 for p in self.perm],
-            "signs": list(self.signs),
-            "window": str(self),
-        }
+# generator shorthands and closed-form orders
 
 
 def _transposition(n: int, i: int, j: int) -> WeylElement:
@@ -163,6 +87,21 @@ def _flips(n: int, *idxs: int) -> WeylElement:
     for i in idxs:
         signs[i] = -1
     return WeylElement(tuple(range(n)), tuple(signs))
+
+
+def _simple_weyl_order(cartan: str, r: int) -> int:
+    """|W| of one simple factor of rank r, the one table of closed forms.
+
+    A: (r+1)!, B/C: 2^r r!, D: 2^(r-1) r! for r >= 2, else 1 (D_0 and D_1
+    have no roots).  r = -1 in type A, an empty block, gives 1.
+    """
+    if cartan == "A":
+        return math.factorial(r + 1)
+    if cartan in ("B", "C"):
+        return (2**r) * math.factorial(r)
+    if cartan == "D":
+        return (2 ** (r - 1)) * math.factorial(r) if r >= 2 else 1
+    raise UnsupportedGroupError(f"unknown Cartan type {cartan}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +139,7 @@ def all_simple_reflections(datum: RootDatum) -> tuple[WeylElement, ...]:
 
 def weyl_order(datum: RootDatum) -> int:
     """Closed-form order of the (full) Weyl group of the datum."""
-    total = 1
-    for f in datum.factors:
-        r = f.rank
-        if f.cartan == "A":
-            total *= math.factorial(r + 1)
-        elif f.cartan in ("B", "C"):
-            total *= (2**r) * math.factorial(r)
-        elif f.cartan == "D":
-            total *= 1 if r < 2 else (2 ** (r - 1)) * math.factorial(r)
-        else:  # pragma: no cover
-            raise UnsupportedGroupError(f"unknown Cartan type {f.cartan}")
-    return total
+    return math.prod(_simple_weyl_order(f.cartan, f.rank) for f in datum.factors)
 
 
 def subgroup_closure(
@@ -312,14 +240,13 @@ def levi_weyl_group(
 # twisted subgroups and double cosets
 
 
-def conjugate_element(m: AmbientMap, w: WeylElement) -> WeylElement:
-    """m o w o m^{-1} as a signed permutation."""
-    amb = m.compose(w.to_ambient()).compose(m.inverse())
-    return WeylElement.from_ambient(amb)
+def conjugate_element(m: WeylElement, w: WeylElement) -> WeylElement:
+    """m o w o m^{-1}."""
+    return m * w * m.inverse()
 
 
 def theta_fixed_subgroup(
-    elements: tuple[WeylElement, ...], theta: AmbientMap
+    elements: tuple[WeylElement, ...], theta: WeylElement
 ) -> tuple[WeylElement, ...]:
     """Fixed points of conjugation by `theta` on a group given by listing.
 
@@ -342,11 +269,10 @@ def theta_fixed_subgroup(
 
 @dataclass(frozen=True)
 class DoubleCoset:
-    """One (left, right) double coset, with its sort_key-minimal member."""
+    """One (left, right) double coset: its sort_key-minimal member and size."""
 
     rep: WeylElement
     size: int
-    elements: tuple[WeylElement, ...]
 
     def to_json(self) -> dict:
         return {"rep": self.rep.to_json(), "size": self.size}
@@ -374,9 +300,9 @@ def double_cosets(
         orbit = {x * r for x in half for r in right}
         if not orbit <= amb_set:
             raise MathCheckError("double coset escapes the ambient group")
-        ordered = tuple(sorted(orbit, key=lambda w: w.sort_key))
-        cosets.append(DoubleCoset(rep=ordered[0], size=len(ordered), elements=ordered))
-        for x in ordered:
+        rep = min(orbit, key=lambda w: w.sort_key)
+        cosets.append(DoubleCoset(rep=rep, size=len(orbit)))
+        for x in orbit:
             remaining.pop(x, None)
     return tuple(sorted(cosets, key=lambda c: c.rep.sort_key))
 
@@ -402,7 +328,7 @@ class CompactWeylData:
     descriptor: str
     datum: RootDatum
     ambient_dim: int
-    theta_map: AmbientMap
+    theta_map: WeylElement
     full_order: int
     w_theta: tuple[WeylElement, ...]
     k_weyl: tuple[WeylElement, ...]
@@ -508,7 +434,7 @@ def compact_weyl_catalog(
     if datum.family in ("GL_R", "SL_R"):
         m = n // 2
         w_theta_gens = _gl_pair_block_gens(n)
-        expected_theta = (2**m) * _fact(m)
+        expected_theta = _simple_weyl_order("B", m)
         if datum.family == "SL_R" and n % 2 == 0:
             k_gens = _gl_even_special_gens(n)
             expected_k = max(expected_theta // 2, 1)
@@ -519,15 +445,15 @@ def compact_weyl_catalog(
     elif datum.family == "U":
         p, q = datum.signature
         w_theta_gens = _block_transpositions(n, 0, n)
-        expected_theta = _fact(n)
+        expected_theta = _simple_weyl_order("A", n - 1)
         k_gens = _block_transpositions(n, 0, p) + _block_transpositions(n, p, n)
-        expected_k = _fact(p) * _fact(q)
+        expected_k = _simple_weyl_order("A", p - 1) * _simple_weyl_order("A", q - 1)
         sig = (0, 0, n)
     elif datum.family == "Sp_R":
         w_theta_gens = None  # full W
         expected_theta = full_order
         k_gens = _block_transpositions(n, 0, n)
-        expected_k = _fact(n)
+        expected_k = _simple_weyl_order("A", n - 1)
         sig = (0, 0, n)
     elif datum.family == "SO_odd":
         p, q = datum.signature
@@ -536,7 +462,7 @@ def compact_weyl_catalog(
         w_theta_gens = None
         expected_theta = full_order
         k_gens = _so_like_block_gens(n, 0, a, "D") + _so_like_block_gens(n, a, n, "B")
-        expected_k = _so_like_order(a, "D") * _so_like_order(b, "B")
+        expected_k = _simple_weyl_order("D", a) * _simple_weyl_order("B", b)
         sig = (0, 0, n)
         connected_only = True
     elif datum.family == "SO_even":
@@ -549,7 +475,7 @@ def compact_weyl_catalog(
             k_gens = _so_like_block_gens(n, 0, a, "D") + _so_like_block_gens(
                 n, a, n, "D"
             )
-            expected_k = _so_like_order(a, "D") * _so_like_order(b, "D")
+            expected_k = _simple_weyl_order("D", a) * _simple_weyl_order("D", b)
             sig = (0, 0, n)
         else:
             if n > 3:
@@ -566,11 +492,11 @@ def compact_weyl_catalog(
             if b >= 1:
                 gens.append(_flips(n, n - 2, n - 1))
             k_gens = gens
-            expected_k = _so_like_order(a, "B") * _so_like_order(b, "B")
+            expected_k = _simple_weyl_order("B", a) * _simple_weyl_order("B", b)
             w_theta_gens = _block_transpositions(n, 0, n - 1) + (
                 [_flips(n, n - 2, n - 1)] if n >= 2 else []
             )
-            expected_theta = (2 ** max(n - 1, 0)) * _fact(n - 1)
+            expected_theta = _simple_weyl_order("B", n - 1)
             sig = (1, 0, n - 1)
     elif datum.family == "GL_C":
         half = n // 2
@@ -580,7 +506,7 @@ def compact_weyl_catalog(
                 _transposition(n, i, i + 1)
                 * _transposition(n, half + half - 2 - i, half + half - 1 - i)
             )
-        expected_theta = _fact(half)
+        expected_theta = _simple_weyl_order("A", half - 1)
         k_gens = list(w_theta_gens)
         expected_k = expected_theta
         sig = (0, half, 0)
@@ -630,16 +556,3 @@ def compact_weyl_catalog(
         k_connected_only=connected_only,
     )
 
-
-def _fact(k: int) -> int:
-    return math.factorial(max(k, 0))
-
-
-def _so_like_order(r: int, kind: str) -> int:
-    if r <= 0:
-        return 1
-    if kind == "B":
-        return (2**r) * _fact(r)
-    if r < 2:
-        return 1
-    return (2 ** (r - 1)) * _fact(r)

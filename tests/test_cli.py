@@ -375,6 +375,41 @@ class TestExitCodes:
         assert main(argv) == code
         capsys.readouterr()
 
+    @pytest.mark.parametrize("group", ["SO(1,0)", "SO(0,1)"])
+    @pytest.mark.parametrize(
+        "command",
+        ["enumerate", "packet", "cohomology-sum", "innerforms", "dump-weyl"],
+    )
+    def test_so_below_two_coordinates_is_unsupported(self, command, group, capsys):
+        assert main([command, "--group", group]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "p+q >= 2" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "command,flag,value,need",
+        [
+            ("packet", "--max-size", "-5", "positive"),
+            ("packet", "--max-size", "0", "positive"),
+            ("dump-weyl", "--max-size", "0", "positive"),
+            ("dump-weyl", "--elements", "-3", "non-negative"),
+            ("verify", "--max-n", "-1", "non-negative"),
+            ("verify", "--max-rank", "-2", "non-negative"),
+        ],
+    )
+    def test_out_of_range_counts_exit_2(self, command, flag, value, need, capsys):
+        where = ["--suite", "all"] if command == "verify" else ["--group", "Sp(4,R)"]
+        assert main([command, *where, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {flag} must be {need}, got {value}\n"
+
+    def test_zero_counts_are_accepted(self, capsys):
+        assert main(["dump-weyl", "--group", "Sp(4,R)", "--elements", "0"]) == 0
+        assert main(["verify", "--suite", "innerforms", "--max-rank", "0"]) == 0
+        capsys.readouterr()
+
     def test_internal_cross_check_exits_4(self, capsys, monkeypatch):
         import cohoparam.cli as cli
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from cohoparam.errors import MathCheckError, UnsupportedGroupError
 from cohoparam.halfint import HalfIntVector
 from cohoparam.rootdata import (
     StandardParabolic,
+    WeylElement,
     build_classical_dual,
     dominant_orbit_rep,
     epsilon_element,
@@ -39,7 +41,10 @@ def test_parse_group_accepts_grammar():
 
 @pytest.mark.parametrize(
     "bad",
-    ["GL(4)", "SL(2,C)", "Sp(3,R)", "Sp(4,C)", "E8", "SO(2)", "U(2,R)", ""],
+    [
+        "GL(4)", "SL(2,C)", "Sp(3,R)", "Sp(4,C)", "E8", "SO(2)", "U(2,R)", "",
+        "SO(1,0)", "SO(0,1)",
+    ],
 )
 def test_parse_group_rejects(bad):
     with pytest.raises(UnsupportedGroupError):
@@ -145,6 +150,17 @@ def test_involutions_are_involutive_diagram_maps(desc):
         assert sorted(idx_map) == list(range(1, d.rank + 1))
         for i in range(1, d.rank + 1):
             assert idx_map[idx_map[i - 1] - 1] == i
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [WeylElement((0, 0, 2), (1, 1, 1)), WeylElement((0, 1, 2), (1, 2, 1))],
+)
+def test_theta_linear_must_be_a_signed_permutation(bad):
+    # the one check that every conjugation by theta relies on
+    d = dataclasses.replace(build_classical_dual("GL(3,R)"), galois_linear=bad)
+    with pytest.raises(MathCheckError, match="not a signed permutation"):
+        d.theta_linear
 
 
 def test_theta_trivial_for_equal_rank_forms():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cohoparam.errors import WeylSizeError
 from cohoparam.halfint import HalfIntVector
+from cohoparam import rootdata
 from cohoparam.rootdata import StandardParabolic, build_classical_dual
 from cohoparam.weyl import (
     WeylElement,
@@ -138,6 +139,40 @@ def test_conjugate_element():
     assert conjugate_element(d.theta_linear, s1) == s2
 
 
+def test_weyl_element_is_the_rootdata_type():
+    assert WeylElement is rootdata.WeylElement
+    assert isinstance(build_classical_dual("U(2,1)").theta_linear, WeylElement)
+
+
+# one descriptor per family; even SO both inner and not inner to the split form
+THETA_FAMILIES = [
+    "GL(4,R)", "SL(5,R)", "GL(3,C)", "U(2,2)", "Sp(6,R)", "SO(3,4)",
+    "SO(3,3)", "SO(2,4)",
+]
+
+
+def test_theta_families_cover_every_family():
+    data = [build_classical_dual(desc) for desc in THETA_FAMILIES]
+    assert {d.family for d in data} == {
+        "GL_R", "SL_R", "GL_C", "U", "Sp_R", "SO_odd", "SO_even"
+    }
+    assert data[-2].galois_linear.is_identity  # SO(3,3): inner to split
+    assert not data[-1].galois_linear.is_identity  # SO(2,4): not inner
+
+
+@pytest.mark.parametrize("desc", THETA_FAMILIES)
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_conjugate_element_matches_pointwise_action(desc, data):
+    d = build_classical_dual(desc)
+    theta, n = d.theta_linear, d.ambient_dim
+    w = _rand_element(data.draw, n)
+    cw = conjugate_element(theta, w)
+    for i in range(n):
+        e_i = HalfIntVector.from_ints(*(1 if j == i else 0 for j in range(n)))
+        assert cw.apply(e_i) == theta.apply(w.apply(theta.inverse().apply(e_i)))
+
+
 def test_double_cosets_two_block_example():
     # A_3 with K-side of special-orthogonal flavor, Levi blocks (2,2):
     # exactly two packets of four elements each.
@@ -153,14 +188,20 @@ def test_double_cosets_two_block_example():
 
 
 def test_double_cosets_partition_and_determinism():
-    cat = compact_weyl_catalog("Sp(4,R)")
-    p = StandardParabolic(cat.datum, frozenset({1}))
-    w_l = theta_fixed_subgroup(levi_weyl_group(p), cat.theta_map)
-    once = double_cosets(cat.k_weyl, w_l, cat.w_theta)
-    twice = double_cosets(cat.k_weyl, w_l, cat.w_theta)
-    assert once == twice
-    seen = [w for c in once for w in c.elements]
-    assert len(seen) == len(set(seen)) == len(cat.w_theta)
+    for desc, S in (("Sp(4,R)", {1}), ("U(2,2)", {1}), ("SO(2,4)", {2})):
+        cat = compact_weyl_catalog(desc)
+        p = StandardParabolic(cat.datum, frozenset(S))
+        w_l = theta_fixed_subgroup(levi_weyl_group(p), cat.theta_map)
+        once = double_cosets(cat.k_weyl, w_l, cat.w_theta)
+        twice = double_cosets(cat.k_weyl, w_l, cat.w_theta)
+        assert once == twice
+        rebuilt = [{k * c.rep * l for k in cat.k_weyl for l in w_l} for c in once]
+        covered = set().union(*rebuilt)
+        assert covered == set(cat.w_theta)
+        assert sum(len(coset) for coset in rebuilt) == len(covered)  # disjoint
+        assert [len(coset) for coset in rebuilt] == [c.size for c in once]
+        for c, coset in zip(once, rebuilt):
+            assert c.rep == min(coset, key=lambda w: w.sort_key)
 
 
 # catalog golden table: (descriptor, |W^theta|, |K-side|, cosets, d)
