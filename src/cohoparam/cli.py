@@ -60,36 +60,6 @@ EMBEDDINGS = {
 # input parsing
 
 
-def _parse_weight(text: str, ambient: int) -> HalfIntVector:
-    """Comma-separated half-integers; `p/2` fractions allowed."""
-    twice = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            raise InvalidWeightError(f"empty weight entry in {text!r}")
-        if "/" in tok:
-            num, _, den = tok.partition("/")
-            try:
-                num_i, den_i = int(num), int(den)
-            except ValueError:
-                raise InvalidWeightError(f"bad weight entry {tok!r}") from None
-            if den_i != 2:
-                raise InvalidWeightError(
-                    f"only halves are allowed, got denominator {den_i} in {tok!r}"
-                )
-            twice.append(num_i)
-        else:
-            try:
-                twice.append(2 * int(tok))
-            except ValueError:
-                raise InvalidWeightError(f"bad weight entry {tok!r}") from None
-    if len(twice) != ambient:
-        raise InvalidWeightError(
-            f"weight has {len(twice)} entries, expected {ambient}"
-        )
-    return HalfIntVector(tuple(twice))
-
-
 def _parse_subset(text: str | None) -> frozenset[int]:
     if not text:
         return frozenset()
@@ -114,7 +84,7 @@ def _check_counts(args) -> None:
 
 def _weight_or_zero(args, datum) -> HalfIntVector:
     if getattr(args, "weight", None):
-        return _parse_weight(args.weight, datum.ambient_dim)
+        return HalfIntVector.parse(args.weight)
     return HalfIntVector((0,) * datum.ambient_dim)
 
 

@@ -21,7 +21,8 @@ class CohoparamError(Exception):
 
 
 class InvalidWeightError(CohoparamError, ValueError):
-    """A weight fails a stated symmetry/dominance/lattice requirement."""
+    """Malformed input: a weight failing a stated symmetry/dominance/lattice
+    requirement, unreadable parameter text, or a bad flag or setting."""
 
 
 class UnsupportedGroupError(CohoparamError, ValueError):

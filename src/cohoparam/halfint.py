@@ -16,14 +16,44 @@ Fraction(2, 1)
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .errors import InvalidWeightError
+
 __all__ = ["HalfIntVector", "solve_rational"]
 
 
+# a rational written `a`, `a/b` or `a.d`; Fraction alone would also take
+# exponents such as `1e5000`, whose value is too long to print
+_RATIONAL_RE = re.compile(r"\s*[+-]?\d+(?:/\d+|\.\d+)?\s*")
+
+
+def _parse_half(text: str, what: str = "entry") -> int:
+    """The doubled int of half-integer text `a`, `a/2` or `a.5`.
+
+    >>> [_parse_half(t) for t in ("3", "-3/2", "2.5")]
+    [6, -3, 5]
+    """
+    try:
+        f = Fraction(text) if _RATIONAL_RE.fullmatch(text) else None
+    except (ValueError, ZeroDivisionError):
+        f = None
+    if f is None:
+        raise InvalidWeightError(f"bad {what} {text!r}")
+    if f.denominator > 2:
+        raise InvalidWeightError(f"{what} {text!r} is not half-integral")
+    return int(2 * f)
+
+
 def _fmt_half(twice: int) -> str:
+    """The text of the half-integer whose doubled int is `twice`.
+
+    >>> [_fmt_half(t) for t in (6, -3, 0)]
+    ['3', '-3/2', '0']
+    """
     if twice % 2 == 0:
         return str(twice // 2)
     return f"{twice}/2"
@@ -67,18 +97,9 @@ class HalfIntVector:
     def parse(cls, text: str) -> "HalfIntVector":
         """Parse comma-separated entries; each entry is `a`, `a/2`, or `a.5`."""
         parts = [p.strip() for p in text.split(",")] if text.strip() else []
-        twice = []
-        for p in parts:
-            if not p:
-                raise ValueError(f"empty entry in weight string {text!r}")
-            try:
-                f = Fraction(p)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad weight entry {p!r}") from exc
-            if f.denominator not in (1, 2):
-                raise ValueError(f"weight entry {p!r} is not a half-integer")
-            twice.append(int(f * 2))
-        return cls(tuple(twice))
+        if "" in parts:
+            raise InvalidWeightError(f"empty entry in weight string {text!r}")
+        return cls(tuple(_parse_half(p, "weight entry") for p in parts))
 
     # -- basic structure ---------------------------------------------------
 

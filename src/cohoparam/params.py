@@ -45,7 +45,7 @@ from .errors import (
     MathCheckError,
     UnsupportedGroupError,
 )
-from .halfint import HalfIntVector
+from .halfint import HalfIntVector, _fmt_half, _parse_half
 from .rootdata import (
     RootDatum,
     StandardParabolic,
@@ -236,7 +236,7 @@ class GLParameter:
     def text(self) -> str:
         body = "+".join(a.text() for a in self.atoms) if self.atoms else "0"
         if self.twist2:
-            body += f"*nu^{Fraction(self.twist2, 2)}"
+            body += f"*nu^{_fmt_half(self.twist2)}"
         return body
 
     def omega_twist(self) -> "GLParameter":
@@ -273,13 +273,7 @@ def parse_gl_parameter(text: str) -> GLParameter:
     twist2 = 0
     if "*nu^" in body:
         body, _, tw = body.partition("*nu^")
-        try:
-            f = Fraction(tw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidWeightError(f"bad twist {tw!r}") from exc
-        if f.denominator not in (1, 2):
-            raise InvalidWeightError(f"twist {tw!r} is not half-integral")
-        twist2 = f.numerator * (2 // f.denominator)
+        twist2 = _parse_half(tw, "twist")
     atoms: list[Atom] = []
     if body not in ("", "0"):
         for piece in body.split("+"):
@@ -352,15 +346,13 @@ class ComplexParameter:
     def text(self) -> str:
         if not self.entries:
             return "0"
-        return "+".join(
-            f"e{Fraction(two_d, 2)}[{m}]" for two_d, m in self.entries
-        )
+        return "+".join(f"e{_fmt_half(two_d)}[{m}]" for two_d, m in self.entries)
 
     def to_json(self) -> dict:
         return {
             "text": self.text(),
             "dimension": self.dimension,
-            "entries": [[str(Fraction(t, 2)), m] for t, m in self.entries],
+            "entries": [[_fmt_half(t), m] for t, m in self.entries],
             "conjugate_symmetric": self.is_conjugate_symmetric,
             "multiplicity_free": self.is_multiplicity_free,
             "regular": self.is_regular,
@@ -380,8 +372,7 @@ def parse_complex_parameter(text: str) -> ComplexParameter:
             if not m:
                 raise InvalidWeightError(f"bad entry {piece!r}")
             d_text, bracket = m.groups()
-            f = Fraction(d_text)
-            entries.append((f.numerator * (2 // f.denominator), int(bracket or 1)))
+            entries.append((_parse_half(d_text), int(bracket or 1)))
     return ComplexParameter(tuple(entries))
 
 
@@ -499,27 +490,29 @@ def enumerate_cohomological(
 
 # ---------------------------------------------------------------------------
 # strings: (exponent, sl2-eigenvalue) data -> atoms
+#
+# exponents are doubled ints throughout, as in `halfint`
 
 
-def _extract_strings(
-    pairs: list[tuple[Fraction, int]],
-) -> list[tuple[Fraction, int]]:
-    """Split weight pairs into sl2-strings, longest first.
+def _extract_strings(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Split (doubled exponent, sl2 weight) pairs into sl2-strings, longest first.
 
-    Each returned (x, m) certifies the presence of the m pairs
-    (x, m-1), (x, m-3), ..., (x, -(m-1)).
+    Each returned (x2, m) certifies the presence of the m pairs
+    (x2, m-1), (x2, m-3), ..., (x2, -(m-1)).
     """
     work = Counter(pairs)
     out = []
     while work:
         x, h = max(work, key=lambda p: (p[1], p[0]))
         if h < 0:
-            raise MathCheckError(f"unmatched sl2 weight {(x, h)}")
+            raise MathCheckError(f"unmatched sl2 weight ({_fmt_half(x)}, {h})")
         m = h + 1
         for k in range(m):
             key = (x, h - 2 * k)
             if work[key] <= 0:
-                raise MathCheckError(f"broken string: missing {key}")
+                raise MathCheckError(
+                    f"broken string: missing ({_fmt_half(x)}, {key[1]})"
+                )
             work[key] -= 1
             if not work[key]:
                 del work[key]
@@ -528,9 +521,9 @@ def _extract_strings(
 
 
 def _pair_strings_selfdual(
-    strings: list[tuple[Fraction, int]],
+    strings: list[tuple[int, int]],
 ) -> tuple[list[TwoDimAtom], list[int]]:
-    """Match (x, m) strings with their mirrors; zero strings become quads."""
+    """Match (x2, m) strings with their mirrors; zero strings become quads."""
     rem = Counter(strings)
     twodims: list[TwoDimAtom] = []
     quadlens: list[int] = []
@@ -539,22 +532,19 @@ def _pair_strings_selfdual(
         if x > 0:
             mirror = (-x, m)
             if rem[mirror] <= 0:
-                raise MathCheckError(f"string ({x}, {m}) has no mirror")
+                raise MathCheckError(f"string ({_fmt_half(x)}, {m}) has no mirror")
             for key in ((x, m), mirror):
                 rem[key] -= 1
                 if not rem[key]:
                     del rem[key]
-            two_x = 2 * x
-            if two_x.denominator != 1:
-                raise MathCheckError(f"exponent {x} is not half-integral")
-            twodims.append(TwoDimAtom(int(two_x), m))
+            twodims.append(TwoDimAtom(x, m))
         elif x == 0:
             rem[(x, m)] -= 1
             if not rem[(x, m)]:
                 del rem[(x, m)]
             quadlens.append(m)
         else:
-            raise MathCheckError(f"negative string ({x}, {m}) left over")
+            raise MathCheckError(f"negative string ({_fmt_half(x)}, {m}) left over")
     return twodims, sorted(quadlens, reverse=True)
 
 
@@ -608,14 +598,13 @@ def _assign_quad_eps(
     return atoms, flag
 
 
-def _coordinate_pairs(cohom: CohomParameter) -> list[tuple[Fraction, int]]:
-    chi = list(cohom.chi_exponent)
-    sl2 = list(cohom.sl2_cochar)
+def _coordinate_pairs(cohom: CohomParameter) -> list[tuple[int, int]]:
+    """(doubled chi exponent, sl2 weight) of each coordinate."""
     out = []
-    for c, s in zip(chi, sl2):
-        if s.denominator != 1:
+    for c, s in zip(cohom.chi_exponent.twice, cohom.sl2_cochar.twice):
+        if s % 2:
             raise MathCheckError("sl2 weights must be integers")
-        out.append((c, int(s)))
+        out.append((c, s // 2))
     return out
 
 
@@ -632,14 +621,7 @@ def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParame
         return GLParameter(tuple(twodims + quads), 0, flag)
 
     if fam == "U":
-        strings = _extract_strings(coords)
-        entries = []
-        for x, m in strings:
-            two_x = 2 * x
-            if two_x.denominator != 1:
-                raise MathCheckError(f"exponent {x} is not half-integral")
-            entries.append((int(two_x), m))
-        return ComplexParameter(tuple(entries))
+        return ComplexParameter(tuple(_extract_strings(coords)))
 
     if fam == "GL_C":
         half = n // 2
@@ -647,18 +629,12 @@ def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParame
         s2 = _extract_strings(coords[half:])
         if Counter((-x, m) for x, m in s1) != Counter(s2):
             raise MathCheckError("second factor is not the conjugate of the first")
-        entries = []
-        for x, m in s1:
-            two_x = 2 * x
-            if two_x.denominator != 1:
-                raise MathCheckError(f"exponent {x} is not half-integral")
-            entries.append((int(two_x), m))
-        return ComplexParameter(tuple(entries))
+        return ComplexParameter(tuple(s1))
 
     # orthogonal/symplectic-valued families: symmetrize the weights first
     sym = list(coords) + [(-c, -s) for c, s in coords]
     if fam == "Sp_R":
-        sym.append((Fraction(0), 0))
+        sym.append((0, 0))
         mode, delta = "det", 0
     elif fam == "SO_odd":
         mode, delta = "free", 0
@@ -811,71 +787,6 @@ def enumerate_selfdual(
     return _finish_enumeration(_atom_sets(bag), 0, valued_in, delta)
 
 
-def gl_cascade_parameters(
-    n: int, lam: HalfIntVector | None = None
-) -> tuple[GLParameter, ...]:
-    """Second independent route: blocks of mirror-symmetric compositions.
-
-    Each composition (n_1, ..., n_k) of n with n_j = n_{k+1-j} and
-    block-constant weight contributes one parameter; the j-th block
-    carries the exponent (n - n_j)/2 - (preceding sum) + weight.
-    """
-    if lam is None:
-        lam = HalfIntVector((0,) * n)
-    entries = list(lam)
-    if len(entries) != n:
-        raise InvalidWeightError(f"weight has {len(entries)} coordinates")
-    out = []
-    for comp in _compositions(n):
-        k = len(comp)
-        if any(comp[j] != comp[k - 1 - j] for j in range(k)):
-            continue
-        # block-constant weight required
-        blocks = []
-        pos = 0
-        ok = True
-        for size in comp:
-            vals = set(entries[pos : pos + size])
-            if len(vals) != 1:
-                ok = False
-                break
-            blocks.append(vals.pop())
-            pos += size
-        if not ok:
-            continue
-        d_vals = []
-        pos = 0
-        for j, size in enumerate(comp):
-            d_vals.append(Fraction(n - size, 2) - pos + blocks[j])
-            pos += size
-        csums = {d_vals[j] + d_vals[k - 1 - j] for j in range(k)}
-        if len(csums) != 1:
-            continue
-        c = csums.pop() / 2
-        twist2 = 2 * c
-        if twist2.denominator != 1:
-            continue
-        atoms: list[Atom] = []
-        quadlens: list[int] = []
-        for j in range(k // 2):
-            two_d = 2 * (d_vals[j] - c)
-            if two_d.denominator != 1 or two_d <= 0:
-                ok = False
-                break
-            atoms.append(TwoDimAtom(int(two_d), comp[j]))
-        if not ok:
-            continue
-        if k % 2 == 1:
-            mid = d_vals[k // 2] - c
-            if mid != 0:
-                continue
-            quadlens.append(comp[k // 2])
-        quads, flag = _assign_quad_eps(quadlens, 0, "plain")
-        out.append(GLParameter(tuple(atoms + quads), int(twist2), flag))
-    out.sort(key=lambda p: p.text())
-    return tuple(out)
-
-
 def _compositions(n: int):
     if n == 0:
         yield ()
@@ -885,44 +796,69 @@ def _compositions(n: int):
             yield (first,) + rest
 
 
+def _block_compositions(n: int, lam: HalfIntVector | None):
+    """(composition, doubled block exponents) for each composition of n on
+    whose blocks `lam` is constant; the j-th block carries the exponent
+    (n - n_j)/2 - (preceding sum) + its weight."""
+    twice = (0,) * n if lam is None else lam.twice
+    if len(twice) != n:
+        raise InvalidWeightError(f"weight has {len(twice)} coordinates")
+    for comp in _compositions(n):
+        exps = []
+        pos = 0
+        for size in comp:
+            if len(set(twice[pos : pos + size])) != 1:
+                break
+            exps.append(n - size - 2 * pos + twice[pos])
+            pos += size
+        else:
+            yield comp, exps
+
+
+def gl_cascade_parameters(
+    n: int, lam: HalfIntVector | None = None
+) -> tuple[GLParameter, ...]:
+    """Second independent route: blocks of mirror-symmetric compositions.
+
+    Each composition (n_1, ..., n_k) of n with n_j = n_{k+1-j} and
+    block-constant weight contributes one parameter, twisted so that its
+    block exponents pair off around zero.
+    """
+    out = []
+    for comp, exps in _block_compositions(n, lam):
+        k = len(comp)
+        if comp != comp[::-1]:
+            continue
+        sums = {exps[j] + exps[k - 1 - j] for j in range(k)}
+        if len(sums) != 1:
+            continue
+        total = sums.pop()
+        if total % 2:
+            continue
+        twist2 = total // 2
+        two_ds = [exps[j] - twist2 for j in range(k // 2)]
+        if any(d <= 0 for d in two_ds):
+            continue
+        quadlens = []
+        if k % 2 == 1:
+            if exps[k // 2] != twist2:
+                continue
+            quadlens.append(comp[k // 2])
+        quads, flag = _assign_quad_eps(quadlens, 0, "plain")
+        atoms = [TwoDimAtom(d, m) for d, m in zip(two_ds, comp)]
+        out.append(GLParameter(tuple(atoms + quads), twist2, flag))
+    out.sort(key=lambda p: p.text())
+    return tuple(out)
+
+
 def enumerate_complex_cohomological(
     n: int, lam: HalfIntVector | None = None
 ) -> tuple[ComplexParameter, ...]:
     """Direct route for complex-coefficient parameters: one per composition
     with block-constant weight."""
-    if lam is None:
-        lam = HalfIntVector((0,) * n)
-    entries = list(lam)
-    if len(entries) != n:
-        raise InvalidWeightError(f"weight has {len(entries)} coordinates")
-    out = []
-    for comp in _compositions(n):
-        blocks = []
-        pos = 0
-        ok = True
-        for size in comp:
-            vals = set(entries[pos : pos + size])
-            if len(vals) != 1:
-                ok = False
-                break
-            blocks.append(vals.pop())
-            pos += size
-        if not ok:
-            continue
-        pieces = []
-        pos = 0
-        for j, size in enumerate(comp):
-            d = Fraction(n - size, 2) - pos + blocks[j]
-            two_d = 2 * d
-            if two_d.denominator != 1:
-                ok = False
-                break
-            pieces.append((int(two_d), size))
-            pos += size
-        if ok:
-            out.append(ComplexParameter(tuple(pieces)))
     seen = {}
-    for p in out:
+    for comp, exps in _block_compositions(n, lam):
+        p = ComplexParameter(tuple(zip(exps, comp)))
         seen.setdefault(p.text(), p)
     return tuple(sorted(seen.values(), key=lambda p: p.text()))
 

@@ -8,7 +8,8 @@ a tuple sorted by `WeylElement.sort_key`, so identical inputs always
 serialize identically.
 
 The size of any group this module is asked to write down is capped:
-`COHOPARAM_MAX_WEYL` (default 10**6).  Requests past the cap raise
+`COHOPARAM_MAX_WEYL` (default 10**6), which a `max_size` argument can
+lower but never raise.  Requests past the cap raise
 `WeylSizeError` *before* enumeration starts whenever the order is known in
 closed form.
 
@@ -27,7 +28,12 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import MathCheckError, UnsupportedGroupError, WeylSizeError
+from .errors import (
+    InvalidWeightError,
+    MathCheckError,
+    UnsupportedGroupError,
+    WeylSizeError,
+)
 from .halfint import HalfIntVector
 from .rootdata import (
     RootDatum,
@@ -65,11 +71,19 @@ def max_weyl_size() -> int:
         try:
             val = int(raw)
         except ValueError as exc:
-            raise WeylSizeError(f"COHOPARAM_MAX_WEYL={raw!r} is not an integer") from exc
+            raise InvalidWeightError(
+                f"COHOPARAM_MAX_WEYL={raw!r} is not an integer"
+            ) from exc
         if val < 1:
-            raise WeylSizeError(f"COHOPARAM_MAX_WEYL={raw!r} must be positive")
+            raise InvalidWeightError(f"COHOPARAM_MAX_WEYL={raw!r} must be positive")
         return val
     return DEFAULT_MAX_WEYL
+
+
+def _cap(max_size: int | None) -> int:
+    """The cap in force: an explicit `max_size` can only lower the env cap."""
+    env = max_weyl_size()
+    return env if max_size is None else min(max_size, env)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +163,7 @@ def subgroup_closure(
     max_size: int | None = None,
 ) -> tuple[WeylElement, ...]:
     """Close a generating set under multiplication; sorted, capped."""
-    cap = max_size if max_size is not None else max_weyl_size()
+    cap = _cap(max_size)
     if not gens:
         if n is None:
             raise ValueError("empty generating set needs an explicit dimension n")
@@ -180,7 +194,7 @@ def full_weyl_group(
     datum: RootDatum, *, max_size: int | None = None
 ) -> tuple[WeylElement, ...]:
     """All elements of W, generated from the simple reflections."""
-    cap = max_size if max_size is not None else max_weyl_size()
+    cap = _cap(max_size)
     expected = weyl_order(datum)
     if expected > cap:
         raise WeylSizeError(
@@ -426,7 +440,7 @@ def compact_weyl_catalog(
     datum = build_classical_dual(descriptor)
     kind, first, second = parse_group(descriptor)
     n = datum.ambient_dim
-    cap = max_size if max_size is not None else max_weyl_size()
+    cap = _cap(max_size)
     theta_map = datum.theta_linear
     full_order = weyl_order(datum)
 

@@ -369,6 +369,11 @@ class TestExitCodes:
             (["enumerate", "--group", "E8"], 3),
             (["packet", "--group", "Sp(4,R)", "--subset", "a"], 2),
             (["packet", "--group", "Sp(40,R)"], 3),
+            (["enumerate", "--group", "GL(2,R)", "--weight", ",0"], 2),
+            (["enumerate", "--group", "GL(2,R)", "--weight", "1/0,0"], 2),
+            (["enumerate", "--group", "GL(2,R)", "--weight", "1e5000,0"], 2),
+            (["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1/3"], 2),
+            (["transfer", "--embedding", "diag", "--param", "s1[1]*nu^1e5000"], 2),
         ],
     )
     def test_error_paths(self, argv, code, capsys):
@@ -430,6 +435,23 @@ class TestExitCodes:
         monkeypatch.setenv("COHOPARAM_MAX_WEYL", "5")
         assert main(["packet", "--group", "Sp(4,R)"]) == 3
         capsys.readouterr()
+
+    def test_max_size_cannot_raise_env_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("COHOPARAM_MAX_WEYL", "5")
+        assert main(["packet", "--group", "Sp(4,R)", "--max-size", "100"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("unsupported: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "abc"])
+    def test_malformed_env_cap_is_invalid_input(self, raw, capsys, monkeypatch):
+        monkeypatch.setenv("COHOPARAM_MAX_WEYL", raw)
+        assert main(["packet", "--group", "Sp(4,R)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: COHOPARAM_MAX_WEYL=")
+        assert captured.err.count("\n") == 1
 
     def test_diagnostics_go_to_stderr(self, capsys):
         code = main(["enumerate", "--group", "GL(2,R)", "--weight", "x,0"])

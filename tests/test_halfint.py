@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cohoparam.halfint import HalfIntVector, solve_rational
+from cohoparam.errors import InvalidWeightError
+from cohoparam.halfint import HalfIntVector, _fmt_half, _parse_half, solve_rational
 
 
 def test_parse_and_str_roundtrip():
@@ -62,6 +63,25 @@ def test_neg_involutive(v):
 @given(vectors)
 def test_str_parse_roundtrip(v):
     assert HalfIntVector.parse(str(v)) == v
+
+
+@given(halfints)
+def test_parse_half_inverts_fmt_half(t):
+    assert _parse_half(_fmt_half(t)) == t
+
+
+@given(st.integers(min_value=-50, max_value=50))
+def test_parse_half_agrees_with_fraction(a):
+    for text in (str(a), f"{a}/2", f"{a}.5"):
+        assert Fraction(_parse_half(text), 2) == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "x", "1/0", "1/3", "0.25", "1/2/2", "1e5000", "1_0", "inf"]
+)
+def test_parse_half_rejects(text):
+    with pytest.raises(InvalidWeightError):
+        _parse_half(text)
 
 
 def test_solve_rational_exact():
