@@ -6,6 +6,9 @@ are the double cosets
     (compact-side subgroup)  \\  W^theta  /  (theta-fixed Levi Weyl group),
 
 computed inside the catalog data of :func:`cohoparam.weyl.compact_weyl_catalog`.
+The theta-fixed Levi Weyl group is picked out of the catalog's W^theta as a
+stabilizer, so no Levi group is built and the Weyl cap applies only to the
+catalog's groups.
 Each member carries a cohomology total
 
     h_dim = 2**d * |W_L^theta| / |W_L^theta  intersect  w^{-1} K w|,
@@ -43,8 +46,6 @@ from .weyl import (
     WeylElement,
     compact_weyl_catalog,
     double_cosets,
-    levi_weyl_group,
-    theta_fixed_subgroup,
 )
 
 __all__ = [
@@ -159,15 +160,24 @@ def _member_from_coset(
 
 
 def _cosets_for_subset(
-    cat: CompactWeylData, S: frozenset[int], *, max_size: int | None = None
+    cat: CompactWeylData, S: frozenset[int]
 ) -> tuple[tuple[DoubleCoset, ...], tuple[WeylElement, ...]]:
     parabolic = StandardParabolic(cat.datum, S)
     if not is_self_associate(parabolic):
         raise InvalidWeightError(
             f"subset {sorted(S)} of {cat.descriptor} is not self-associate"
         )
-    levi = levi_weyl_group(parabolic, max_size=max_size)
-    levi_theta = theta_fixed_subgroup(levi, cat.theta_map)
+    # v pairs to zero with the simple roots in S and positively with the
+    # rest, so its stabilizer in W is W_L (Chevalley) and in W^theta it is
+    # W_L^theta; filtering the sorted W^theta keeps sort_key order.  The
+    # test is `w.apply(v) == v` inlined: building a vector per element
+    # doubles this filter's time (0.06 -> 0.12 s per packet-sweep pass)
+    v = (cat.datum.rho_check - parabolic.rho_check_levi).twice
+    levi_theta = tuple(
+        w
+        for w in cat.w_theta
+        if all(v[p] == s * x for p, s, x in zip(w.perm, w.signs, v))
+    )
     cosets = double_cosets(cat.k_weyl, levi_theta, cat.w_theta)
     return cosets, levi_theta
 
@@ -185,7 +195,7 @@ def packet(
             f"parameter belongs to {param.datum.descriptor}, "
             f"not to {cat.descriptor}"
         )
-    cosets, levi_theta = _cosets_for_subset(cat, param.S, max_size=max_size)
+    cosets, levi_theta = _cosets_for_subset(cat, param.S)
 
     unitary_blocks = None
     if cat.datum.family == "U":
@@ -233,7 +243,7 @@ def theta_stable_parabolic_count(
             f"parabolic belongs to {parabolic.datum.descriptor}, "
             f"not to {cat.descriptor}"
         )
-    cosets, _ = _cosets_for_subset(cat, parabolic.S, max_size=max_size)
+    cosets, _ = _cosets_for_subset(cat, parabolic.S)
     return len(cosets)
 
 

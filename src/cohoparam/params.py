@@ -840,9 +840,7 @@ def gl_cascade_parameters(
         if any(d <= 0 for d in two_ds):
             continue
         quadlens = []
-        if k % 2 == 1:
-            if exps[k // 2] != twist2:
-                continue
+        if k % 2 == 1:  # the middle block's own pair sum makes its exponent twist2
             quadlens.append(comp[k // 2])
         quads, flag = _assign_quad_eps(quadlens, 0, "plain")
         atoms = [TwoDimAtom(d, m) for d, m in zip(two_ds, comp)]

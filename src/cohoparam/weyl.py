@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     InvalidWeightError,
@@ -243,7 +244,12 @@ def longest_element(datum: RootDatum) -> WeylElement:
 def levi_weyl_group(
     parabolic: StandardParabolic, *, max_size: int | None = None
 ) -> tuple[WeylElement, ...]:
-    """W_L for a standard parabolic: closure of its simple reflections."""
+    """W_L for a standard parabolic: closure of its simple reflections.
+
+    The packet layer takes W_L^theta as a stabilizer inside W^theta instead;
+    this closure, with `theta_fixed_subgroup`, is that route's check in the
+    tests.
+    """
     gens = [simple_reflection(parabolic.datum, i) for i in sorted(parabolic.S)]
     return subgroup_closure(
         gens, n=parabolic.datum.ambient_dim, max_size=max_size
@@ -300,7 +306,10 @@ def double_cosets(
     """Partition `ambient` into left*x*right double cosets.
 
     `left` and `right` must be subgroups contained in `ambient` (checked).
-    Cosets come back sorted by their minimal representative.
+    Each double coset is a union of right cosets x*right, so only an x in
+    left*seed that no right coset found so far covers is expanded.  Seeds
+    are taken in sort_key order, so each seed is its coset's minimum and
+    the cosets come back sorted by it.
     """
     amb_set = set(ambient)
     for grp, name in ((left, "left"), (right, "right")):
@@ -310,15 +319,17 @@ def double_cosets(
     cosets = []
     while remaining:
         seed = next(iter(remaining))
-        half = {l * seed for l in left}
-        orbit = {x * r for x in half for r in right}
+        orbit: set[WeylElement] = set()
+        for l in left:
+            x = l * seed
+            if x not in orbit:
+                orbit.update(x * r for r in right)
         if not orbit <= amb_set:
             raise MathCheckError("double coset escapes the ambient group")
-        rep = min(orbit, key=lambda w: w.sort_key)
-        cosets.append(DoubleCoset(rep=rep, size=len(orbit)))
+        cosets.append(DoubleCoset(rep=seed, size=len(orbit)))
         for x in orbit:
             remaining.pop(x, None)
-    return tuple(sorted(cosets, key=lambda c: c.rep.sort_key))
+    return tuple(cosets)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +437,10 @@ def compact_weyl_catalog(
 ) -> CompactWeylData:
     """Twisted Weyl group and compact-side subgroup for one real form.
 
+    The cap is read on every call; the groups are built once per
+    (descriptor, cap) and shared, which is safe because `CompactWeylData`
+    is frozen and holds tuples.
+
     Conventions baked in here (and relied on by the packet layer):
 
     * everything lives in the coordinates of the dual root datum, whose
@@ -437,10 +452,17 @@ def compact_weyl_catalog(
       (p+q)/2 <= 3, where the diagram involution is pinned down by the
       signature alone.
     """
+    build_classical_dual(descriptor)  # a bad descriptor is reported before a bad cap
+    return _compact_weyl_catalog(descriptor, _cap(max_size))
+
+
+# `verify --suite all` builds 26 (descriptor, cap) keys, the most of any
+# command; 32 holds them all, so each is built once
+@lru_cache(maxsize=32)
+def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
     datum = build_classical_dual(descriptor)
     kind, first, second = parse_group(descriptor)
     n = datum.ambient_dim
-    cap = _cap(max_size)
     theta_map = datum.theta_linear
     full_order = weyl_order(datum)
 
@@ -541,11 +563,12 @@ def compact_weyl_catalog(
             f"twisted Weyl group of {descriptor}: got {len(w_theta)}, "
             f"expected {expected_theta}"
         )
-    for w in w_theta:
-        if conjugate_element(theta_map, w) != w:
-            raise MathCheckError(
-                f"claimed twisted element {w} of {descriptor} is not fixed"
-            )
+    # the packet layer's W_L^theta is a stabilizer inside W^theta, so it is
+    # theta-fixed only if all of W^theta is
+    if theta_fixed_subgroup(w_theta, theta_map) != w_theta:
+        raise MathCheckError(
+            f"twisted Weyl group of {descriptor} is not fixed by theta"
+        )
 
     k_weyl = subgroup_closure(k_gens, n=n, max_size=cap)
     if len(k_weyl) != expected_k:

@@ -343,6 +343,17 @@ class TestVerify:
                       "compact-U(3)", "weyl-Sp(4,R)"):
             assert probe in names
 
+    def test_all_builds_each_catalog_once(self, capsys):
+        from cohoparam import weyl
+
+        weyl._compact_weyl_catalog.cache_clear()
+        code, _ = run(capsys, "verify", "--suite", "all", "--format", "json")
+        info = weyl._compact_weyl_catalog.cache_info()
+        assert code == 0
+        # no key was evicted and built again
+        assert info.misses == info.currsize < info.maxsize
+        assert info.hits > info.misses
+
     def test_suite_failure_exits_5(self, capsys, monkeypatch):
         import cohoparam.cli as cli
 
@@ -452,6 +463,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("invalid input: COHOPARAM_MAX_WEYL=")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw,code", [("2", 3), ("abc", 2)])
+    def test_env_cap_checked_with_catalog_cached(self, raw, code, capsys, monkeypatch):
+        assert main(["packet", "--group", "Sp(4,R)"]) == 0  # warms the catalog
+        capsys.readouterr()
+        monkeypatch.setenv("COHOPARAM_MAX_WEYL", raw)
+        assert main(["packet", "--group", "Sp(4,R)"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+
+    def test_levi_group_is_not_built(self, capsys):
+        # W_L = S_7 is over the cap of 100, but only W^theta and K (8 elements
+        # each) are built, so the packet is computed as without the cap
+        argv = ["packet", "--group", "GL(7,R)", "--subset", "1,2,3,4,5,6"]
+        code, capped = run(capsys, *argv, "--max-size", "100")
+        assert code == 0
+        assert capped == run(capsys, *argv)[1]
+        assert capped.splitlines()[:4] == [
+            "group        GL(7,R)",
+            "levi subset  [1, 2, 3, 4, 5, 6]",
+            "size         1",
+            "total        16",
+        ]
 
     def test_diagnostics_go_to_stderr(self, capsys):
         code = main(["enumerate", "--group", "GL(2,R)", "--weight", "x,0"])

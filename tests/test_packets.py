@@ -17,20 +17,30 @@ from hypothesis import strategies as st
 
 from cohoparam.errors import InvalidWeightError, UnsupportedGroupError
 from cohoparam.halfint import HalfIntVector
+from cohoparam import packets
 from cohoparam.packets import (
+    _cosets_for_subset,
     packet,
     packet_size_unitary,
     theta_stable_parabolic_count,
     unitary_packet_members,
 )
 from cohoparam.params import CohomParameter, enumerate_cohomological
-from cohoparam.rootdata import StandardParabolic, build_classical_dual
+from cohoparam.rootdata import (
+    StandardParabolic,
+    build_classical_dual,
+    is_self_associate,
+    parse_group,
+)
 from cohoparam.weyl import (
     WeylElement,
     compact_weyl_catalog,
     double_cosets,
     full_weyl_group,
+    levi_weyl_group,
     subgroup_closure,
+    theta_fixed_subgroup,
+    weyl_order,
 )
 
 
@@ -365,3 +375,79 @@ class TestPacketStructure:
         c = enumerate_cohomological("Sp(4,R)")[0]
         with pytest.raises(UnsupportedGroupError):
             packet("SO(3,5)", c)
+
+
+# ---------------------------------------------------------------------------
+# W_L^theta as a stabilizer inside W^theta, against the closure route
+
+
+def _catalog_groups_up_to(order: int) -> list[str]:
+    """Every descriptor the catalog serves whose Weyl group has <= order elements.
+
+    Each family's range runs one size past the bound of 5040.
+    """
+    candidates = (
+        [f"GL({n},R)" for n in range(1, 9)]
+        + [f"SL({n},R)" for n in range(2, 9)]
+        + [f"GL({n},C)" for n in range(1, 6)]
+        + [f"U({p},{n - p})" for n in range(1, 9) for p in range(n + 1)]
+        + [f"Sp({2 * n},R)" for n in range(1, 7)]
+        + [f"SO({p},{n - p})" for n in range(2, 14) for p in range(n + 1)]
+    )
+    out = []
+    for desc in candidates:
+        kind, p, q = parse_group(desc)
+        if kind == "SO" and p % 2 == q % 2 == 1 and p + q > 6:
+            continue  # SO(odd,odd) is served only through rank 3
+        if weyl_order(build_classical_dual(desc)) <= order:
+            out.append(desc)
+    return out
+
+
+_CLOSURE_ROUTE: dict = {}
+
+
+def _levi_theta_by_closure(parabolic: StandardParabolic, theta: WeylElement):
+    # W_L depends on the roots only, which the factors fix, so real forms
+    # with the same factors and theta share the closure
+    key = (parabolic.datum.factors, parabolic.S, theta)
+    if key not in _CLOSURE_ROUTE:
+        levi = levi_weyl_group(parabolic)
+        _CLOSURE_ROUTE[key] = theta_fixed_subgroup(levi, theta)
+    return _CLOSURE_ROUTE[key]
+
+
+@pytest.mark.parametrize("desc", _catalog_groups_up_to(5040))
+def test_levi_theta_by_stabilizer_matches_closure(desc, monkeypatch):
+    # only W_L^theta is compared here; the cosets are checked above
+    monkeypatch.setattr(packets, "double_cosets", lambda *groups: ())
+    cat = compact_weyl_catalog(desc)
+    d = cat.datum
+    for r in range(d.rank + 1):
+        for S in itertools.combinations(range(1, d.rank + 1), r):
+            parabolic = StandardParabolic(d, frozenset(S))
+            if not is_self_associate(parabolic):
+                continue
+            _, levi_theta = _cosets_for_subset(cat, parabolic.S)
+            assert levi_theta == _levi_theta_by_closure(parabolic, cat.theta_map), S
+
+
+@pytest.mark.parametrize(
+    "desc,S", [("Sp(8,R)", frozenset()), ("U(3,3)", frozenset(range(1, 6)))]
+)
+def test_double_cosets_expand_each_right_coset_once(desc, S, monkeypatch):
+    cat = compact_weyl_catalog(desc)
+    _, levi_theta = _cosets_for_subset(cat, S)
+    mul = WeylElement.__mul__
+    products = 0
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(WeylElement, "__mul__", counted)
+    cosets = double_cosets(cat.k_weyl, levi_theta, cat.w_theta)
+    monkeypatch.undo()
+    assert sum(c.size for c in cosets) == len(cat.w_theta)
+    assert products <= sum(len(cat.k_weyl) + c.size for c in cosets)

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohoparam.errors import WeylSizeError
+from cohoparam.errors import MathCheckError, WeylSizeError
 from cohoparam.halfint import HalfIntVector
-from cohoparam import rootdata
+from cohoparam import rootdata, weyl
 from cohoparam.rootdata import StandardParabolic, build_classical_dual
 from cohoparam.weyl import (
     WeylElement,
@@ -271,9 +271,19 @@ def test_so_odd_odd_gate():
 def test_catalog_deterministic():
     a = compact_weyl_catalog("SO(2,3)")
     b = compact_weyl_catalog("SO(2,3)")
+    assert a is b  # memoized on (descriptor, cap)
     assert a.w_theta == b.w_theta
     assert a.k_weyl == b.k_weyl
     assert a.to_json() == b.to_json()
+
+
+def test_catalog_rejects_twisted_group_not_fixed_by_theta(monkeypatch):
+    # (1 2) in S_3 has the order of the true W^theta of GL(3,R) but does not
+    # commute with theta, which swaps e_1 and e_3
+    monkeypatch.setattr(weyl, "_gl_pair_block_gens", lambda n: [weyl._transposition(n, 0, 1)])
+    weyl._compact_weyl_catalog.cache_clear()
+    with pytest.raises(MathCheckError):
+        compact_weyl_catalog("GL(3,R)")
 
 
 def test_subgroup_closure_trivial():
