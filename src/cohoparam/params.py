@@ -39,6 +39,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     InvalidWeightError,
@@ -380,11 +381,35 @@ def parse_complex_parameter(text: str) -> ComplexParameter:
 # subset-side parameters
 
 
+@lru_cache(maxsize=128)
+def _weight_pairings(
+    datum: RootDatum, lam: HalfIntVector
+) -> tuple[tuple[Fraction, ...], int | None]:
+    """The checks of a weight that do not involve S, once per (datum, lam).
+
+    Raises on a wrong length, a non-integral or a non-theta-fixed weight;
+    returns <lam, alpha_i-check> for i = 1..rank and the first i where it
+    is negative (None for a dominant weight).
+    """
+    if len(lam) != datum.ambient_dim:
+        raise InvalidWeightError(
+            f"weight has {len(lam)} coordinates, expected {datum.ambient_dim}"
+        )
+    if not datum.weight_is_integral(lam):
+        raise InvalidWeightError(f"{lam} is not integral for {datum.descriptor}")
+    if datum.theta_linear.apply(lam) != lam:
+        raise InvalidWeightError(f"{lam} is not theta-fixed")
+    pairings = tuple(lam.dot(coroot) for coroot in datum.simple_coroots)
+    first_negative = next((i for i, p in enumerate(pairings, 1) if p < 0), None)
+    return pairings, first_negative
+
+
 @dataclass(frozen=True)
 class CohomParameter:
     """A self-associate subset of simple roots plus a compatible weight.
 
-    Validity (checked eagerly):
+    Validity (checked eagerly; the checks of `lam` alone are memoized per
+    (datum, lam), those of S run for every parameter):
 
     * `lam` is an integral dominant weight fixed by theta;
     * S is stable under theta;
@@ -397,22 +422,23 @@ class CohomParameter:
 
     def __post_init__(self) -> None:
         d = self.datum
-        if len(self.lam) != d.ambient_dim:
+        pairings, first_negative = _weight_pairings(d, self.lam)
+        # dominance and S-singularity are one scan over alpha_1..alpha_rank:
+        # the lowest failing index decides which of the two is reported
+        first_in_s = min(
+            (i for i in self.S if 1 <= i <= d.rank and pairings[i - 1]), default=None
+        )
+        if first_negative is not None and (
+            first_in_s is None or first_negative <= first_in_s
+        ):
             raise InvalidWeightError(
-                f"weight has {len(self.lam)} coordinates, expected {d.ambient_dim}"
+                f"{self.lam} is not dominant (alpha_{first_negative})"
             )
-        if not d.weight_is_integral(self.lam):
-            raise InvalidWeightError(f"{self.lam} is not integral for {d.descriptor}")
-        if d.theta_linear.apply(self.lam) != self.lam:
-            raise InvalidWeightError(f"{self.lam} is not theta-fixed")
-        for i in range(1, d.rank + 1):
-            p = self.lam.dot(d.alpha_check(i))
-            if p < 0:
-                raise InvalidWeightError(f"{self.lam} is not dominant (alpha_{i})")
-            if i in self.S and p != 0:
-                raise InvalidWeightError(
-                    f"weight pairs to {p} with alpha_{i}, which lies in S"
-                )
+        if first_in_s is not None:
+            raise InvalidWeightError(
+                f"weight pairs to {pairings[first_in_s - 1]} with alpha_{first_in_s}, "
+                "which lies in S"
+            )
         if not all(1 <= i <= d.rank for i in self.S):
             raise InvalidWeightError(f"S = {sorted(self.S)} out of range")
         if not is_self_associate(StandardParabolic(d, self.S)):
@@ -422,13 +448,22 @@ class CohomParameter:
     def parabolic(self) -> StandardParabolic:
         return StandardParabolic(self.datum, self.S)
 
+    def _chi_and_sl2(self) -> tuple[HalfIntVector, HalfIntVector]:
+        """(chi, sl2) from one computation of rho-check of the Levi.
+
+        Nothing is kept on the parameter: an enumeration holds all of its
+        parameters at once, and a cached value on each raised its peak memory.
+        """
+        rho_levi = self.parabolic.rho_check_levi
+        return self.lam + self.datum.rho_check - rho_levi, rho_levi.scale(2)
+
     @property
     def chi_exponent(self) -> HalfIntVector:
-        return self.lam + self.datum.rho_check - self.parabolic.rho_check_levi
+        return self._chi_and_sl2()[0]
 
     @property
     def sl2_cochar(self) -> HalfIntVector:
-        return self.parabolic.rho_check_levi.scale(2)
+        return self._chi_and_sl2()[1]
 
     @property
     def inf_char(self) -> HalfIntVector:
@@ -475,15 +510,17 @@ def enumerate_cohomological(
         lam = HalfIntVector((0,) * datum.ambient_dim)
     # validate the weight once through the parameter with S = {}
     CohomParameter(datum, frozenset(), lam)
-    singular = [
-        i for i in range(1, datum.rank + 1) if lam.dot(datum.alpha_check(i)) == 0
+    pairings, _ = _weight_pairings(datum, lam)
+    singular = [i for i, p in enumerate(pairings, 1) if p == 0]
+    # lam is theta-fixed, so the involution theta maps the singular set to
+    # itself, and its theta-stable subsets are the unions of the orbits
+    # {i, theta(i)}: 2**len(orbits) of them, each built once
+    orbits = list(dict.fromkeys(frozenset({i, datum.theta(i)}) for i in singular))
+    subsets = [
+        tuple(sorted(itertools.chain.from_iterable(combo)))
+        for r in range(len(orbits) + 1)
+        for combo in itertools.combinations(orbits, r)
     ]
-    subsets = []
-    for r in range(len(singular) + 1):
-        for combo in itertools.combinations(singular, r):
-            s = frozenset(combo)
-            if datum.theta_subset(s) == s:
-                subsets.append(tuple(sorted(combo)))
     subsets.sort(key=lambda t: (len(t), t))
     return tuple(CohomParameter(datum, frozenset(t), lam) for t in subsets)
 
@@ -502,21 +539,21 @@ def _extract_strings(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """
     work = Counter(pairs)
     out = []
-    while work:
-        x, h = max(work, key=lambda p: (p[1], p[0]))
-        if h < 0:
-            raise MathCheckError(f"unmatched sl2 weight ({_fmt_half(x)}, {h})")
-        m = h + 1
-        for k in range(m):
-            key = (x, h - 2 * k)
-            if work[key] <= 0:
-                raise MathCheckError(
-                    f"broken string: missing ({_fmt_half(x)}, {key[1]})"
-                )
-            work[key] -= 1
-            if not work[key]:
-                del work[key]
-        out.append((x, m))
+    # a string only uses up keys below its top, so visiting the keys from
+    # the top down, each until it runs out, always takes the highest one left
+    for x, h in sorted(work, key=lambda p: (p[1], p[0]), reverse=True):
+        while work[(x, h)]:
+            if h < 0:
+                raise MathCheckError(f"unmatched sl2 weight ({_fmt_half(x)}, {h})")
+            m = h + 1
+            for k in range(m):
+                key = (x, h - 2 * k)
+                if work[key] <= 0:
+                    raise MathCheckError(
+                        f"broken string: missing ({_fmt_half(x)}, {key[1]})"
+                    )
+                work[key] -= 1
+            out.append((x, m))
     return out
 
 
@@ -600,8 +637,9 @@ def _assign_quad_eps(
 
 def _coordinate_pairs(cohom: CohomParameter) -> list[tuple[int, int]]:
     """(doubled chi exponent, sl2 weight) of each coordinate."""
+    chi, sl2 = cohom._chi_and_sl2()
     out = []
-    for c, s in zip(cohom.chi_exponent.twice, cohom.sl2_cochar.twice):
+    for c, s in zip(chi.twice, sl2.twice):
         if s % 2:
             raise MathCheckError("sl2 weights must be integers")
         out.append((c, s // 2))

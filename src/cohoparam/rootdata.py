@@ -453,8 +453,16 @@ def build_classical_dual(descriptor: str) -> RootDatum:
     form is not an inner form of the split one (q odd differs from
     (p+q)/2 odd).  SO(p,q) with p+q = 8 and p,q odd is rejected: that is
     the signature whose diagram action is triality-ambiguous.
+
+    The descriptor is parsed on every call, so a bad one always raises;
+    the datum is memoized on the parsed group, so every spelling of one
+    group returns the same object and its cached properties.
     """
-    kind, first, second = parse_group(descriptor)
+    return _build_classical_dual(*parse_group(descriptor))
+
+
+@lru_cache(maxsize=64)
+def _build_classical_dual(kind: str, first: int, second: int | str) -> RootDatum:
     canon = _canonical(kind, first, second)
 
     if kind in ("GL", "SL") and second == "R":
@@ -568,10 +576,9 @@ def _positive_root_supports(datum: RootDatum) -> tuple[frozenset[int], ...]:
     The expansion does not depend on any Levi subset, so it is computed
     once per datum; per-subset filtering stays uncached.
     """
-    simples = list(datum.simple_roots)
+    roots = [root for root, _ in datum.positive_roots]
     supports = []
-    for root, _ in datum.positive_roots:
-        coeffs = expand_in_basis(simples, root)
+    for coeffs in _expand_each_in_basis(list(datum.simple_roots), roots):
         if coeffs is None:
             raise MathCheckError("positive root outside simple-root span")
         supports.append(frozenset(i + 1 for i, c in enumerate(coeffs) if c != 0))
@@ -583,8 +590,8 @@ class StandardParabolic:
     """A standard parabolic of the dual group, named by its Levi subset S.
 
     S contains 1-based simple-root indices.  The Levi's rho-check is
-    recomputed from the subsystem on every access; it is never cached,
-    so S mutations via `replace` cannot leave a stale value.
+    computed from the subsystem on every access and never stored; a
+    caller that needs it twice keeps the value.
     """
 
     datum: RootDatum
@@ -608,10 +615,9 @@ class StandardParabolic:
 
     @property
     def rho_check_levi(self) -> HalfIntVector:
-        acc = HalfIntVector((0,) * self.datum.ambient_dim)
-        for _, coroot in self.levi_positive():
-            acc = acc + coroot
-        return acc.scale(1, 2)
+        coroots = [coroot.twice for _, coroot in self.levi_positive()]
+        twice = [sum(col) for col in zip(*coroots)] or [0] * self.datum.ambient_dim
+        return HalfIntVector(tuple(twice)).scale(1, 2)
 
 
 def opposition_involution(datum: RootDatum) -> tuple[tuple[int, ...], WeylElement]:
@@ -771,17 +777,31 @@ def expand_in_basis(
 
     Works for overdetermined coordinates (ambient dim > len(basis)).
     """
+    return _expand_each_in_basis(basis, [target])[0]
+
+
+def _expand_each_in_basis(
+    basis: list[HalfIntVector], targets: list[HalfIntVector]
+) -> list[list[Fraction] | None]:
+    """`expand_in_basis` for every target, with one elimination of the basis:
+    the targets ride along as extra columns of the augmented matrix."""
     if not basis:
-        return [] if target.is_zero else None
-    dim = len(target)
+        return [[] if t.is_zero else None for t in targets]
+    dim = len(basis[0])
+    if any(len(v) != dim for v in basis + targets):
+        raise ValueError("basis and targets must have the same length")
     cols = len(basis)
-    a = [[Fraction(b.twice[r], 2) for b in basis] + [Fraction(target.twice[r], 2)] for r in range(dim)]
-    pivot_rows: list[int] = []
+    a = [
+        [Fraction(v.twice[r], 2) for v in basis]
+        + [Fraction(t.twice[r], 2) for t in targets]
+        for r in range(dim)
+    ]
     row = 0
     for col in range(cols):
         pr = next((r for r in range(row, dim) if a[r][col] != 0), None)
         if pr is None:
-            return None  # basis not independent; callers pass simple roots
+            # basis not independent; callers pass simple roots
+            return [None] * len(targets)
         a[row], a[pr] = a[pr], a[row]
         inv = a[row][col]
         a[row] = [x / inv for x in a[row]]
@@ -789,13 +809,14 @@ def expand_in_basis(
             if r != row and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivot_rows.append(row)
         row += 1
     # consistency: rows below the pivots must have zero rhs
-    for r in range(row, dim):
-        if a[r][cols] != 0:
-            return None
-    return [a[k][cols] for k in range(cols)]
+    return [
+        None
+        if any(a[r][cols + j] != 0 for r in range(row, dim))
+        else [a[k][cols + j] for k in range(cols)]
+        for j in range(len(targets))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,33 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("group", ["E8", "GL(0,R)", "SO(1,0)", "SO(3,5)"])
+    def test_bad_group_exits_3_on_every_call(self, group, capsys):
+        for _ in range(2):
+            assert main(["enumerate", "--group", group]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("unsupported: ")
+            assert captured.err.count("\n") == 1
+
+    def test_env_cap_checked_with_datum_memoized(self, capsys, monkeypatch):
+        assert main(["enumerate", "--group", "Sp(4,R)"]) == 0  # memoizes the datum
+        monkeypatch.setenv("COHOPARAM_MAX_WEYL", "5")
+        assert main(["packet", "--group", "Sp(4,R)"]) == 3
+        monkeypatch.setenv("COHOPARAM_MAX_WEYL", "abc")
+        assert main(["packet", "--group", "Sp(4,R)"]) == 2
+        monkeypatch.delenv("COHOPARAM_MAX_WEYL")
+        assert main(["packet", "--group", "Sp(4,R)"]) == 0
+        capsys.readouterr()
+
+    def test_weight_reported_before_subset(self, capsys):
+        # non-dominant at alpha_1, and non-zero on alpha_2, which is in S
+        argv = ["packet", "--group", "Sp(6,R)", "--subset", "2", "--weight", "0,1,0"]
+        for _ in range(2):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "invalid input: 0,1,0 is not dominant (alpha_1)\n"
+
     def test_levi_group_is_not_built(self, capsys):
         # W_L = S_7 is over the cap of 100, but only W^theta and K (8 elements
         # each) are built, so the packet is computed as without the cap

@@ -7,10 +7,12 @@ of the Levi) and then frozen; the enumeration sweeps re-derive everything
 through the independent direct routes.
 """
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohoparam.errors import (
@@ -18,7 +20,8 @@ from cohoparam.errors import (
     MathCheckError,
     UnsupportedGroupError,
 )
-from cohoparam.halfint import HalfIntVector
+from cohoparam import params
+from cohoparam.halfint import HalfIntVector, _fmt_half
 from cohoparam.params import (
     CohomParameter,
     ComplexParameter,
@@ -41,7 +44,12 @@ from cohoparam.params import (
     transfer_weight,
     unitary_relevance,
 )
-from cohoparam.rootdata import build_classical_dual
+from cohoparam.rootdata import (
+    RootDatum,
+    StandardParabolic,
+    build_classical_dual,
+    dominant_orbit_rep,
+)
 
 
 def zero(n: int) -> HalfIntVector:
@@ -223,6 +231,221 @@ class TestCohomParameter:
             [2, 3],
             [1, 2, 3],
         ]
+
+
+    def test_weight_checked_once_per_call(self, monkeypatch):
+        calls = []
+        original = RootDatum.weight_is_integral
+
+        def counted(self, v):
+            calls.append(v)
+            return original(self, v)
+
+        monkeypatch.setattr(RootDatum, "weight_is_integral", counted)
+        params._weight_pairings.cache_clear()
+        # 4 theta-orbits {1,7} {2,6} {3,5} {4}: 16 parameters, one weight check
+        assert len(enumerate_cohomological("GL(8,R)")) == 16
+        assert len(calls) == 1
+        enumerate_cohomological("GL(8,R)")
+        assert len(calls) == 1  # same (datum, lam): answered by the memo
+        lam = HalfIntVector.from_ints(1, 1, 0, 0, 0, 0, -1, -1)
+        assert len(enumerate_cohomological("GL(8,R)", lam)) == 8
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "S,weight,message",
+        [
+            ({0}, (0, 0, 0, 0), "S = [0] out of range"),
+            ({4}, (0, 0, 0, 0), "S = [4] out of range"),
+            ({1}, (0, 0, 0, 0), "S = [1] is not self-associate"),
+            ({1, 3}, (1, 0, 0, -1), "weight pairs to 1 with alpha_1, which lies in S"),
+        ],
+    )
+    def test_bad_subset_rejected_with_weight_memoized(self, S, weight, message):
+        d = build_classical_dual("GL(4,R)")
+        lam = HalfIntVector.from_ints(*weight)
+        enumerate_cohomological(d, lam)  # the weight checks are now memoized
+        with pytest.raises(InvalidWeightError) as exc:
+            CohomParameter(d, frozenset(S), lam)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "S,weight,message",
+        [
+            # non-dominant at alpha_1 and non-zero on alpha_2 in S
+            ({2}, (0, 1, 0), "0,1,0 is not dominant (alpha_1)"),
+            ({1}, (0, 1, 0), "0,1,0 is not dominant (alpha_1)"),
+            # non-zero on alpha_1 in S and non-dominant at alpha_2
+            ({1}, (1, 0, 1), "weight pairs to 1 with alpha_1, which lies in S"),
+            # the weight is reported before an out-of-range S
+            ({4}, (1, 0, 1), "1,0,1 is not dominant (alpha_2)"),
+        ],
+    )
+    def test_error_precedence(self, S, weight, message):
+        d = build_classical_dual("Sp(6,R)")
+        for _ in range(2):  # a cold and a memoized weight check agree
+            with pytest.raises(InvalidWeightError) as exc:
+                CohomParameter(d, frozenset(S), HalfIntVector.from_ints(*weight))
+            assert str(exc.value) == message
+
+    def test_levi_rho_check_computed_once_per_image(self, monkeypatch):
+        c = enumerate_cohomological("Sp(6,R)")[-1]
+        seen = []
+        original = StandardParabolic.levi_positive
+
+        def counted(self):
+            seen.append(self.S)
+            return original(self)
+
+        monkeypatch.setattr(StandardParabolic, "levi_positive", counted)
+        assert standard_rep_parameter(c).text() == "w0[7]"
+        assert seen == [c.S]
+
+
+# ---------------------------------------------------------------------------
+# the enumeration against the subset scan it replaced
+
+
+def subset_scan_oracle(datum, lam):
+    """Every subset of the singular set, kept when theta maps it to itself."""
+    CohomParameter(datum, frozenset(), lam)
+    singular = [
+        i for i in range(1, datum.rank + 1) if lam.dot(datum.alpha_check(i)) == 0
+    ]
+    subsets = []
+    for r in range(len(singular) + 1):
+        for combo in itertools.combinations(singular, r):
+            s = frozenset(combo)
+            if datum.theta_subset(s) == s:
+                subsets.append(tuple(sorted(combo)))
+    subsets.sort(key=lambda t: (len(t), t))
+    return tuple(CohomParameter(datum, frozenset(t), lam) for t in subsets)
+
+
+ORACLE_GROUPS = (
+    [f"{k}({n},R)" for k in ("GL", "SL") for n in range(1, 9)]
+    + [f"GL({n},C)" for n in range(1, 5)]
+    + [f"U({p},{t - p})" for t in range(1, 9) for p in range(t + 1)]
+    + [f"Sp({2 * n},R)" for n in range(1, 6)]
+    + [
+        f"SO({p},{t - p})"
+        for t in range(2, 11)
+        for p in range(t + 1)
+        if not (t == 8 and p % 2 == 1)  # triality-ambiguous, rejected
+    ]
+)
+
+
+def test_oracle_groups_cover_even_so_not_inner_to_split():
+    outer = [
+        g
+        for g in ORACLE_GROUPS
+        if build_classical_dual(g).family == "SO_even"
+        and not build_classical_dual(g).galois_linear.is_identity
+    ]
+    assert {"SO(2,4)", "SO(4,6)"} <= set(outer)
+    assert "SO(3,3)" not in outer
+
+
+def test_enumeration_matches_subset_scan_at_zero_weight():
+    for desc in ORACLE_GROUPS:
+        datum = build_classical_dual(desc)
+        expected = subset_scan_oracle(datum, zero(datum.ambient_dim))
+        assert enumerate_cohomological(desc) == expected, desc
+
+
+@st.composite
+def group_and_weight(draw):
+    """A group of ORACLE_GROUPS and a dominant, theta-fixed, integral weight:
+    the dominant representative of v + theta(v) for a small integer v."""
+    datum = build_classical_dual(draw(st.sampled_from(ORACLE_GROUPS)))
+    n = datum.ambient_dim
+    v = HalfIntVector.from_ints(
+        *draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    )
+    return datum, dominant_orbit_rep(datum, v + datum.theta_linear.apply(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_and_weight())
+def test_enumeration_matches_subset_scan(case):
+    datum, lam = case
+    assert enumerate_cohomological(datum, lam) == subset_scan_oracle(datum, lam)
+
+
+# ---------------------------------------------------------------------------
+# sl2-string extraction against the max-per-string loop it replaced
+
+
+def extract_strings_oracle(pairs):
+    """Take the highest (sl2 weight, exponent) key left, one string at a time."""
+    work = Counter(pairs)
+    out = []
+    while work:
+        x, h = max(work, key=lambda p: (p[1], p[0]))
+        if h < 0:
+            raise MathCheckError(f"unmatched sl2 weight ({_fmt_half(x)}, {h})")
+        m = h + 1
+        for k in range(m):
+            key = (x, h - 2 * k)
+            if work[key] <= 0:
+                raise MathCheckError(
+                    f"broken string: missing ({_fmt_half(x)}, {key[1]})"
+                )
+            work[key] -= 1
+            if not work[key]:
+                del work[key]
+        out.append((x, m))
+    return out
+
+
+def _strings_or_error(extract, pairs):
+    try:
+        return extract(list(pairs))
+    except MathCheckError as exc:
+        return f"MathCheckError: {exc}"
+
+
+@st.composite
+def sl2_pair_multisets(draw):
+    """Whole strings, plus stray pairs (often unmatched or of negative
+    weight), and sometimes one pair taken out (a broken string)."""
+    strings = draw(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 5)), max_size=6)
+    )
+    pairs = [(x, m - 1 - 2 * k) for x, m in strings for k in range(m)]
+    pairs += draw(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-4, 4)), max_size=3)
+    )
+    if pairs and draw(st.booleans()):
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sl2_pair_multisets())
+@example([(3, 2), (3, 0), (3, -2), (3, 2), (3, 0), (3, -2), (-1, 1), (-1, -1)])
+@example([(0, 2), (0, 0)])  # broken
+@example([(1, -1)])  # unmatched, negative weight
+@example([(2, 1), (2, -1), (2, -1)])  # one string, then a negative leftover
+def test_extract_strings_matches_oracle(pairs):
+    assert _strings_or_error(params._extract_strings, pairs) == _strings_or_error(
+        extract_strings_oracle, pairs
+    )
+
+
+@pytest.mark.parametrize(
+    "pairs,message",
+    [
+        ([(0, 2), (0, 0)], "broken string: missing (0, -2)"),
+        ([(1, -1)], "unmatched sl2 weight (1/2, -1)"),
+        ([(2, 1), (2, -1), (2, -1)], "unmatched sl2 weight (1, -1)"),
+    ],
+)
+def test_extract_strings_errors(pairs, message):
+    with pytest.raises(MathCheckError) as exc:
+        params._extract_strings(pairs)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from cohoparam.errors import MathCheckError, UnsupportedGroupError
 from cohoparam.halfint import HalfIntVector
 from cohoparam.rootdata import (
     StandardParabolic,
+    _expand_each_in_basis,
     WeylElement,
     build_classical_dual,
     dominant_orbit_rep,
@@ -220,6 +222,59 @@ def test_levi_counts_full_subset():
     d = build_classical_dual("Sp(4,R)")
     full = StandardParabolic(d, frozenset({1, 2}))
     assert len(full.levi_positive()) == len(d.positive_roots)
+
+
+def test_build_classical_dual_is_memoized():
+    d = build_classical_dual("GL(3,R)")
+    assert build_classical_dual("GL(3,R)") is d
+    assert build_classical_dual(" gl( 3 , r ) ") is d  # one datum per group
+    assert build_classical_dual("SL(3,R)") is not d
+
+
+@pytest.mark.parametrize("bad", ["E8", "GL(0,R)", "SO(1,0)", "SO(3,5)"])
+def test_bad_descriptor_raises_on_every_call(bad):
+    for _ in range(2):
+        with pytest.raises(UnsupportedGroupError):
+            build_classical_dual(bad)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_rho_check_levi_is_half_the_levi_coroot_sum(desc):
+    d = build_classical_dual(desc)
+    for r in range(d.rank + 1):
+        for S in itertools.combinations(range(1, d.rank + 1), r):
+            p = StandardParabolic(d, frozenset(S))
+            acc = HalfIntVector.zero(d.ambient_dim)
+            for _, coroot in p.levi_positive():
+                acc = acc + coroot
+            assert p.rho_check_levi == acc.scale(1, 2)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_positive_roots_expand_with_nonnegative_integer_coefficients(desc):
+    d = build_classical_dual(desc)
+    simples = list(d.simple_roots)
+    roots = [root for root, _ in d.positive_roots]
+    for root, coeffs in zip(roots, _expand_each_in_basis(simples, roots)):
+        assert all(c.denominator == 1 and c >= 0 for c in coeffs)
+        total = HalfIntVector.zero(d.ambient_dim)
+        for alpha, c in zip(simples, coeffs):
+            total = total + alpha.scale(int(c))
+        assert total == root
+        assert expand_in_basis(simples, root) == coeffs
+
+
+def test_expand_each_in_basis_flags_only_targets_outside_the_span():
+    alpha_1 = build_classical_dual("Sp(4,R)").alpha(1)  # e_1 - e_2
+    targets = [
+        HalfIntVector.from_ints(1, -1),
+        HalfIntVector.from_ints(1, 1),
+        HalfIntVector.from_ints(-2, 2),
+    ]
+    assert _expand_each_in_basis([alpha_1], targets) == [[1], None, [-2]]
+    assert _expand_each_in_basis([alpha_1, alpha_1], targets[:1]) == [None]
+    with pytest.raises(ValueError):
+        expand_in_basis([alpha_1], HalfIntVector.from_ints(1, -1, 0))
 
 
 def test_expand_in_basis():
