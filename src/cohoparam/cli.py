@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .cohomology import (
     innerform_sum_compact,
@@ -282,7 +283,7 @@ def cmd_dump_weyl(args) -> int:
         f"cartan signature {cat.cartan_signature}",
     ]
     if args.elements:
-        elems = sorted(cat.w_theta, key=lambda w: w.sort_key)[: args.elements]
+        elems = cat.w_theta[: args.elements]
         payload["elements"] = [str(w) for w in elems]
         lines.extend(f"  {w}" for w in elems)
     _print(args, payload, lines)
@@ -662,9 +663,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it was, so one parser serves every
+# in-process call of `main`
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_counts(args)
         return args.fn(args)

@@ -30,6 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
@@ -58,17 +59,38 @@ __all__ = [
 # signed permutations of the ambient coordinates
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A signed permutation: e_i |-> signs[i] * e_{perm[i]} (0-based).
+class WeylElement(tuple):
+    """A signed permutation e_i |-> signs[i] * e_{perm[i]} (0-based), stored flat.
+
+    The element is the tuple of its signed lookup table
+
+        (0, w_1, ..., w_n, -w_n, ..., -w_1),   w_k = signs[k-1] * (perm[k-1] + 1),
+
+    so entry j is the signed 1-based image of e_j, and Python's negative
+    indexing reads entry -j as -w_j, the image of -e_j.  The product
+    u * w (apply w first) is then u[w[j]] entry by entry, one C-level
+    ``itemgetter(*w)(u)`` (for n >= 1), and hash and equality are those of
+    the one tuple.  `perm` and `signs` are decoded views of the window
+    (w_1, ..., w_n), which is also the printed form.
+
+    The constructor stores an entry that is not a signed index (a sign
+    other than +-1, an index out of range) as 0, which no signed
+    permutation has; products carry the 0 along, so a check on a product
+    (`RootDatum.theta_linear`) still sees it.
 
     One type serves both the Weyl groups of `cohoparam.weyl` and the
     diagram involutions of a datum (``galois_linear``, ``iota_linear``,
     ``theta_linear``).
     """
 
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, perm: tuple[int, ...], signs: tuple[int, ...]):
+        n = len(perm)
+        return _from_window(
+            s * (p + 1) if s in (1, -1) and 0 <= p < n else 0
+            for p, s in zip(perm, signs, strict=True)
+        )
 
     @classmethod
     def identity(cls, n: int) -> "WeylElement":
@@ -76,47 +98,54 @@ class WeylElement:
 
     @property
     def n(self) -> int:
-        return len(self.perm)
+        return len(self) // 2
+
+    @property
+    def window(self) -> tuple[int, ...]:
+        return self[1 : self.n + 1]
+
+    @property
+    def perm(self) -> tuple[int, ...]:
+        return tuple(abs(w) - 1 for w in self.window)
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        return tuple(1 if w > 0 else -1 for w in self.window)
 
     @property
     def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm)) and all(
-            s == 1 for s in self.signs
-        )
+        return self.window == tuple(range(1, self.n + 1))
 
     @property
     def sort_key(self) -> tuple:
-        return (tuple(0 if s == 1 else 1 for s in self.signs), self.perm)
+        """(sign bits, perm): the order every sorted tuple of elements uses."""
+        return tuple(1 if w < 0 else 0 for w in self.window), self.perm
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        """self o other (apply `other` first)."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
-        signs = tuple(
-            other.signs[i] * self.signs[other.perm[i]]
-            for i in range(len(self.perm))
-        )
-        return WeylElement(perm, signs)
+        """self o other (apply `other` first): entry j is self[other[j]]."""
+        return _new_tuple(WeylElement, itemgetter(*other)(self))
 
     def inverse(self) -> "WeylElement":
-        n = len(self.perm)
-        perm = [0] * n
-        signs = [1] * n
-        for i in range(n):
-            perm[self.perm[i]] = i
-            signs[self.perm[i]] = self.signs[i]
-        return WeylElement(tuple(perm), tuple(signs))
+        inv = [0] * self.n
+        for k, w in enumerate(self.window, 1):
+            inv[abs(w) - 1] = k if w > 0 else -k
+        return _from_window(inv)
 
     def apply(self, v: HalfIntVector) -> HalfIntVector:
-        out = [0] * len(self.perm)
-        for i, t in enumerate(v.twice):
-            out[self.perm[i]] = self.signs[i] * t
+        out = [0] * self.n
+        for t, w in zip(v.twice, self.window):
+            out[abs(w) - 1] = t if w > 0 else -t
         return HalfIntVector(tuple(out))
 
     def __str__(self) -> str:
         """Window notation: image of e_1..e_n as signed 1-based indices."""
-        return "(" + " ".join(
-            f"{'-' if s < 0 else ''}{p + 1}" for p, s in zip(self.perm, self.signs)
-        ) + ")"
+        return "(" + " ".join(map(str, self.window)) + ")"
+
+    def __repr__(self) -> str:
+        return f"WeylElement(perm={self.perm}, signs={self.signs})"
+
+    def __getnewargs__(self) -> tuple:
+        return (self.perm, self.signs)
 
     def to_json(self) -> dict:
         return {
@@ -124,6 +153,14 @@ class WeylElement:
             "signs": list(self.signs),
             "window": str(self),
         }
+
+
+_new_tuple = tuple.__new__
+
+
+def _from_window(window) -> WeylElement:
+    window = tuple(window)
+    return _new_tuple(WeylElement, (0, *window, *(-w for w in reversed(window))))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +282,11 @@ class RootDatum:
     galois_linear: WeylElement
     signature: tuple[int, int] | None = None
 
+    def __hash__(self) -> int:
+        # the memo caches keyed on a datum hash it on every call; equal data
+        # have equal descriptors, and a str caches its own hash
+        return hash(self.descriptor)
+
     # -- coordinates -------------------------------------------------------
 
     @property
@@ -354,9 +396,7 @@ class RootDatum:
     def theta_linear(self) -> WeylElement:
         """iota o gamma, checked once here for every later conjugation by it."""
         theta = self.iota_linear * self.galois_linear
-        if sorted(theta.perm) != list(range(theta.n)) or any(
-            s not in (1, -1) for s in theta.signs
-        ):
+        if sorted(theta.perm) != list(range(theta.n)):
             raise MathCheckError(
                 f"{self.descriptor}: theta is not a signed permutation: {theta}"
             )

@@ -3,9 +3,14 @@
 Elements are `WeylElement`s, signed permutations acting on ambient
 coordinates by e_i |-> signs[i] * e_{perm[i]} (0-based).  The class lives
 in `cohoparam.rootdata`, whose diagram involutions are signed permutations
-too, and is re-exported here.  Everything that returns a collection returns
-a tuple sorted by `WeylElement.sort_key`, so identical inputs always
-serialize identically.
+too, and is re-exported here.  Each element is one flat tuple, its signed
+lookup table (0, w_1..w_n, -w_n..-w_1), so a product is one C-level lookup
+per entry and sets and dicts of elements hash one tuple.
+
+Everything that returns a collection returns a tuple sorted by
+`WeylElement.sort_key`, so identical inputs always serialize identically.
+`double_cosets` relies on it: its ambient group must come in that order,
+which the catalog checks once when it is built.
 
 The size of any group this module is asked to write down is capped:
 `COHOPARAM_MAX_WEYL` (default 10**6), which a `max_size` argument can
@@ -274,9 +279,10 @@ def theta_fixed_subgroup(
     set really is a subgroup) and raises `MathCheckError` otherwise.
     """
     pool = set(elements)
+    theta_inv = theta.inverse()
     fixed = []
     for w in elements:
-        cw = conjugate_element(theta, w)
+        cw = theta * w * theta_inv
         if cw not in pool:
             raise MathCheckError(
                 "conjugation does not preserve the given group; element "
@@ -305,17 +311,19 @@ def double_cosets(
 ) -> tuple[DoubleCoset, ...]:
     """Partition `ambient` into left*x*right double cosets.
 
-    `left` and `right` must be subgroups contained in `ambient` (checked).
-    Each double coset is a union of right cosets x*right, so only an x in
-    left*seed that no right coset found so far covers is expanded.  Seeds
-    are taken in sort_key order, so each seed is its coset's minimum and
-    the cosets come back sorted by it.
+    `ambient` must come in sort_key order, as every tuple this module
+    returns does; the order is not re-checked here.  Seeds are taken in
+    that order, so each seed is its coset's minimum and the cosets come
+    back sorted by it.  `left` and `right` must be subgroups contained in
+    `ambient` (checked).  Each double coset is a union of right cosets
+    x*right, so only an x in left*seed that no right coset found so far
+    covers is expanded.
     """
     amb_set = set(ambient)
     for grp, name in ((left, "left"), (right, "right")):
         if not set(grp) <= amb_set:
             raise MathCheckError(f"{name} subgroup is not inside the ambient group")
-    remaining = dict.fromkeys(sorted(amb_set, key=lambda w: w.sort_key))
+    remaining = dict.fromkeys(ambient)
     cosets = []
     while remaining:
         seed = next(iter(remaining))
@@ -579,6 +587,12 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
     if not set(k_weyl) <= set(w_theta):
         raise MathCheckError(
             f"compact-side subgroup of {descriptor} is not inside W^theta"
+        )
+    # double_cosets takes W^theta as it comes, so its order is checked here
+    keys = [w.sort_key for w in w_theta]
+    if keys != sorted(keys):
+        raise MathCheckError(
+            f"twisted Weyl group of {descriptor} is not in sort_key order"
         )
 
     return CompactWeylData(

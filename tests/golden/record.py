@@ -1,0 +1,91 @@
+"""Byte-identity digests for the CLI commands that print Weyl elements.
+
+Each case is one `cohoparam` command line, run in-process through
+`cohoparam.cli.main`; its digest is the sha256 of (stdout, stderr, exit
+code).  The cases are `dump-weyl` (table, JSON, and `--elements 4`) and
+`packet` at the zero weight for every theta-stable subset (table and JSON),
+on every group of `GROUPS`: each supported descriptor whose twisted Weyl
+group W^theta has at most 720 elements.
+
+`tests/test_golden.py` recomputes every digest against `weyl_cli.json`.
+Re-record only when an output is meant to change:
+
+    PYTHONPATH=src python tests/golden/record.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+from pathlib import Path
+
+from cohoparam.cli import main
+from cohoparam.rootdata import build_classical_dual
+
+RECORD = Path(__file__).with_name("weyl_cli.json")
+
+# the largest member of each family has |W^theta| = 720 or 384; the next
+# size up (3,840 or 5,040) is left out
+GROUPS = (
+    *(f"GL({n},R)" for n in range(1, 10)),
+    *(f"SL({n},R)" for n in range(2, 10)),
+    *(f"GL({n},C)" for n in range(1, 7)),
+    "U(1,0)", "U(1,1)", "U(2,0)", "U(2,1)", "U(2,2)", "U(3,0)", "U(3,1)",
+    "U(3,2)", "U(3,3)", "U(4,0)", "U(4,1)", "U(4,2)", "U(5,0)", "U(5,1)",
+    "U(6,0)",
+    *(f"Sp({2 * n},R)" for n in range(1, 5)),
+    "SO(1,1)", "SO(2,0)", "SO(2,1)", "SO(2,2)", "SO(3,0)", "SO(3,1)",
+    "SO(3,2)", "SO(3,3)", "SO(4,0)", "SO(4,1)", "SO(4,2)", "SO(4,3)",
+    "SO(4,4)", "SO(5,0)", "SO(5,1)", "SO(5,2)", "SO(5,4)", "SO(6,0)",
+    "SO(6,1)", "SO(6,2)", "SO(6,3)", "SO(7,0)", "SO(7,2)", "SO(8,0)",
+    "SO(8,1)", "SO(9,0)",
+)
+
+
+def theta_stable_subsets(descriptor: str) -> list[tuple[int, ...]]:
+    """Theta-stable simple-root subsets, by size and then lexicographically."""
+    datum = build_classical_dual(descriptor)
+    roots = range(1, datum.rank + 1)
+    return [
+        S
+        for k in range(datum.rank + 1)
+        for S in itertools.combinations(roots, k)
+        if datum.theta_subset(S) == frozenset(S)
+    ]
+
+
+def cases() -> list[list[str]]:
+    out = []
+    for group in GROUPS:
+        out.append(["dump-weyl", "--group", group])
+        out.append(["dump-weyl", "--group", group, "--format", "json"])
+        out.append(["dump-weyl", "--group", group, "--elements", "4"])
+        for S in theta_stable_subsets(group):
+            argv = ["packet", "--group", group]
+            if S:
+                argv += ["--subset", ",".join(map(str, S))]
+            out.append(argv)
+            out.append(argv + ["--format", "json"])
+    return out
+
+
+def digest(argv: list[str]) -> str:
+    """sha256 of (stdout, stderr, exit code) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    blob = json.dumps([out.getvalue(), err.getvalue(), code])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def record() -> dict[str, str]:
+    return {" ".join(argv): digest(argv) for argv in cases()}
+
+
+if __name__ == "__main__":
+    digests = record()
+    RECORD.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"{len(digests)} cases written to {RECORD}")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -155,13 +156,21 @@ def test_involutions_are_involutive_diagram_maps(desc):
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [WeylElement((0, 0, 2), (1, 1, 1)), WeylElement((0, 1, 2), (1, 2, 1))],
+    "bad,theta",
+    [
+        # index 0 twice and 1 never: theta = iota o gamma repeats -3
+        pytest.param(WeylElement((0, 0, 2), (1, 1, 1)), "(-3 -3 -1)", id="bad0"),
+        # a sign of 2 is stored as the entry 0, and theta carries it
+        pytest.param(WeylElement((0, 1, 2), (1, 2, 1)), "(-3 0 -1)", id="bad1"),
+    ],
 )
-def test_theta_linear_must_be_a_signed_permutation(bad):
-    # the one check that every conjugation by theta relies on
+def test_theta_linear_must_be_a_signed_permutation(bad, theta):
+    # the one check that every conjugation by theta relies on, each input
+    # rejected for its own defect
     d = dataclasses.replace(build_classical_dual("GL(3,R)"), galois_linear=bad)
-    with pytest.raises(MathCheckError, match="not a signed permutation"):
+    with pytest.raises(
+        MathCheckError, match=re.escape(f"not a signed permutation: {theta}")
+    ):
         d.theta_linear
 
 

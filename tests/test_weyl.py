@@ -23,10 +23,16 @@ from cohoparam.weyl import (
 )
 
 
-def _rand_element(draw, n):
-    perm = draw(st.permutations(range(n)))
+@st.composite
+def _signed_perms(draw, n):
+    """A random (perm, signs) pair of length n."""
+    perm = tuple(draw(st.permutations(range(n))))
     signs = draw(st.tuples(*[st.sampled_from([1, -1])] * n))
-    return WeylElement(tuple(perm), tuple(signs))
+    return perm, signs
+
+
+def _rand_element(draw, n):
+    return WeylElement(*draw(_signed_perms(n)))
 
 
 @settings(deadline=None, max_examples=80)
@@ -41,6 +47,80 @@ def test_group_axioms(data, n):
     assert (w.inverse() * w).is_identity
     ident = WeylElement.identity(n)
     assert w * ident == w and ident * w == w
+
+
+# -- the flat element against a naive (perm, signs) oracle -------------------
+
+
+def _oracle_mul(a, b):
+    """a o b on (perm, signs) pairs: e_i |-> sb[i] * sa[pb[i]] * e_{pa[pb[i]]}."""
+    (pa, sa), (pb, sb) = a, b
+    return (
+        tuple(pa[pb[i]] for i in range(len(pb))),
+        tuple(sb[i] * sa[pb[i]] for i in range(len(pb))),
+    )
+
+
+def _oracle_inverse(a):
+    pa, sa = a
+    perm, signs = [0] * len(pa), [0] * len(pa)
+    for i, (p, s) in enumerate(zip(pa, sa)):
+        perm[p], signs[p] = i, s
+    return tuple(perm), tuple(signs)
+
+
+def _oracle_apply(a, twice):
+    pa, sa = a
+    out = [0] * len(pa)
+    for i, t in enumerate(twice):
+        out[pa[i]] = sa[i] * t
+    return tuple(out)
+
+
+def _oracle_sort_key(a):
+    pa, sa = a
+    return tuple(0 if s == 1 else 1 for s in sa), pa
+
+
+def _oracle_str(a):
+    return "(" + " ".join(f"{'-' if s < 0 else ''}{p + 1}" for p, s in zip(*a)) + ")"
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=8))
+def test_flat_element_matches_naive_oracle(data, n):
+    pairs = [data.draw(_signed_perms(n)) for _ in range(3)]
+    elems = [WeylElement(*pair) for pair in pairs]
+    twice = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+    for a, w in zip(pairs, elems):
+        assert (w.perm, w.signs) == a
+        assert w.n == n
+        assert w.is_identity == (a == (tuple(range(n)), (1,) * n))
+        assert (w.inverse().perm, w.inverse().signs) == _oracle_inverse(a)
+        assert w.apply(HalfIntVector(twice)).twice == _oracle_apply(a, twice)
+        assert w.sort_key == _oracle_sort_key(a)
+        assert str(w) == _oracle_str(a)
+        assert w.to_json() == {
+            "perm": [p + 1 for p in a[0]],
+            "signs": list(a[1]),
+            "window": _oracle_str(a),
+        }
+        assert WeylElement(*a) == w and hash(WeylElement(*a)) == hash(w)
+        for b, u in zip(pairs, elems):
+            prod = w * u
+            assert (prod.perm, prod.signs) == _oracle_mul(a, b)
+            assert (w == u) == (a == b) and (w != u) == (a != b)
+    assert len(set(elems)) == len(set(pairs))
+    by_key = sorted(range(3), key=lambda i: elems[i].sort_key)
+    assert by_key == sorted(range(3), key=lambda i: _oracle_sort_key(pairs[i]))
+
+
+def test_entries_that_are_not_signed_indices_decode_to_zero():
+    # a sign of 2 on index 1 read as 2 * 2 = 4 would be a valid-looking
+    # entry of a 7-entry table; 0 is an entry no signed permutation has
+    assert str(WeylElement((0, 1, 2), (1, 2, 1))) == "(1 0 3)"
+    assert str(WeylElement((0, 5, 2), (1, 1, -1))) == "(1 0 -3)"
+    assert str(WeylElement((0, 1, 2), (1, 0, 1))) == "(1 0 3)"
 
 
 def test_simple_reflections_B2():
@@ -245,6 +325,15 @@ def test_compact_catalog_table(desc, tw, k, nc, d):
     assert cat.n_cosets == nc
     assert cat.d_exponent == d
     assert set(cat.k_weyl) <= set(cat.w_theta)
+
+
+@pytest.mark.parametrize("desc", [row[0] for row in CATALOG_TABLE])
+def test_catalog_groups_come_in_sort_key_order(desc):
+    # double_cosets takes its ambient group in this order without sorting
+    cat = compact_weyl_catalog(desc)
+    for grp in (cat.w_theta, cat.k_weyl):
+        keys = [w.sort_key for w in grp]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_unitary_coset_count_is_binomial():
