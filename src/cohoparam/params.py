@@ -404,12 +404,6 @@ def _weight_pairings(
     return pairings, first_negative
 
 
-@lru_cache(maxsize=128)
-def _inf_char(datum: RootDatum, lam: HalfIntVector) -> HalfIntVector:
-    """The dominant representative of W.(lam + rho-check), once per (datum, lam)."""
-    return dominant_orbit_rep(datum, lam + datum.rho_check)
-
-
 @dataclass(frozen=True)
 class CohomParameter:
     """A self-associate subset of simple roots plus a compatible weight.
@@ -473,7 +467,7 @@ class CohomParameter:
 
     @property
     def inf_char(self) -> HalfIntVector:
-        return _inf_char(self.datum, self.lam)
+        return self.datum.infinitesimal_character(self.lam)
 
     @property
     def central_ok(self) -> bool:

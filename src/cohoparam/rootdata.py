@@ -71,7 +71,11 @@ class WeylElement(tuple):
     u * w (apply w first) is then u[w[j]] entry by entry, one C-level
     ``itemgetter(*w)(u)`` (for n >= 1), and hash and equality are those of
     the one tuple.  `perm` and `signs` are decoded views of the window
-    (w_1, ..., w_n), which is also the printed form.
+    (w_1, ..., w_n), which is also the printed form.  The element is the
+    tuple itself rather than an object holding one: CPython keeps up to
+    2,000 freed plain tuples of each short length for reuse, but frees a
+    subclass instance outright, so a sweep that drops many products does
+    not leave those lists full of tables.
 
     The constructor stores an entry that is not a signed index (a sign
     other than +-1, an index out of range) as 0, which no signed
@@ -282,11 +286,6 @@ class RootDatum:
     galois_linear: WeylElement
     signature: tuple[int, int] | None = None
 
-    def __hash__(self) -> int:
-        # the memo caches keyed on a datum hash it on every call; equal data
-        # have equal descriptors, and a str caches its own hash
-        return hash(self.descriptor)
-
     # -- coordinates -------------------------------------------------------
 
     @property
@@ -337,6 +336,16 @@ class RootDatum:
         for root, _ in self.positive_roots:
             acc = acc + root
         return acc.scale(1, 2)
+
+    @cached_property
+    def infinitesimal_character(self) -> Callable[[HalfIntVector], HalfIntVector]:
+        """lam |-> the dominant representative of W.(lam + rho-check).
+
+        Memoized per datum, so a lookup hashes lam alone.
+        """
+        return lru_cache(maxsize=128)(
+            lambda lam: dominant_orbit_rep(self, lam + self.rho_check)
+        )
 
     @cached_property
     def rho_check(self) -> HalfIntVector:

@@ -212,6 +212,15 @@ class TestCohomParameter:
         assert str(c.sl2_cochar) == "0,2"
         assert str(c.inf_char) == "2,1"
 
+    def test_inf_char_once_per_weight(self):
+        d = build_classical_dual("Sp(6,R)")
+        lams = [zero(3)] + [HalfIntVector.from_ints(*v) for v in ((2, 1, 0), (1, 1, 0))]
+        d.infinitesimal_character.cache_clear()
+        for lam in lams:
+            for c in enumerate_cohomological(d, lam):
+                assert c.inf_char == dominant_orbit_rep(d, lam + d.rho_check)
+        assert d.infinitesimal_character.cache_info().misses == len(lams)
+
     def test_enumeration_order(self):
         subsets = [sorted(c.S) for c in enumerate_cohomological("Sp(4,R)")]
         assert subsets == [[], [1], [2], [1, 2]]
