@@ -1,13 +1,19 @@
-"""Byte-identity digests for the CLI commands that print Weyl elements.
+"""Byte-identity digests of CLI commands, one corpus per JSON file.
 
 Each case is one `cohoparam` command line, run in-process through
 `cohoparam.cli.main`; its digest is the sha256 of (stdout, stderr, exit
-code).  The cases are `dump-weyl` (table, JSON, and `--elements 4`) and
-`packet` at the zero weight for every theta-stable subset (table and JSON),
-on every group of `GROUPS`: each supported descriptor whose twisted Weyl
-group W^theta has at most 720 elements.
+code).  `GROUPS` lists each supported descriptor whose twisted Weyl group
+W^theta has at most 720 elements.  The corpora:
 
-`tests/test_golden.py` recomputes every digest against `weyl_cli.json`.
+* `weyl_cli.json`: `dump-weyl` (table, JSON, and `--elements 4`) and
+  `packet` at the zero weight for every theta-stable subset (table and
+  JSON), on every group of `GROUPS`;
+* `enumerate_cli.json`: `enumerate` (table and JSON) at the zero weight and
+  at the two weights of `nonzero_weights`, on every group of `GROUPS` of
+  rank at most 6; and `transfer` (table and JSON) along every embedding of
+  each weight-zero image of `TRANSFER_SOURCES`.
+
+`tests/test_golden.py` recomputes every digest against its file.
 Re-record only when an output is meant to change:
 
     PYTHONPATH=src python tests/golden/record.py
@@ -22,10 +28,11 @@ import itertools
 import json
 from pathlib import Path
 
-from cohoparam.cli import main
+from cohoparam.cli import EMBEDDINGS, main
+from cohoparam.params import enumerate_cohomological, standard_rep_parameter
 from cohoparam.rootdata import build_classical_dual
 
-RECORD = Path(__file__).with_name("weyl_cli.json")
+HERE = Path(__file__).parent
 
 # the largest member of each family has |W^theta| = 720 or 384; the next
 # size up (3,840 or 5,040) is left out
@@ -57,7 +64,7 @@ def theta_stable_subsets(descriptor: str) -> list[tuple[int, ...]]:
     ]
 
 
-def cases() -> list[list[str]]:
+def weyl_cases() -> list[list[str]]:
     out = []
     for group in GROUPS:
         out.append(["dump-weyl", "--group", group])
@@ -72,6 +79,56 @@ def cases() -> list[list[str]]:
     return out
 
 
+# groups whose weight-zero images are fed back through `transfer`
+TRANSFER_SOURCES = ("Sp(4,R)", "SO(2,3)", "U(2,1)")
+
+# the dual groups of GL(n,R), SL(n,R) and GL(n,C) have theta = -w0 on type-A
+# coordinates, so a theta-fixed weight is antisymmetric under reversal
+_REVERSED_THETA = ("GL_R", "SL_R", "GL_C")
+
+
+def nonzero_weights(descriptor: str) -> list[str]:
+    """Two fixed nonzero weights, in closed form from the family and size.
+
+    They are dominant, integral and theta-fixed for most groups; where they
+    are not (GL(1,R), the D_1 and D_2 forms with an outer theta) the case
+    records the error exit instead.
+    """
+    datum = build_classical_dual(descriptor)
+    n = datum.ambient_dim
+    if datum.family in _REVERSED_THETA and n >= 2:
+        first = [1] + [0] * (n - 2) + [-1]
+        second = [1, 1] + [0] * (n - 4) + [-1, -1] if n >= 4 else [2] + [0] * (n - 2) + [-2]
+    else:
+        first = [1] + [0] * (n - 1)
+        second = [1, 1] + [0] * (n - 2) if n >= 2 else [2]
+    return [",".join(map(str, w)) for w in (first, second)]
+
+
+def enumerate_cases() -> list[list[str]]:
+    out = []
+    for group in GROUPS:
+        if build_classical_dual(group).rank > 6:
+            continue
+        for weight in [None, *nonzero_weights(group)]:
+            argv = ["enumerate", "--group", group]
+            if weight is not None:
+                argv += ["--weight", weight]
+            out.append(argv)
+            out.append(argv + ["--format", "json"])
+    for group in TRANSFER_SOURCES:
+        for c in enumerate_cohomological(group):
+            text = standard_rep_parameter(c).text()
+            for embedding in sorted(EMBEDDINGS):
+                argv = ["transfer", "--embedding", embedding, "--param", text]
+                out.append(argv)
+                out.append(argv + ["--format", "json"])
+    return out
+
+
+CORPORA = {"weyl_cli.json": weyl_cases, "enumerate_cli.json": enumerate_cases}
+
+
 def digest(argv: list[str]) -> str:
     """sha256 of (stdout, stderr, exit code) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
@@ -81,11 +138,13 @@ def digest(argv: list[str]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def record() -> dict[str, str]:
-    return {" ".join(argv): digest(argv) for argv in cases()}
+def record(corpus: str) -> dict[str, str]:
+    return {" ".join(argv): digest(argv) for argv in CORPORA[corpus]()}
 
 
 if __name__ == "__main__":
-    digests = record()
-    RECORD.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"{len(digests)} cases written to {RECORD}")
+    for corpus in CORPORA:
+        digests = record(corpus)
+        path = HERE / corpus
+        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+        print(f"{len(digests)} cases written to {path}")

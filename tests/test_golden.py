@@ -1,8 +1,8 @@
-"""Byte identity of the CLI commands that print Weyl elements.
+"""Byte identity of CLI outputs against recorded digests.
 
-`tests/golden/weyl_cli.json` holds one sha256 per command line over
-(stdout, stderr, exit code); `tests/golden/record.py` lists the cases and
-re-records them when an output is meant to change.
+Each file under `tests/golden/` holds one sha256 per command line over
+(stdout, stderr, exit code); `tests/golden/record.py` lists the cases of
+each corpus and re-records them when an output is meant to change.
 """
 
 import importlib.util
@@ -15,9 +15,17 @@ record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record)
 
 
-def test_weyl_cli_outputs_match_the_recorded_digests():
-    expected = json.loads(record.RECORD.read_text())
-    actual = record.record()
+def _check(corpus: str) -> None:
+    expected = json.loads((record.HERE / corpus).read_text())
+    actual = record.record(corpus)
     assert actual.keys() == expected.keys()
     changed = sorted(case for case in expected if actual[case] != expected[case])
     assert not changed, f"{len(changed)} outputs changed, e.g. {changed[:5]}"
+
+
+def test_weyl_cli_outputs_match_the_recorded_digests():
+    _check("weyl_cli.json")
+
+
+def test_enumerate_cli_outputs_match_the_recorded_digests():
+    _check("enumerate_cli.json")
