@@ -159,7 +159,7 @@ class HalfIntVector:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return ",".join(_fmt_half(t) for t in self.twice)
+        return ",".join(map(_fmt_half, self.twice))
 
     def __repr__(self) -> str:
         return f"HalfIntVector.parse({str(self)!r})"

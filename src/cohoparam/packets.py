@@ -136,7 +136,6 @@ def _unitary_label(
 
 def _member_from_coset(
     cat: CompactWeylData,
-    k_set: set[WeylElement],
     coset: DoubleCoset,
     levi_theta: tuple[WeylElement, ...],
     label: str,
@@ -144,6 +143,7 @@ def _member_from_coset(
     k_order = len(cat.k_weyl)
     w = coset.rep
     w_inv = w.inverse()
+    k_set = cat.k_weyl_set
     inter = sum(1 for l in levi_theta if (w * l) * w_inv in k_set)
     if len(levi_theta) % inter:
         raise MathCheckError(
@@ -201,14 +201,13 @@ def packet(
         unitary_blocks = _levi_blocks(cat.ambient_dim, param.S)
         first_part = cat.datum.signature[0]
 
-    k_set = set(cat.k_weyl)
     members = []
     for coset in cosets:
         if unitary_blocks is not None:
             label = _unitary_label(coset.rep, unitary_blocks, first_part)
         else:
             label = str(coset.rep)
-        members.append(_member_from_coset(cat, k_set, coset, levi_theta, label))
+        members.append(_member_from_coset(cat, coset, levi_theta, label))
 
     pkt = PacketDescriptor(
         group=cat.descriptor,

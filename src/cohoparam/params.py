@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -422,11 +423,12 @@ class CohomParameter:
 
     def __post_init__(self) -> None:
         d = self.datum
+        rank = d.rank
         pairings, first_negative = _weight_pairings(d, self.lam)
         # dominance and S-singularity are one scan over alpha_1..alpha_rank:
         # the lowest failing index decides which of the two is reported
         first_in_s = min(
-            (i for i in self.S if 1 <= i <= d.rank and pairings[i - 1]), default=None
+            (i for i in self.S if 1 <= i <= rank and pairings[i - 1]), default=None
         )
         if first_negative is not None and (
             first_in_s is None or first_negative <= first_in_s
@@ -439,7 +441,7 @@ class CohomParameter:
                 f"weight pairs to {pairings[first_in_s - 1]} with alpha_{first_in_s}, "
                 "which lies in S"
             )
-        if not all(1 <= i <= d.rank for i in self.S):
+        if not all(1 <= i <= rank for i in self.S):
             raise InvalidWeightError(f"S = {sorted(self.S)} out of range")
         if not is_self_associate(StandardParabolic(d, self.S)):
             raise InvalidWeightError(f"S = {sorted(self.S)} is not self-associate")
@@ -535,9 +537,31 @@ def _extract_strings(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Split (doubled exponent, sl2 weight) pairs into sl2-strings, longest first.
 
     Each returned (x2, m) certifies the presence of the m pairs
-    (x2, m-1), (x2, m-3), ..., (x2, -(m-1)).
+    (x2, m-1), (x2, m-3), ..., (x2, -(m-1)); the strings come in
+    (m, x2)-descending order.
+
+    By the sl2 character formula, the pairs at one exponent x are a union
+    of strings exactly when mult(h) = mult(-h) and mult(h-2) >= mult(h) >=
+    mult(h+2) for h >= 0, and then mult(h) - mult(h+2) strings have top h.
+    That count is read off the multiplicities in one pass.  Any other input
+    goes to the greedy walk, which names the first missing or unmatched
+    pair in its error.
     """
     work = Counter(pairs)
+    tops = []
+    for (x, h), c in work.items():
+        if work.get((x, -h)) != c or (h >= 2 and work.get((x, h - 2), 0) < c):
+            return _extract_strings_greedy(work)
+        if h >= 0:
+            k = c - work.get((x, h + 2), 0)
+            if k > 0:
+                tops.append((h + 1, x, k))
+    tops.sort(reverse=True)
+    return [(x, m) for m, x, k in tops for _ in range(k)]
+
+
+def _extract_strings_greedy(work: Counter) -> list[tuple[int, int]]:
+    """`_extract_strings` by walking the keys, each string from its top."""
     out = []
     # a string only uses up keys below its top, so visiting the keys from
     # the top down, each until it runs out, always takes the highest one left
@@ -557,32 +581,36 @@ def _extract_strings(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
+# the atoms of images repeat across parameters; each is immutable
+_two_dim_atom = lru_cache(maxsize=1024)(TwoDimAtom)
+
+
 def _pair_strings_selfdual(
     strings: list[tuple[int, int]],
 ) -> tuple[list[TwoDimAtom], list[int]]:
-    """Match (x2, m) strings with their mirrors; zero strings become quads."""
-    rem = Counter(strings)
-    twodims: list[TwoDimAtom] = []
-    quadlens: list[int] = []
-    while rem:
-        x, m = max(rem)
-        if x > 0:
-            mirror = (-x, m)
-            if rem[mirror] <= 0:
-                raise MathCheckError(f"string ({_fmt_half(x)}, {m}) has no mirror")
-            for key in ((x, m), mirror):
-                rem[key] -= 1
-                if not rem[key]:
-                    del rem[key]
-            twodims.append(TwoDimAtom(x, m))
-        elif x == 0:
-            rem[(x, m)] -= 1
-            if not rem[(x, m)]:
-                del rem[(x, m)]
-            quadlens.append(m)
-        else:
-            raise MathCheckError(f"negative string ({_fmt_half(x)}, {m}) left over")
-    return twodims, sorted(quadlens, reverse=True)
+    """Match (x2, m) strings with their mirrors; zero strings become quads.
+
+    Sorted, the strings fall into a negative, a zero and a positive run; the
+    mirrors (-x2, m) of the positive run must be the negative run exactly.
+    Atoms and quad lengths come out largest first.
+    """
+    ordered = sorted(strings)
+    zero_at = bisect_left(ordered, (0,))
+    positive_at = bisect_left(ordered, (1,), zero_at)
+    negative, positive = ordered[:zero_at], ordered[positive_at:]
+    mirrors = sorted([(-x, m) for x, m in positive])
+    if mirrors != negative:
+        # name what a walk from the largest string down meets first: a
+        # positive string whose mirror has run out, else the largest leftover
+        missing = Counter(mirrors) - Counter(negative)
+        if missing:
+            x, m = max(missing, key=lambda s: (-s[0], s[1]))
+            raise MathCheckError(f"string ({_fmt_half(-x)}, {m}) has no mirror")
+        x, m = max(Counter(negative) - Counter(mirrors))
+        raise MathCheckError(f"negative string ({_fmt_half(x)}, {m}) left over")
+    twodims = [_two_dim_atom(x, m) for x, m in reversed(positive)]
+    quadlens = [m for _, m in reversed(ordered[zero_at:positive_at])]
+    return twodims, quadlens
 
 
 def _assign_quad_eps(
@@ -636,13 +664,20 @@ def _assign_quad_eps(
 
 
 def _coordinate_pairs(cohom: CohomParameter) -> list[tuple[int, int]]:
-    """(doubled chi exponent, sl2 weight) of each coordinate."""
-    chi, sl2 = cohom._chi_and_sl2()
+    """(doubled chi exponent, sl2 weight) of each coordinate.
+
+    The sl2 weight h is the coordinate of 2 rho-check_L, the Levi's coroot
+    sum, and chi = lam + rho-check - h/2, so in doubled ints the pair is
+    (lam2 + rho-check2 - h, h).
+    """
+    d = cohom.datum
     out = []
-    for c, s in zip(chi.twice, sl2.twice):
-        if s % 2:
+    sums = d.levi_coroot_sum(cohom.S)
+    for lam2, rho2, t in zip(cohom.lam.twice, d.rho_check.twice, sums):
+        if t % 2:
             raise MathCheckError("sl2 weights must be integers")
-        out.append((c, s // 2))
+        h = t // 2
+        out.append((lam2 + rho2 - h, h))
     return out
 
 

@@ -362,6 +362,69 @@ class RootDatum:
         idx = sorted(subset) if subset is not None else list(range(1, self.rank + 1))
         return [[self.pairing(i, j) for j in idx] for i in idx]
 
+    # -- Levi coroot sums ----------------------------------------------------
+
+    @cached_property
+    def _dynkin_neighbours(self) -> tuple[frozenset[int], ...]:
+        """Dynkin neighbours of each simple root, by 1-based index (0 unused).
+
+        i and j are joined when <alpha_i, alpha_j-check> != 0, so the two
+        fork nodes of type D are not joined to each other.
+        """
+        nodes = range(1, self.rank + 1)
+        return (frozenset(),) + tuple(
+            frozenset(j for j in nodes if j != i and self.pairing(i, j)) for i in nodes
+        )
+
+    @cached_property
+    def _component_coroot_sums(
+        self,
+    ) -> dict[frozenset[int], tuple[tuple[int, int], ...]]:
+        """Memo of `levi_coroot_sum`: a connected simple-root subset maps to
+        the nonzero (coordinate, doubled entry) pairs of its coroot sum.
+
+        A classical Dynkin diagram has O(rank^2) connected subsets, so the
+        memo stays small however many Levi subsets are asked for.
+        """
+        return {}
+
+    def _coroot_sum_on(self, component: frozenset[int]) -> tuple[tuple[int, int], ...]:
+        supports = _positive_root_supports(self)
+        coroots = [
+            coroot.twice
+            for (_, coroot), support in zip(self.positive_roots, supports)
+            if support <= component
+        ]
+        sums = [sum(col) for col in zip(*coroots)]
+        return tuple((k, t) for k, t in enumerate(sums) if t)
+
+    def levi_coroot_sum(self, S: Iterable[int]) -> list[int]:
+        """Doubled entries of the sum of the Levi S's positive coroots (2 rho-check_L).
+
+        The support of a root is connected, so the Levi's positive roots are
+        those of the connected components of S, and the sum is the sum of
+        the components' memoized sums.  S must lie in 1..rank.
+        """
+        neighbours = self._dynkin_neighbours
+        memo = self._component_coroot_sums
+        acc = [0] * self.ambient_dim
+        left = set(S)
+        while left:
+            stack = [left.pop()]
+            component = set(stack)
+            while stack:
+                near = neighbours[stack.pop()] & left
+                left -= near
+                component |= near
+                stack.extend(near)
+            key = frozenset(component)
+            entries = memo.get(key)
+            if entries is None:
+                entries = memo[key] = self._coroot_sum_on(key)
+            for k, t in entries:
+                acc[k] += t
+        return acc
+
     # -- diagram involutions -------------------------------------------------
 
     @cached_property
@@ -419,7 +482,8 @@ class RootDatum:
         return self.theta_index[i - 1]
 
     def theta_subset(self, s: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.theta(i) for i in s)
+        table = self.theta_index
+        return frozenset(table[i - 1] for i in s)
 
     # -- lattices ------------------------------------------------------------
 
@@ -639,15 +703,17 @@ class StandardParabolic:
     """A standard parabolic of the dual group, named by its Levi subset S.
 
     S contains 1-based simple-root indices.  The Levi's rho-check is
-    computed from the subsystem on every access and never stored; a
-    caller that needs it twice keeps the value.
+    summed on every access from the datum's per-component memo
+    (`RootDatum.levi_coroot_sum`) and never stored per S; a caller that
+    needs it twice keeps the value.
     """
 
     datum: RootDatum
     S: frozenset[int]
 
     def __post_init__(self) -> None:
-        bad = [i for i in self.S if not 1 <= i <= self.datum.rank]
+        rank = self.datum.rank
+        bad = [i for i in self.S if not 1 <= i <= rank]
         if bad:
             raise ValueError(
                 f"Levi subset {sorted(self.S)} out of range 1..{self.datum.rank}"
@@ -664,9 +730,7 @@ class StandardParabolic:
 
     @property
     def rho_check_levi(self) -> HalfIntVector:
-        coroots = [coroot.twice for _, coroot in self.levi_positive()]
-        twice = [sum(col) for col in zip(*coroots)] or [0] * self.datum.ambient_dim
-        return HalfIntVector(tuple(twice)).scale(1, 2)
+        return HalfIntVector(tuple(self.datum.levi_coroot_sum(self.S))).scale(1, 2)
 
 
 def opposition_involution(datum: RootDatum) -> tuple[tuple[int, ...], WeylElement]:
@@ -833,7 +897,13 @@ def _expand_each_in_basis(
     basis: list[HalfIntVector], targets: list[HalfIntVector]
 ) -> list[list[Fraction] | None]:
     """`expand_in_basis` for every target, with one elimination of the basis:
-    the targets ride along as extra columns of the augmented matrix."""
+    the targets ride along as extra columns of the augmented matrix.
+
+    The elimination runs on the doubled integer entries without division:
+    a row update is pivot * row - f * pivot_row, a nonzero multiple of the
+    rational update, so no solution changes.  Each coefficient is divided
+    out once at the end, as an exact Fraction.
+    """
     if not basis:
         return [[] if t.is_zero else None for t in targets]
     dim = len(basis[0])
@@ -841,29 +911,28 @@ def _expand_each_in_basis(
         raise ValueError("basis and targets must have the same length")
     cols = len(basis)
     a = [
-        [Fraction(v.twice[r], 2) for v in basis]
-        + [Fraction(t.twice[r], 2) for t in targets]
+        [v.twice[r] for v in basis] + [t.twice[r] for t in targets]
         for r in range(dim)
     ]
     row = 0
     for col in range(cols):
-        pr = next((r for r in range(row, dim) if a[r][col] != 0), None)
+        pr = next((r for r in range(row, dim) if a[r][col]), None)
         if pr is None:
             # basis not independent; callers pass simple roots
             return [None] * len(targets)
         a[row], a[pr] = a[pr], a[row]
-        inv = a[row][col]
-        a[row] = [x / inv for x in a[row]]
+        pivot_row = a[row]
+        pivot = pivot_row[col]
         for r in range(dim):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+            f = a[r][col]
+            if r != row and f:
+                a[r] = [pivot * x - f * y for x, y in zip(a[r], pivot_row)]
         row += 1
     # consistency: rows below the pivots must have zero rhs
     return [
         None
-        if any(a[r][cols + j] != 0 for r in range(row, dim))
-        else [a[k][cols + j] for k in range(cols)]
+        if any(a[r][cols + j] for r in range(row, dim))
+        else [Fraction(a[k][cols + j], a[k][k]) for k in range(cols)]
         for j in range(len(targets))
     ]
 

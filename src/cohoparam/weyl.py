@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     InvalidWeightError,
@@ -317,13 +317,14 @@ def double_cosets(
     back sorted by it.  `left` and `right` must be subgroups contained in
     `ambient` (checked).  Each double coset is a union of right cosets
     x*right, so only an x in left*seed that no right coset found so far
-    covers is expanded.
+    covers is expanded.  The elements not yet covered are the one lookup
+    table: each coset must lie inside them, i.e. inside `ambient` and
+    outside the cosets already found.
     """
-    amb_set = set(ambient)
-    for grp, name in ((left, "left"), (right, "right")):
-        if not set(grp) <= amb_set:
-            raise MathCheckError(f"{name} subgroup is not inside the ambient group")
     remaining = dict.fromkeys(ambient)
+    for grp, name in ((left, "left"), (right, "right")):
+        if not all(map(remaining.__contains__, grp)):
+            raise MathCheckError(f"{name} subgroup is not inside the ambient group")
     cosets = []
     while remaining:
         seed = next(iter(remaining))
@@ -332,11 +333,11 @@ def double_cosets(
             x = l * seed
             if x not in orbit:
                 orbit.update(x * r for r in right)
-        if not orbit <= amb_set:
+        if not orbit <= remaining.keys():
             raise MathCheckError("double coset escapes the ambient group")
         cosets.append(DoubleCoset(rep=seed, size=len(orbit)))
         for x in orbit:
-            remaining.pop(x, None)
+            del remaining[x]
     return tuple(cosets)
 
 
@@ -371,6 +372,10 @@ class CompactWeylData:
     @property
     def d_exponent(self) -> int:
         return self.cartan_signature[0] + self.cartan_signature[1]
+
+    @cached_property
+    def k_weyl_set(self) -> frozenset[WeylElement]:
+        return frozenset(self.k_weyl)
 
     @property
     def n_cosets(self) -> int:

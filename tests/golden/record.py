@@ -98,7 +98,10 @@ def nonzero_weights(descriptor: str) -> list[str]:
     n = datum.ambient_dim
     if datum.family in _REVERSED_THETA and n >= 2:
         first = [1] + [0] * (n - 2) + [-1]
-        second = [1, 1] + [0] * (n - 4) + [-1, -1] if n >= 4 else [2] + [0] * (n - 2) + [-2]
+        if n >= 4:
+            second = [1, 1] + [0] * (n - 4) + [-1, -1]
+        else:
+            second = [2] + [0] * (n - 2) + [-2]
     else:
         first = [1] + [0] * (n - 1)
         second = [1, 1] + [0] * (n - 2) if n >= 2 else [2]

@@ -46,7 +46,6 @@ from cohoparam.params import (
 )
 from cohoparam.rootdata import (
     RootDatum,
-    StandardParabolic,
     build_classical_dual,
     dominant_orbit_rep,
 )
@@ -300,13 +299,13 @@ class TestCohomParameter:
     def test_levi_rho_check_computed_once_per_image(self, monkeypatch):
         c = enumerate_cohomological("Sp(6,R)")[-1]
         seen = []
-        original = StandardParabolic.levi_positive
+        original = RootDatum.levi_coroot_sum
 
-        def counted(self):
-            seen.append(self.S)
-            return original(self)
+        def counted(self, S):
+            seen.append(frozenset(S))
+            return original(self, S)
 
-        monkeypatch.setattr(StandardParabolic, "levi_positive", counted)
+        monkeypatch.setattr(RootDatum, "levi_coroot_sum", counted)
         assert standard_rep_parameter(c).text() == "w0[7]"
         assert seen == [c.S]
 
@@ -417,14 +416,19 @@ def _strings_or_error(extract, pairs):
 
 @st.composite
 def sl2_pair_multisets(draw):
-    """Whole strings, plus stray pairs (often unmatched or of negative
-    weight), and sometimes one pair taken out (a broken string)."""
+    """Whole strings of up to 12 pairs, often several at one exponent, plus
+    stray pairs (often unmatched or of negative weight, often at an exponent
+    a string uses), and sometimes one pair taken out (a broken string)."""
+    exponents = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3))
     strings = draw(
-        st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 5)), max_size=6)
+        st.lists(
+            st.tuples(st.sampled_from(exponents), st.integers(1, 12)), max_size=8
+        )
     )
     pairs = [(x, m - 1 - 2 * k) for x, m in strings for k in range(m)]
+    stray_exponent = st.sampled_from(exponents) | st.integers(-6, 6)
     pairs += draw(
-        st.lists(st.tuples(st.integers(-6, 6), st.integers(-4, 4)), max_size=3)
+        st.lists(st.tuples(stray_exponent, st.integers(-12, 12)), max_size=3)
     )
     if pairs and draw(st.booleans()):
         del pairs[draw(st.integers(0, len(pairs) - 1))]
@@ -455,6 +459,61 @@ def test_extract_strings_errors(pairs, message):
     with pytest.raises(MathCheckError) as exc:
         params._extract_strings(pairs)
     assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# pairing strings with their mirrors against the max-per-atom loop it replaced
+
+
+def pair_strings_oracle(strings):
+    """Take the largest (x2, m) left, one atom at a time."""
+    rem = Counter(strings)
+    twodims = []
+    quadlens = []
+    while rem:
+        x, m = max(rem)
+        if x > 0:
+            mirror = (-x, m)
+            if rem[mirror] <= 0:
+                raise MathCheckError(f"string ({_fmt_half(x)}, {m}) has no mirror")
+            for key in ((x, m), mirror):
+                rem[key] -= 1
+                if not rem[key]:
+                    del rem[key]
+            twodims.append(TwoDimAtom(x, m))
+        elif x == 0:
+            rem[(x, m)] -= 1
+            if not rem[(x, m)]:
+                del rem[(x, m)]
+            quadlens.append(m)
+        else:
+            raise MathCheckError(f"negative string ({_fmt_half(x)}, {m}) left over")
+    return twodims, sorted(quadlens, reverse=True)
+
+
+@st.composite
+def selfdual_string_lists(draw):
+    """Strings with their mirrors and zero strings, often repeated, plus
+    stray strings (often without a mirror), in any order."""
+    half = draw(
+        st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), max_size=6)
+    )
+    strings = half + [(-x, m) for x, m in half]
+    strings += draw(st.lists(st.tuples(st.just(0), st.integers(1, 4)), max_size=3))
+    strings += draw(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), max_size=3)
+    )
+    return draw(st.permutations(strings))
+
+
+@settings(max_examples=400, deadline=None)
+@given(selfdual_string_lists())
+@example([(3, 1), (3, 2), (-3, 2)])  # the larger string has its mirror
+@example([(2, 1), (2, 1), (-2, 1), (-1, 3), (-1, 1)])  # two negatives left
+def test_pair_strings_matches_oracle(strings):
+    assert _strings_or_error(
+        params._pair_strings_selfdual, strings
+    ) == _strings_or_error(pair_strings_oracle, strings)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib.util
 import itertools
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -294,6 +296,107 @@ def test_expand_in_basis():
     assert expand_in_basis(simples, target) == [Fraction(1), Fraction(2)]
     # inconsistent target: e_1 + e_2 is not a multiple of e_1 - e_2
     assert expand_in_basis(simples[:1], target) is None
+
+
+def expand_each_in_basis_oracle(basis, targets):
+    """The Fraction elimination that the integer one replaced."""
+    if not basis:
+        return [[] if t.is_zero else None for t in targets]
+    dim = len(basis[0])
+    cols = len(basis)
+    a = [
+        [Fraction(v.twice[r], 2) for v in basis]
+        + [Fraction(t.twice[r], 2) for t in targets]
+        for r in range(dim)
+    ]
+    row = 0
+    for col in range(cols):
+        pr = next((r for r in range(row, dim) if a[r][col] != 0), None)
+        if pr is None:
+            return [None] * len(targets)
+        a[row], a[pr] = a[pr], a[row]
+        inv = a[row][col]
+        a[row] = [x / inv for x in a[row]]
+        for r in range(dim):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        row += 1
+    return [
+        None
+        if any(a[r][cols + j] != 0 for r in range(row, dim))
+        else [a[k][cols + j] for k in range(cols)]
+        for j in range(len(targets))
+    ]
+
+
+@st.composite
+def basis_and_targets(draw):
+    """Half-integer vectors: a basis (sometimes dependent) and targets, half
+    of them combinations of the basis."""
+    dim = draw(st.integers(1, 5))
+    vectors = st.lists(st.integers(-4, 4), min_size=dim, max_size=dim)
+    basis = draw(st.lists(vectors, min_size=1, max_size=dim + 1))
+    targets = draw(st.lists(vectors, min_size=1, max_size=3))
+    size = len(basis)
+    coefficients = st.lists(st.integers(-3, 3), min_size=size, max_size=size)
+    for coeffs in draw(st.lists(coefficients, max_size=3)):
+        targets.append(
+            [sum(c * v[r] for c, v in zip(coeffs, basis)) for r in range(dim)]
+        )
+    return (
+        [HalfIntVector(tuple(v)) for v in basis],
+        [HalfIntVector(tuple(v)) for v in targets],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(basis_and_targets())
+def test_expand_each_in_basis_matches_the_fraction_elimination(case):
+    basis, targets = case
+    assert _expand_each_in_basis(basis, targets) == expand_each_in_basis_oracle(
+        basis, targets
+    )
+
+
+# -- the Levi's rho-check, per Dynkin component ------------------------------
+
+_RECORD = Path(__file__).parent / "golden" / "record.py"
+_spec = importlib.util.spec_from_file_location("golden_record", _RECORD)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+def levi_coroot_sum_oracle(parabolic):
+    """Doubled entries of the coroot sum over the whole-root filter."""
+    acc = [0] * parabolic.datum.ambient_dim
+    for _, coroot in parabolic.levi_positive():
+        acc = [a + t for a, t in zip(acc, coroot.twice)]
+    return acc
+
+
+@pytest.mark.parametrize("desc", golden.GROUPS)
+def test_component_sums_match_the_whole_root_filter(desc):
+    d = build_classical_dual(desc)
+    subsets = golden.theta_stable_subsets(desc)
+    if d.family == "SO_even" and d.rank >= 2:
+        # the two fork nodes are not joined; theta may swap them
+        n = d.rank
+        subsets += [(n - 1,), (n,), (n - 1, n)]
+    for S in subsets:
+        p = StandardParabolic(d, frozenset(S))
+        expected = levi_coroot_sum_oracle(p)
+        assert d.levi_coroot_sum(S) == expected, S
+        assert p.rho_check_levi == HalfIntVector(tuple(expected)).scale(1, 2)
+
+
+def test_fork_nodes_are_separate_components():
+    d = build_classical_dual("SO(4,4)")  # D_4: 2 is the centre, 3 and 4 the fork
+    assert d._dynkin_neighbours[1:] == (
+        frozenset({2}), frozenset({1, 3, 4}), frozenset({2}), frozenset({2})
+    )
+    # e_3 - e_4 and e_3 + e_4 are orthogonal: their coroots add to 2 e_3
+    assert d.levi_coroot_sum({3, 4}) == [0, 0, 4, 0]
 
 
 # -- principal SL2 -----------------------------------------------------------

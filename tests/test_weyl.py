@@ -267,6 +267,17 @@ def test_double_cosets_two_block_example():
     assert cosets[0].rep.is_identity
 
 
+def test_double_cosets_checks_the_subgroups_lie_in_the_ambient_group():
+    cat = compact_weyl_catalog("U(2,1)")  # W^theta = S_3: no sign changes
+    flip = WeylElement((0, 1, 2), (-1, 1, 1))
+    for left, right, name in (
+        (cat.k_weyl + (flip,), cat.k_weyl, "left"),
+        (cat.k_weyl, (WeylElement.identity(3), flip), "right"),
+    ):
+        with pytest.raises(MathCheckError, match=f"{name} subgroup is not inside"):
+            double_cosets(left, right, cat.w_theta)
+
+
 def test_double_cosets_partition_and_determinism():
     for desc, S in (("Sp(4,R)", {1}), ("U(2,2)", {1}), ("SO(2,4)", {2})):
         cat = compact_weyl_catalog(desc)
