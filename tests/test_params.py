@@ -508,8 +508,8 @@ def selfdual_string_lists(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(selfdual_string_lists())
-@example([(3, 1), (3, 2), (-3, 2)])  # the larger string has its mirror
-@example([(2, 1), (2, 1), (-2, 1), (-1, 3), (-1, 1)])  # two negatives left
+@example([(3, 1), (3, 2), (-3, 2)])  # the shorter string at 3/2 has no mirror
+@example([(2, 1), (-2, 1), (-1, 3), (-1, 1)])  # two negatives left over
 def test_pair_strings_matches_oracle(strings):
     assert _strings_or_error(
         params._pair_strings_selfdual, strings
