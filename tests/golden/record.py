@@ -11,7 +11,11 @@ W^theta has at most 720 elements.  The corpora:
 * `enumerate_cli.json`: `enumerate` (table and JSON) at the zero weight and
   at the two weights of `nonzero_weights`, on every group of `GROUPS` of
   rank at most 6; and `transfer` (table and JSON) along every embedding of
-  each weight-zero image of `TRANSFER_SOURCES`.
+  each weight-zero image of `TRANSFER_SOURCES`;
+* `cohomology_cli.json`: `cohomology-sum` at the zero weight for every
+  theta-stable subset of every group of `GROUPS`, `innerforms` on `GROUPS`
+  and on the compact forms of `COMPACT_FAMILIES` up to size 8, and
+  `verify` for every suite, each in table and JSON.
 
 `tests/test_golden.py` recomputes every digest against its file.
 Re-record only when an output is meant to change:
@@ -28,7 +32,7 @@ import itertools
 import json
 from pathlib import Path
 
-from cohoparam.cli import EMBEDDINGS, main
+from cohoparam.cli import EMBEDDINGS, SUITES, main
 from cohoparam.params import enumerate_cohomological, standard_rep_parameter
 from cohoparam.rootdata import build_classical_dual
 
@@ -129,7 +133,36 @@ def enumerate_cases() -> list[list[str]]:
     return out
 
 
-CORPORA = {"weyl_cli.json": weyl_cases, "enumerate_cli.json": enumerate_cases}
+# compact families whose `innerforms` sums over every real form of the type
+COMPACT_FAMILIES = ("U", "Sp", "SO")
+
+
+def cohomology_cases() -> list[list[str]]:
+    out = []
+    for group in GROUPS:
+        for S in theta_stable_subsets(group):
+            argv = ["cohomology-sum", "--group", group]
+            if S:
+                argv += ["--subset", ",".join(map(str, S))]
+            out.append(argv)
+            out.append(argv + ["--format", "json"])
+    compact = [f"{family}({m})" for family in COMPACT_FAMILIES for m in range(1, 9)]
+    for group in (*GROUPS, *compact):
+        argv = ["innerforms", "--group", group]
+        out.append(argv)
+        out.append(argv + ["--format", "json"])
+    for suite in SUITES:
+        argv = ["verify", "--suite", suite]
+        out.append(argv)
+        out.append(argv + ["--format", "json"])
+    return out
+
+
+CORPORA = {
+    "weyl_cli.json": weyl_cases,
+    "enumerate_cli.json": enumerate_cases,
+    "cohomology_cli.json": cohomology_cases,
+}
 
 
 def digest(argv: list[str]) -> str:

@@ -29,3 +29,7 @@ def test_weyl_cli_outputs_match_the_recorded_digests():
 
 def test_enumerate_cli_outputs_match_the_recorded_digests():
     _check("enumerate_cli.json")
+
+
+def test_cohomology_cli_outputs_match_the_recorded_digests():
+    _check("cohomology_cli.json")
