@@ -42,6 +42,7 @@ from .params import CohomParameter, GLParameter, QuadAtom, standard_rep_paramete
 from .rootdata import build_classical_dual
 from .weyl import compact_weyl_catalog
 from .weyl import _simple_weyl_order  # the one table of closed-form Weyl orders
+from .weyl import _torus_shape
 
 __all__ = [
     "InnerFormReport",
@@ -248,6 +249,14 @@ def self_dual_compositions(N: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out, key=lambda c: (len(c), c)))
 
 
+def _gl_exponent_form(N: int, flavor: str) -> int:
+    """The exponent formula for GL(N,R): 2**ceil(N/2) for odd N, 2**(N/2)
+    for the disconnected flavor 'O', 2**(N/2+1) for the connected 'SO'."""
+    if N % 2 == 1:
+        return 2 ** ((N + 1) // 2)
+    return 2 ** (N // 2) if flavor == "O" else 2 ** (N // 2 + 1)
+
+
 def partition_independence(N: int, flavor: str) -> dict:
     """Sweep all self-dual block shapes of N and compare three routes.
 
@@ -275,12 +284,7 @@ def partition_independence(N: int, flavor: str) -> dict:
     desc = f"SL({N},R)" if flavor == "SO" else f"GL({N},R)"
     cat = compact_weyl_catalog(desc)
     rhs = (2**cat.d_exponent) * cat.n_cosets
-    if N % 2 == 1:
-        expected = 2 ** ((N + 1) // 2)
-    elif flavor == "O":
-        expected = 2 ** (N // 2)
-    else:
-        expected = 2 ** (N // 2 + 1)
+    expected = _gl_exponent_form(N, flavor)
     report = {
         "identity": "partition-independence",
         "group": desc,
@@ -351,12 +355,7 @@ def packet_cohomology_sum(descriptor: str, param: CohomParameter) -> PacketSumRe
         routes["levi_product"] = levi_cohomology(blocks, flavor).total * (
             levi_member_count(blocks, flavor)
         )
-        if n % 2 == 1:
-            routes["exponent_form"] = 2 ** ((n + 1) // 2)
-        elif flavor == "O":
-            routes["exponent_form"] = 2 ** (n // 2)
-        else:
-            routes["exponent_form"] = 2 ** (n // 2 + 1)
+        routes["exponent_form"] = _gl_exponent_form(n, flavor)
     elif fam == "GL_C":
         half = n // 2
         first_factor = frozenset(i for i in param.S if i < half)
@@ -498,24 +497,6 @@ def innerform_sum_compact(descriptor: str) -> InnerFormReport:
 
 # ---------------------------------------------------------------------------
 # inner-form sums, quasi-split case
-
-
-def _torus_shape(family: str, n: int, signature) -> tuple[int, int, int]:
-    """(split, complex, circle) ranks of the fundamental torus, as the
-    catalog stores them (the SL rows keep the GL shape: they model the
-    connected-compact flavor, not the literal special linear group)."""
-    if family in ("GL_R", "SL_R"):
-        return (n % 2, n // 2, 0)
-    if family == "GL_C":
-        return (0, n // 2, 0)
-    if family in ("U", "Sp_R", "SO_odd"):
-        return (0, 0, n)
-    if family == "SO_even":
-        p, q = signature
-        if q % 2 == 0:
-            return (0, 0, n)
-        return (1, 0, n - 1)
-    raise UnsupportedGroupError(f"no torus shape for family {family}")
 
 
 def _orthogonal_compact_weyl_order(p: int, q: int) -> int:

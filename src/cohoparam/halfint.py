@@ -76,10 +76,6 @@ class HalfIntVector:
         return cls(tuple(2 * e for e in entries))
 
     @classmethod
-    def from_twice(cls, twice: Iterable[int]) -> "HalfIntVector":
-        return cls(tuple(twice))
-
-    @classmethod
     def from_fractions(cls, entries: Iterable[Fraction]) -> "HalfIntVector":
         out = []
         for e in entries:
@@ -108,9 +104,6 @@ class HalfIntVector:
 
     def __iter__(self) -> Iterator[Fraction]:
         return (Fraction(t, 2) for t in self.twice)
-
-    def entry(self, i: int) -> Fraction:
-        return Fraction(self.twice[i], 2)
 
     def entries(self) -> tuple[Fraction, ...]:
         return tuple(self)

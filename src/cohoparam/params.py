@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -533,12 +532,13 @@ def enumerate_cohomological(
 # exponents are doubled ints throughout, as in `halfint`
 
 
-def _extract_strings(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Split (doubled exponent, sl2 weight) pairs into sl2-strings, longest first.
+def _extract_strings(pairs: Counter | list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Split a table of (doubled exponent, sl2 weight) pairs into sl2-strings.
 
-    Each returned (x2, m) certifies the presence of the m pairs
-    (x2, m-1), (x2, m-3), ..., (x2, -(m-1)); the strings come in
-    (m, x2)-descending order.
+    The table is a `Counter` of pairs or a list of them, and is copied, not
+    used up.  Each returned (x2, m) certifies the presence of the m pairs
+    (x2, m-1), (x2, m-3), ..., (x2, -(m-1)); the strings come longest first,
+    in (m, x2)-descending order.
 
     By the sl2 character formula, the pairs at one exponent x are a union
     of strings exactly when mult(h) = mult(-h) and mult(h-2) >= mult(h) >=
@@ -585,49 +585,21 @@ def _extract_strings_greedy(work: Counter) -> list[tuple[int, int]]:
 _two_dim_atom = lru_cache(maxsize=1024)(TwoDimAtom)
 
 
-def _pair_strings_selfdual(
-    strings: list[tuple[int, int]],
-) -> tuple[list[TwoDimAtom], list[int]]:
-    """Match (x2, m) strings with their mirrors; zero strings become quads.
-
-    Sorted, the strings fall into a negative, a zero and a positive run; the
-    mirrors (-x2, m) of the positive run must be the negative run exactly.
-    Atoms and quad lengths come out largest first.
-    """
-    ordered = sorted(strings)
-    zero_at = bisect_left(ordered, (0,))
-    positive_at = bisect_left(ordered, (1,), zero_at)
-    negative, positive = ordered[:zero_at], ordered[positive_at:]
-    mirrors = sorted([(-x, m) for x, m in positive])
-    if mirrors != negative:
-        # name what a walk from the largest string down meets first: a
-        # positive string whose mirror has run out, else the largest leftover
-        missing = Counter(mirrors) - Counter(negative)
-        if missing:
-            x, m = max(missing, key=lambda s: (-s[0], s[1]))
-            raise MathCheckError(f"string ({_fmt_half(-x)}, {m}) has no mirror")
-        x, m = max(Counter(negative) - Counter(mirrors))
-        raise MathCheckError(f"negative string ({_fmt_half(x)}, {m}) left over")
-    twodims = [_two_dim_atom(x, m) for x, m in reversed(positive)]
-    quadlens = [m for _, m in reversed(ordered[zero_at:positive_at])]
-    return twodims, quadlens
-
-
 def _assign_quad_eps(
     quadlens: list[int],
     twodim_det: int,
-    mode: str,
-    delta: int = 0,
+    delta: int | None,
 ) -> tuple[list[QuadAtom], bool]:
     """Choose the signs on zero strings.
 
-    mode 'plain'  -- no determinant constraint; eps = 0, flag the orbit;
-    mode 'free'   -- symplectic-valued: sign invisible to the form; same;
-    mode 'det'    -- determinant class must come out to delta: duplicated
-                     lengths split {0,1} or {0,0} by parity, then the
-                     smallest single length absorbs the rest.
+    delta None -- no determinant constraint (or, symplectic-valued, a sign
+                  the form cannot see): eps = 0, flag the orbit;
+    delta 0/1  -- determinant class must come out to delta, the two-dim
+                  atoms contributing twodim_det: duplicated lengths split
+                  {0,1} or {0,0} by parity, then the smallest single length
+                  absorbs the rest.
     """
-    if mode in ("plain", "free"):
+    if delta is None:
         return [QuadAtom(0, a) for a in quadlens], bool(quadlens)
     counts = Counter(quadlens)
     if any(c > 2 for c in counts.values()):
@@ -681,17 +653,47 @@ def _coordinate_pairs(cohom: CohomParameter) -> list[tuple[int, int]]:
     return out
 
 
+def _selfdual_strings(
+    fam: str, coords: list[tuple[int, int]]
+) -> tuple[list[TwoDimAtom], list[int]]:
+    """Two-dimensional atoms and zero-string lengths of a self-dual image.
+
+    The image's pairs at exponent -x mirror those at +x, so only its pairs
+    with x >= 0 are split: a string at x > 0 stands for itself and its
+    mirror, one at x = 0 is a quad.  Sp_R and SO images are the coordinates
+    and their mirrors (and, for Sp_R, one (0, 0)); GL_R and SL_R images are
+    the coordinates alone, which must be their own mirror image.
+    """
+    if fam in ("GL_R", "SL_R"):
+        full = Counter(coords)
+        for (x, h), c in full.items():
+            mirror = full.get((-x, -h), 0)
+            if mirror != c:
+                raise MathCheckError(
+                    f"image is not self-dual: {c} of ({_fmt_half(x)}, {h}) "
+                    f"against {mirror} of ({_fmt_half(-x)}, {-h})"
+                )
+        table = Counter({p: c for p, c in full.items() if p[0] >= 0})
+    else:
+        table = Counter((x, h) if x > 0 else (-x, -h) for x, h in coords)
+        # a zero coordinate's mirror (0, -h) is counted above, (0, h) here
+        table.update((0, h) for x, h in coords if not x)
+        if fam == "Sp_R":
+            table[(0, 0)] += 1
+    twodims, quadlens = [], []
+    for x, m in _extract_strings(table):
+        if x:
+            twodims.append(_two_dim_atom(x, m))
+        else:
+            quadlens.append(m)
+    return twodims, quadlens
+
+
 def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParameter:
     """Push a subset-side parameter through the dual standard representation."""
     fam = cohom.datum.family
     coords = _coordinate_pairs(cohom)
     n = cohom.datum.ambient_dim
-
-    if fam in ("GL_R", "SL_R"):
-        strings = _extract_strings(coords)
-        twodims, quadlens = _pair_strings_selfdual(strings)
-        quads, flag = _assign_quad_eps(quadlens, 0, "plain")
-        return GLParameter(tuple(twodims + quads), 0, flag)
 
     if fam == "U":
         return ComplexParameter(tuple(_extract_strings(coords)))
@@ -704,22 +706,19 @@ def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParame
             raise MathCheckError("second factor is not the conjugate of the first")
         return ComplexParameter(tuple(s1))
 
-    # orthogonal/symplectic-valued families: symmetrize the weights first
-    sym = list(coords) + [(-c, -s) for c, s in coords]
-    if fam == "Sp_R":
-        sym.append((0, 0))
-        mode, delta = "det", 0
-    elif fam == "SO_odd":
-        mode, delta = "free", 0
+    # self-dual families: the determinant class constrains the quad signs
+    if fam in ("GL_R", "SL_R", "SO_odd"):
+        delta = None
+    elif fam == "Sp_R":
+        delta = 0
     elif fam == "SO_even":
         p, q = cohom.datum.signature
-        mode, delta = "det", (q - n) % 2
+        delta = (q - n) % 2
     else:  # pragma: no cover
         raise UnsupportedGroupError(f"no standard-representation rule for {fam}")
-    strings = _extract_strings(sym)
-    twodims, quadlens = _pair_strings_selfdual(strings)
+    twodims, quadlens = _selfdual_strings(fam, coords)
     twodim_det = sum(t.det_exponent for t in twodims) % 2
-    quads, flag = _assign_quad_eps(quadlens, twodim_det, mode, delta)
+    quads, flag = _assign_quad_eps(quadlens, twodim_det, delta)
     return GLParameter(tuple(twodims + quads), 0, flag)
 
 
@@ -794,19 +793,16 @@ def _finish_enumeration(
                 continue
             twodim_det = sum(t.det_exponent for t in twodims) % 2
             try:
-                quads, flag = _assign_quad_eps(
-                    quadlens, twodim_det, "det", delta or 0
-                )
+                quads, flag = _assign_quad_eps(quadlens, twodim_det, delta or 0)
             except MathCheckError:
                 continue
-        elif valued_in == "symplectic":
-            if any(not t.is_symplectic for t in twodims):
-                continue
-            if any(a % 2 == 1 for a in quadlens):
-                continue
-            quads, flag = _assign_quad_eps(quadlens, 0, "free")
         else:
-            quads, flag = _assign_quad_eps(quadlens, 0, "plain")
+            if valued_in == "symplectic" and (
+                any(not t.is_symplectic for t in twodims)
+                or any(a % 2 == 1 for a in quadlens)
+            ):
+                continue
+            quads, flag = _assign_quad_eps(quadlens, 0, None)
         results.append(GLParameter(tuple(twodims + quads), twist2, flag))
     results.sort(key=lambda p: p.text())
     return tuple(results)
@@ -915,7 +911,7 @@ def gl_cascade_parameters(
         quadlens = []
         if k % 2 == 1:  # the middle block's own pair sum makes its exponent twist2
             quadlens.append(comp[k // 2])
-        quads, flag = _assign_quad_eps(quadlens, 0, "plain")
+        quads, flag = _assign_quad_eps(quadlens, 0, None)
         atoms = [TwoDimAtom(d, m) for d, m in zip(two_ds, comp)]
         out.append(GLParameter(tuple(atoms + quads), twist2, flag))
     out.sort(key=lambda p: p.text())

@@ -445,6 +445,24 @@ def _so_like_block_gens(n: int, lo: int, hi: int, kind: str) -> list[WeylElement
     return gens
 
 
+def _torus_shape(family: str, n: int, signature) -> tuple[int, int, int]:
+    """(split, complex, circle) ranks of the fundamental torus, the
+    catalog's `cartan_signature` (the SL rows keep the GL shape: they model
+    the connected-compact flavor, not the literal special linear group)."""
+    if family in ("GL_R", "SL_R"):
+        return (n % 2, n // 2, 0)
+    if family == "GL_C":
+        return (0, n // 2, 0)
+    if family in ("U", "Sp_R", "SO_odd"):
+        return (0, 0, n)
+    if family == "SO_even":
+        p, q = signature
+        if q % 2 == 0:
+            return (0, 0, n)
+        return (1, 0, n - 1)
+    raise UnsupportedGroupError(f"no torus shape for family {family}")
+
+
 def compact_weyl_catalog(
     descriptor: str, *, max_size: int | None = None
 ) -> CompactWeylData:
@@ -490,20 +508,17 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
         else:
             k_gens = list(w_theta_gens)
             expected_k = expected_theta
-        sig = (1, m, 0) if n % 2 == 1 else (0, m, 0)
     elif datum.family == "U":
         p, q = datum.signature
         w_theta_gens = _block_transpositions(n, 0, n)
         expected_theta = _simple_weyl_order("A", n - 1)
         k_gens = _block_transpositions(n, 0, p) + _block_transpositions(n, p, n)
         expected_k = _simple_weyl_order("A", p - 1) * _simple_weyl_order("A", q - 1)
-        sig = (0, 0, n)
     elif datum.family == "Sp_R":
         w_theta_gens = None  # full W
         expected_theta = full_order
         k_gens = _block_transpositions(n, 0, n)
         expected_k = _simple_weyl_order("A", n - 1)
-        sig = (0, 0, n)
     elif datum.family == "SO_odd":
         p, q = datum.signature
         even, odd = (p, q) if p % 2 == 0 else (q, p)
@@ -512,7 +527,6 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
         expected_theta = full_order
         k_gens = _so_like_block_gens(n, 0, a, "D") + _so_like_block_gens(n, a, n, "B")
         expected_k = _simple_weyl_order("D", a) * _simple_weyl_order("B", b)
-        sig = (0, 0, n)
         connected_only = True
     elif datum.family == "SO_even":
         p, q = datum.signature
@@ -525,7 +539,6 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
                 n, a, n, "D"
             )
             expected_k = _simple_weyl_order("D", a) * _simple_weyl_order("D", b)
-            sig = (0, 0, n)
         else:
             if n > 3:
                 raise UnsupportedGroupError(
@@ -546,7 +559,6 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
                 [_flips(n, n - 2, n - 1)] if n >= 2 else []
             )
             expected_theta = _simple_weyl_order("B", n - 1)
-            sig = (1, 0, n - 1)
     elif datum.family == "GL_C":
         half = n // 2
         w_theta_gens = []
@@ -558,7 +570,6 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
         expected_theta = _simple_weyl_order("A", half - 1)
         k_gens = list(w_theta_gens)
         expected_k = expected_theta
-        sig = (0, half, 0)
     else:  # pragma: no cover
         raise UnsupportedGroupError(f"no compact-side data for {descriptor}")
 
@@ -608,7 +619,7 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
         full_order=full_order,
         w_theta=w_theta,
         k_weyl=k_weyl,
-        cartan_signature=sig,
+        cartan_signature=_torus_shape(datum.family, n, datum.signature),
         k_connected_only=connected_only,
     )
 

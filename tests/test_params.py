@@ -363,10 +363,10 @@ def test_enumeration_matches_subset_scan_at_zero_weight():
 
 
 @st.composite
-def group_and_weight(draw):
-    """A group of ORACLE_GROUPS and a dominant, theta-fixed, integral weight:
+def group_and_weight(draw, groups=ORACLE_GROUPS):
+    """A group of `groups` and a dominant, theta-fixed, integral weight:
     the dominant representative of v + theta(v) for a small integer v."""
-    datum = build_classical_dual(draw(st.sampled_from(ORACLE_GROUPS)))
+    datum = build_classical_dual(draw(st.sampled_from(groups)))
     n = datum.ambient_dim
     v = HalfIntVector.from_ints(
         *draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
@@ -462,7 +462,8 @@ def test_extract_strings_errors(pairs, message):
 
 
 # ---------------------------------------------------------------------------
-# pairing strings with their mirrors against the max-per-atom loop it replaced
+# self-dual images from the half table against splitting the whole image and
+# pairing its strings with their mirrors, one atom at a time
 
 
 def pair_strings_oracle(strings):
@@ -491,29 +492,46 @@ def pair_strings_oracle(strings):
     return twodims, sorted(quadlens, reverse=True)
 
 
-@st.composite
-def selfdual_string_lists(draw):
-    """Strings with their mirrors and zero strings, often repeated, plus
-    stray strings (often without a mirror), in any order."""
-    half = draw(
-        st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), max_size=6)
-    )
-    strings = half + [(-x, m) for x, m in half]
-    strings += draw(st.lists(st.tuples(st.just(0), st.integers(1, 4)), max_size=3))
-    strings += draw(
-        st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), max_size=3)
-    )
-    return draw(st.permutations(strings))
+SELFDUAL_GROUPS = tuple(
+    g
+    for g in ORACLE_GROUPS
+    if build_classical_dual(g).family in ("GL_R", "SL_R", "Sp_R", "SO_odd", "SO_even")
+)
 
 
-@settings(max_examples=400, deadline=None)
-@given(selfdual_string_lists())
-@example([(3, 1), (3, 2), (-3, 2)])  # the shorter string at 3/2 has no mirror
-@example([(2, 1), (-2, 1), (-1, 3), (-1, 1)])  # two negatives left over
-def test_pair_strings_matches_oracle(strings):
-    assert _strings_or_error(
-        params._pair_strings_selfdual, strings
-    ) == _strings_or_error(pair_strings_oracle, strings)
+@settings(max_examples=200, deadline=None)
+@given(group_and_weight(SELFDUAL_GROUPS))
+def test_selfdual_strings_match_oracle(case):
+    datum, lam = case
+    for c in enumerate_cohomological(datum, lam):
+        coords = params._coordinate_pairs(c)
+        # the whole image: Sp and SO add each coordinate's mirror, Sp one (0, 0)
+        sym = list(coords)
+        if datum.family not in ("GL_R", "SL_R"):
+            sym += [(-x, -h) for x, h in coords]
+        if datum.family == "Sp_R":
+            sym.append((0, 0))
+        twodims, quadlens = params._selfdual_strings(datum.family, coords)
+        expected = pair_strings_oracle(extract_strings_oracle(sym))
+        assert (sorted(twodims, reverse=True), quadlens) == expected
+
+
+@pytest.mark.parametrize("family", ["GL_R", "SL_R"])
+@pytest.mark.parametrize(
+    "coords,message",
+    [
+        ([(2, 0), (0, 0)], "image is not self-dual: 1 of (1, 0) against 0 of (-1, 0)"),
+        (
+            [(1, 1), (1, 1), (-1, -1)],
+            "image is not self-dual: 2 of (1/2, 1) against 1 of (-1/2, -1)",
+        ),
+        ([(0, 2), (0, 2)], "image is not self-dual: 2 of (0, 2) against 0 of (0, -2)"),
+    ],
+)
+def test_gl_image_that_is_not_selfdual_is_rejected(family, coords, message):
+    with pytest.raises(MathCheckError) as exc:
+        params._selfdual_strings(family, coords)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

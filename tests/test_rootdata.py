@@ -95,7 +95,7 @@ def test_rho_check_type_D():
 
 def test_rho_check_product():
     d = build_classical_dual("GL(3,C)")
-    assert d.rho_check == HalfIntVector.from_twice((2, 0, -2, 2, 0, -2))
+    assert d.rho_check == HalfIntVector((2, 0, -2, 2, 0, -2))
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)
