@@ -25,7 +25,6 @@ from .cohomology import (
 )
 from .cohomology import _COMPACT_RE  # descriptor dispatch shared with innerforms
 from .errors import (
-    CohoparamError,
     InvalidWeightError,
     MathCheckError,
     UnsupportedGroupError,
@@ -573,7 +572,7 @@ def cmd_verify(args) -> int:
         try:
             fn()
             results.append({"name": name, "status": "ok"})
-        except CohoparamError as exc:
+        except MathCheckError as exc:  # other errors propagate to exit 2 or 3
             results.append({"name": name, "status": "failed", "detail": str(exc)})
             failed.append(name)
     payload = {

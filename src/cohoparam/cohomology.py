@@ -40,9 +40,8 @@ from .halfint import HalfIntVector
 from .packets import _levi_blocks, packet, unitary_packet_members
 from .params import CohomParameter, GLParameter, QuadAtom, standard_rep_parameter
 from .rootdata import build_classical_dual
-from .weyl import compact_weyl_catalog
+from .weyl import _catalog_row, _torus_shape, compact_weyl_catalog
 from .weyl import _simple_weyl_order  # the one table of closed-form Weyl orders
-from .weyl import _torus_shape
 
 __all__ = [
     "InnerFormReport",
@@ -578,14 +577,7 @@ def innerform_sum_quasisplit(descriptor: str) -> InnerFormReport:
     elif fam in ("SO_odd", "SO_even"):
         p, q = datum.signature
         N = p + q
-        # |W^theta| is all of W, except for SO(odd,odd): theta flips the
-        # last sign there, and its fixed points form W(B_{n-1})
-        if fam == "SO_odd":
-            w_theta_order = _simple_weyl_order("B", n)
-        elif q % 2 == 0:
-            w_theta_order = _simple_weyl_order("D", n)
-        else:
-            w_theta_order = _simple_weyl_order("B", n - 1)
+        (_, w_theta_order), _ = _catalog_row(datum)
         lhs = 0
         for q2 in range(q % 2, N + 1, 2):
             p2 = N - q2

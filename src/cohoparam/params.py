@@ -53,7 +53,6 @@ from .rootdata import (
     build_classical_dual,
     dominant_orbit_rep,
     is_regular_orbit,
-    is_self_associate,
 )
 
 __all__ = [
@@ -442,7 +441,7 @@ class CohomParameter:
             )
         if not all(1 <= i <= rank for i in self.S):
             raise InvalidWeightError(f"S = {sorted(self.S)} out of range")
-        if not is_self_associate(StandardParabolic(d, self.S)):
+        if d.theta_subset(self.S) != self.S:
             raise InvalidWeightError(f"S = {sorted(self.S)} is not self-associate")
 
     @property

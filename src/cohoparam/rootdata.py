@@ -273,16 +273,16 @@ def _embed(local: list[int], offset: int, total: int) -> HalfIntVector:
 class RootDatum:
     """Based root datum of the dual group, plus the Galois diagram action.
 
-    ``galois_index`` maps 1-based simple-root indices; ``galois_linear``
-    is the corresponding signed coordinate permutation (the identity for
-    split forms, -w0 for U(p,q), the factor swap for GL(n,C), the last
-    sign flip for non-inner-split even SO).
+    ``galois_linear`` is the Galois diagram action as a signed coordinate
+    permutation (the identity for split forms, -w0 for U(p,q), the factor
+    swap for GL(n,C), the last sign flip for non-inner-split even SO);
+    ``galois_index`` is derived from it, as the map of 1-based simple-root
+    indices it induces.
     """
 
     descriptor: str
     family: str
     factors: tuple[Factor, ...]
-    galois_index: tuple[int, ...]
     galois_linear: WeylElement
     signature: tuple[int, int] | None = None
 
@@ -465,6 +465,10 @@ class RootDatum:
         return self._index_map(self.iota_linear)
 
     @cached_property
+    def galois_index(self) -> tuple[int, ...]:
+        return self._index_map(self.galois_linear)
+
+    @cached_property
     def theta_linear(self) -> WeylElement:
         """iota o gamma, checked once here for every later conjugation by it."""
         theta = self.iota_linear * self.galois_linear
@@ -586,7 +590,6 @@ def _build_classical_dual(kind: str, first: int, second: int | str) -> RootDatum
             descriptor=canon,
             family="GL_R" if kind == "GL" else "SL_R",
             factors=(f,),
-            galois_index=tuple(range(1, n)),
             galois_linear=WeylElement.identity(n),
         )
 
@@ -597,15 +600,10 @@ def _build_classical_dual(kind: str, first: int, second: int | str) -> RootDatum
         swap = WeylElement(
             tuple(list(range(n, 2 * n)) + list(range(n))), (1,) * (2 * n)
         )
-        # the swap sends factor-1 node i to factor-2 node i
-        galois_index = tuple(
-            list(range(n, 2 * n - 1)) + list(range(1, n))
-        )
         return RootDatum(
             descriptor=canon,
             family="GL_C",
             factors=(f1, f2),
-            galois_index=galois_index,
             galois_linear=swap,
         )
 
@@ -618,7 +616,6 @@ def _build_classical_dual(kind: str, first: int, second: int | str) -> RootDatum
             descriptor=canon,
             family="U",
             factors=(f,),
-            galois_index=tuple(range(n - 1, 0, -1)),
             galois_linear=flip,
             signature=(p, q),
         )
@@ -630,7 +627,6 @@ def _build_classical_dual(kind: str, first: int, second: int | str) -> RootDatum
             descriptor=canon,
             family="Sp_R",
             factors=(f,),
-            galois_index=tuple(range(1, n + 1)),
             galois_linear=WeylElement.identity(n),
         )
 
@@ -644,7 +640,6 @@ def _build_classical_dual(kind: str, first: int, second: int | str) -> RootDatum
             descriptor=canon,
             family="SO_odd",
             factors=(f,),
-            galois_index=tuple(range(1, n + 1)),
             galois_linear=WeylElement.identity(n),
             signature=(p, q),
         )
@@ -654,26 +649,15 @@ def _build_classical_dual(kind: str, first: int, second: int | str) -> RootDatum
             "SO(p,q) with p+q=8 and p,q odd: the outer diagram action is "
             "triality-ambiguous and not supported"
         )
-    inner_of_split = q % 2 == n % 2
-    n_roots = n if n >= 2 else 0
-    if inner_of_split:
-        galois_linear = WeylElement.identity(n)
-        galois_index = tuple(range(1, n_roots + 1))
-    else:
-        galois_linear = WeylElement(
-            tuple(range(n)), (1,) * (n - 1) + (-1,) if n >= 1 else ()
-        )
-        # the last sign flip swaps the fork nodes e_{n-1}-e_n <-> e_{n-1}+e_n
-        galois_index = tuple(
-            list(range(1, n_roots - 1)) + [n_roots, n_roots - 1]
-        ) if n_roots >= 2 else ()
+    # the identity on inner forms of the split form (q = n mod 2), else the
+    # last sign flip, which swaps the fork nodes e_{n-1}-e_n <-> e_{n-1}+e_n
+    signs = (1,) * n if q % 2 == n % 2 else (1,) * (n - 1) + (-1,)
     f = Factor("D", n, n, 0, "SO")
     return RootDatum(
         descriptor=canon,
         family="SO_even",
         factors=(f,),
-        galois_index=galois_index,
-        galois_linear=galois_linear,
+        galois_linear=WeylElement(tuple(range(n)), signs),
         signature=(p, q),
     )
 

@@ -25,6 +25,26 @@ fundamental Cartan, and the dimension-shift exponent d = #split + #complex.
 For the orthogonal families the compact side is taken from the *identity
 component* of the maximal compact subgroup; `k_connected_only` records
 this.
+
+W^theta and K come from one table, `_CATALOG_TABLE`, as products of
+blocks of type A, B or D.  A block is a run of slots; a slot is one
+coordinate or a mirrored pair (i, n-1-i).  A permutes the slots, B also
+flips the last slot, D flips the last two together; a flip negates a
+coordinate or swaps the two of a pair.  With a..b the 0-based
+coordinates a..b-1 (K = W^theta where no K is given):
+
+    family             W^theta          K
+    GL(n,R)            B on the pairs
+    SL(n,R)            B on the pairs   D on the pairs when n is even
+    GL(n,C)            A on the pairs
+    U(p,q)             A on 0..n        A on 0..p x A on p..n
+    Sp(2n,R)           B on 0..n        A on 0..n
+    SO(p,q), p+q odd   B on 0..n        D on 0..a x B on a..n, 2a the even one of p, q
+    SO(p,q), p,q even  D on 0..n        D on 0..p/2 x D on p/2..n
+    SO(p,q), p,q odd   B on 0..n-1      B on 0..(p-1)/2 x B on (p-1)/2..n-1
+
+In the last row every flip also negates coordinate n-1.  Each block's
+order is a closed form, so both sizes are known before any closure.
 """
 
 from __future__ import annotations
@@ -46,7 +66,6 @@ from .rootdata import (
     StandardParabolic,
     WeylElement,
     build_classical_dual,
-    parse_group,
 )
 
 __all__ = [
@@ -93,20 +112,7 @@ def _cap(max_size: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# generator shorthands and closed-form orders
-
-
-def _transposition(n: int, i: int, j: int) -> WeylElement:
-    perm = list(range(n))
-    perm[i], perm[j] = perm[j], perm[i]
-    return WeylElement(tuple(perm), (1,) * n)
-
-
-def _flips(n: int, *idxs: int) -> WeylElement:
-    signs = [1] * n
-    for i in idxs:
-        signs[i] = -1
-    return WeylElement(tuple(range(n)), tuple(signs))
+# closed-form orders
 
 
 def _simple_weyl_order(cartan: str, r: int) -> int:
@@ -129,7 +135,10 @@ def _simple_weyl_order(cartan: str, r: int) -> int:
 
 
 def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
-    """The reflection in the i-th simple root (1-based), as an element."""
+    """The reflection in the i-th simple root (1-based), as an element.
+
+    A reference route, read off the root datum: no library code calls it.
+    """
     root = datum.alpha(i)
     coroot = datum.alpha_check(i)
     n = datum.ambient_dim
@@ -199,7 +208,11 @@ def subgroup_closure(
 def full_weyl_group(
     datum: RootDatum, *, max_size: int | None = None
 ) -> tuple[WeylElement, ...]:
-    """All elements of W, generated from the simple reflections."""
+    """All elements of W, generated from the simple reflections.
+
+    A reference route: no library code calls it; the tests compare the
+    catalog's table with it wherever W^theta is all of W.
+    """
     cap = _cap(max_size)
     expected = weyl_order(datum)
     if expected > cap:
@@ -218,7 +231,11 @@ def full_weyl_group(
 
 
 def longest_element(datum: RootDatum) -> WeylElement:
-    """w_0, assembled factor by factor and checked against rho-check."""
+    """w_0, assembled factor by factor and checked against rho-check.
+
+    A reference route: no library code calls it; the tests check it against
+    the datum's opposition involution (-w_0 = iota).
+    """
     n = datum.ambient_dim
     perm = list(range(n))
     signs = [1] * n
@@ -251,9 +268,9 @@ def levi_weyl_group(
 ) -> tuple[WeylElement, ...]:
     """W_L for a standard parabolic: closure of its simple reflections.
 
-    The packet layer takes W_L^theta as a stabilizer inside W^theta instead;
-    this closure, with `theta_fixed_subgroup`, is that route's check in the
-    tests.
+    A reference route: no library code calls it.  The packet layer takes
+    W_L^theta as a stabilizer inside W^theta instead; this closure, with
+    `theta_fixed_subgroup`, is that route's check in the tests.
     """
     gens = [simple_reflection(parabolic.datum, i) for i in sorted(parabolic.S)]
     return subgroup_closure(
@@ -399,50 +416,86 @@ class CompactWeylData:
         }
 
 
-def _gl_pair_block_gens(n: int) -> list[WeylElement]:
-    """Generators of the centralizer of i <-> n+1-i inside S_n."""
-    m = n // 2
-    gens: list[WeylElement] = []
-    for i in range(m - 1):
-        # swap pair i with pair i+1 on both ends
-        gens.append(
-            _transposition(n, i, i + 1) * _transposition(n, n - 1 - i, n - 2 - i)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The mirrored pairs (i, n-1-i) of n coordinates, outermost first."""
+    return tuple((i, n - 1 - i) for i in range(n // 2))
+
+
+def _run(lo: int, hi: int) -> tuple[tuple[int], ...]:
+    """Coordinates lo..hi-1, one slot each."""
+    return tuple((i,) for i in range(lo, hi))
+
+
+def _split(left: str, right: str, a: int, hi: int, also=()) -> list[tuple]:
+    """Two blocks, of types `left` on 0..a and `right` on a..hi."""
+    return [(left, _run(0, a), also), (right, _run(a, hi), also)]
+
+
+# The one table of the catalog: family -> (n, p, q) -> (W^theta blocks,
+# K blocks, or None when K = W^theta), for ambient dimension n and
+# signature (p, q).  Each group is the product of its blocks (`_block`).
+_CATALOG_TABLE = {
+    "GL_R": lambda n, p, q: ([("B", _pairs(n))], None),
+    "SL_R": lambda n, p, q: (
+        [("B", _pairs(n))], [("D", _pairs(n))] if n % 2 == 0 else None
+    ),
+    "GL_C": lambda n, p, q: ([("A", _pairs(n))], None),
+    "U": lambda n, p, q: ([("A", _run(0, n))], _split("A", "A", p, n)),
+    "Sp_R": lambda n, p, q: ([("B", _run(0, n))], [("A", _run(0, n))]),
+    "SO_odd": lambda n, p, q: (
+        [("B", _run(0, n))], _split("D", "B", (p if p % 2 == 0 else q) // 2, n)
+    ),
+    "SO_even": lambda n, p, q: (
+        ([("D", _run(0, n))], _split("D", "D", p // 2, n))
+        if p % 2 == 0
+        # SO(odd,odd): every flip also negates the last coordinate
+        else (
+            [("B", _run(0, n - 1), (n - 1,))],
+            _split("B", "B", p // 2, n - 1, (n - 1,)),
         )
-    if m >= 1:
-        if n % 2 == 0:
-            gens.append(_transposition(n, m - 1, m))  # innermost within-pair swap
-        else:
-            gens.append(_transposition(n, m - 1, m + 1))  # skip the fixed middle
-    return gens
+    ),
+}
 
 
-def _gl_even_special_gens(n: int) -> list[WeylElement]:
-    """Even-within-pair-swap subgroup (index 2) for K = SO(n), n even."""
-    m = n // 2
-    gens: list[WeylElement] = []
-    for i in range(m - 1):
-        gens.append(
-            _transposition(n, i, i + 1) * _transposition(n, n - 1 - i, n - 2 - i)
-        )
-    if m >= 2:
-        # product of the two innermost within-pair swaps
-        gens.append(_transposition(n, m - 1, m) * _transposition(n, m - 2, m + 1))
-    return gens
+def _block(n: int, kind: str, slots, also=()) -> tuple[list[WeylElement], int]:
+    """Generators and closed-form order of one block of `_CATALOG_TABLE`.
 
+    A block is a run of slots, each one coordinate (i,) or a mirrored pair
+    (i, n-1-i).  Type A permutes the slots, B also flips the last slot, D
+    flips the last two together.  A flip negates a coordinate, or swaps
+    the two coordinates of a pair, and negates the coordinates in `also`.
+    """
 
-def _block_transpositions(n: int, lo: int, hi: int) -> list[WeylElement]:
-    return [_transposition(n, i, i + 1) for i in range(lo, hi - 1)]
+    def move(swaps, negate) -> WeylElement:
+        perm, signs = list(range(n)), [1] * n
+        for i, j in swaps:
+            perm[i], perm[j] = j, i
+        for i in negate:
+            signs[i] = -1
+        return WeylElement(tuple(perm), tuple(signs))
 
+    def flip(slot) -> WeylElement:
+        return move([slot], also) if len(slot) == 2 else move((), slot + also)
 
-def _so_like_block_gens(n: int, lo: int, hi: int, kind: str) -> list[WeylElement]:
-    """Weyl generators of SO(2r) ('D') or SO(2r+1) ('B') on one coordinate block."""
-    gens = _block_transpositions(n, lo, hi)
-    r = hi - lo
+    r = len(slots)
+    gens = [move(zip(s, t), ()) for s, t in zip(slots, slots[1:])]
     if kind == "B" and r >= 1:
-        gens.append(_flips(n, hi - 1))
+        gens.append(flip(slots[-1]))
     if kind == "D" and r >= 2:
-        gens.append(_flips(n, hi - 2, hi - 1))
-    return gens
+        gens.append(flip(slots[-2]) * flip(slots[-1]))
+    return gens, _simple_weyl_order(kind, r - 1 if kind == "A" else r)
+
+
+def _catalog_row(datum: RootDatum) -> tuple[tuple[list[WeylElement], int], ...]:
+    """(generators, order) of W^theta and of K, read off the datum's row."""
+    n = datum.ambient_dim
+    w_theta, k = _CATALOG_TABLE[datum.family](n, *(datum.signature or (0, 0)))
+    out = []
+    for blocks in (w_theta, k or w_theta):
+        parts = [_block(n, *b) for b in blocks]
+        gens = [g for block_gens, _ in parts for g in block_gens]
+        out.append((gens, math.prod(order for _, order in parts)))
+    return tuple(out)
 
 
 def _torus_shape(family: str, n: int, signature) -> tuple[int, int, int]:
@@ -453,13 +506,10 @@ def _torus_shape(family: str, n: int, signature) -> tuple[int, int, int]:
         return (n % 2, n // 2, 0)
     if family == "GL_C":
         return (0, n // 2, 0)
-    if family in ("U", "Sp_R", "SO_odd"):
-        return (0, 0, n)
-    if family == "SO_even":
-        p, q = signature
-        if q % 2 == 0:
-            return (0, 0, n)
+    if family == "SO_even" and signature[1] % 2:
         return (1, 0, n - 1)
+    if family in ("U", "Sp_R", "SO_odd", "SO_even"):
+        return (0, 0, n)
     raise UnsupportedGroupError(f"no torus shape for family {family}")
 
 
@@ -468,20 +518,18 @@ def compact_weyl_catalog(
 ) -> CompactWeylData:
     """Twisted Weyl group and compact-side subgroup for one real form.
 
+    Both groups are closures of their row of `_CATALOG_TABLE` (see the
+    module docstring), in the coordinates of the dual root datum, with
+    theta the conjugation by its `theta_linear`.  The table's |W^theta| is
+    checked against the cap before any closure; after it, each closure's
+    size against its closed form, W^theta for theta-fixedness and for the
+    sort_key order `double_cosets` relies on, and K for lying in W^theta.
+    SO(p,q) with p and q odd is only served through rank (p+q)/2 <= 3,
+    where the diagram involution is pinned down by the signature alone.
+
     The cap is read on every call; the groups are built once per
     (descriptor, cap) and shared, which is safe because `CompactWeylData`
     is frozen and holds tuples.
-
-    Conventions baked in here (and relied on by the packet layer):
-
-    * everything lives in the coordinates of the dual root datum, whose
-      Weyl group is canonically the same signed-permutation group;
-    * the twist is conjugation by the datum's `theta_linear`;
-    * for SO(p,q) with one of p, q even, the even part sits on the *first*
-      block of coordinates;
-    * SO(p,q) with both p and q odd is only served through rank
-      (p+q)/2 <= 3, where the diagram involution is pinned down by the
-      signature alone.
     """
     build_classical_dual(descriptor)  # a bad descriptor is reported before a bad cap
     return _compact_weyl_catalog(descriptor, _cap(max_size))
@@ -492,96 +540,21 @@ def compact_weyl_catalog(
 @lru_cache(maxsize=32)
 def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
     datum = build_classical_dual(descriptor)
-    kind, first, second = parse_group(descriptor)
     n = datum.ambient_dim
     theta_map = datum.theta_linear
     full_order = weyl_order(datum)
 
-    connected_only = False
-    if datum.family in ("GL_R", "SL_R"):
-        m = n // 2
-        w_theta_gens = _gl_pair_block_gens(n)
-        expected_theta = _simple_weyl_order("B", m)
-        if datum.family == "SL_R" and n % 2 == 0:
-            k_gens = _gl_even_special_gens(n)
-            expected_k = max(expected_theta // 2, 1)
-        else:
-            k_gens = list(w_theta_gens)
-            expected_k = expected_theta
-    elif datum.family == "U":
-        p, q = datum.signature
-        w_theta_gens = _block_transpositions(n, 0, n)
-        expected_theta = _simple_weyl_order("A", n - 1)
-        k_gens = _block_transpositions(n, 0, p) + _block_transpositions(n, p, n)
-        expected_k = _simple_weyl_order("A", p - 1) * _simple_weyl_order("A", q - 1)
-    elif datum.family == "Sp_R":
-        w_theta_gens = None  # full W
-        expected_theta = full_order
-        k_gens = _block_transpositions(n, 0, n)
-        expected_k = _simple_weyl_order("A", n - 1)
-    elif datum.family == "SO_odd":
-        p, q = datum.signature
-        even, odd = (p, q) if p % 2 == 0 else (q, p)
-        a, b = even // 2, (odd - 1) // 2
-        w_theta_gens = None
-        expected_theta = full_order
-        k_gens = _so_like_block_gens(n, 0, a, "D") + _so_like_block_gens(n, a, n, "B")
-        expected_k = _simple_weyl_order("D", a) * _simple_weyl_order("B", b)
-        connected_only = True
-    elif datum.family == "SO_even":
-        p, q = datum.signature
-        connected_only = True
-        if p % 2 == 0:
-            a, b = p // 2, q // 2
-            w_theta_gens = None
-            expected_theta = full_order
-            k_gens = _so_like_block_gens(n, 0, a, "D") + _so_like_block_gens(
-                n, a, n, "D"
-            )
-            expected_k = _simple_weyl_order("D", a) * _simple_weyl_order("D", b)
-        else:
-            if n > 3:
-                raise UnsupportedGroupError(
-                    f"{descriptor}: packets for SO(odd,odd) are only provided "
-                    f"through rank 3"
-                )
-            a, b = (first - 1) // 2, (second - 1) // 2
-            gens = _block_transpositions(n, 0, a) + _block_transpositions(
-                n, a, n - 1
-            )
-            if a >= 1:
-                gens.append(_flips(n, a - 1, n - 1))
-            if b >= 1:
-                gens.append(_flips(n, n - 2, n - 1))
-            k_gens = gens
-            expected_k = _simple_weyl_order("B", a) * _simple_weyl_order("B", b)
-            w_theta_gens = _block_transpositions(n, 0, n - 1) + (
-                [_flips(n, n - 2, n - 1)] if n >= 2 else []
-            )
-            expected_theta = _simple_weyl_order("B", n - 1)
-    elif datum.family == "GL_C":
-        half = n // 2
-        w_theta_gens = []
-        for i in range(half - 1):
-            w_theta_gens.append(
-                _transposition(n, i, i + 1)
-                * _transposition(n, half + half - 2 - i, half + half - 1 - i)
-            )
-        expected_theta = _simple_weyl_order("A", half - 1)
-        k_gens = list(w_theta_gens)
-        expected_k = expected_theta
-    else:  # pragma: no cover
-        raise UnsupportedGroupError(f"no compact-side data for {descriptor}")
-
+    if datum.family == "SO_even" and datum.signature[0] % 2 == 1 and n > 3:
+        raise UnsupportedGroupError(
+            f"{descriptor}: packets for SO(odd,odd) are only provided through rank 3"
+        )
+    (w_theta_gens, expected_theta), (k_gens, expected_k) = _catalog_row(datum)
     if expected_theta > cap:
         raise WeylSizeError(
             f"twisted Weyl group of {descriptor} has {expected_theta} elements, "
             f"over the cap of {cap}"
         )
-    if w_theta_gens is None:
-        w_theta = full_weyl_group(datum, max_size=cap)
-    else:
-        w_theta = subgroup_closure(w_theta_gens, n=n, max_size=cap)
+    w_theta = subgroup_closure(w_theta_gens, n=n, max_size=cap)
     if len(w_theta) != expected_theta:
         raise MathCheckError(
             f"twisted Weyl group of {descriptor}: got {len(w_theta)}, "
@@ -620,6 +593,6 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
         w_theta=w_theta,
         k_weyl=k_weyl,
         cartan_signature=_torus_shape(datum.family, n, datum.signature),
-        k_connected_only=connected_only,
+        k_connected_only=datum.family in ("SO_odd", "SO_even"),
     )
 

@@ -10,6 +10,7 @@ here byte for byte.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -451,6 +452,20 @@ class TestExitCodes:
         monkeypatch.setenv("COHOPARAM_MAX_WEYL", "5")
         assert main(["packet", "--group", "Sp(4,R)", "--max-size", "100"]) == 3
         captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("unsupported: ")
+        assert captured.err.count("\n") == 1
+
+    def test_verify_over_the_cap_exits_3_at_once(self, capsys, monkeypatch):
+        # a check past the cap is an unsupported request, not a failed
+        # identity: it ends the run before the sweep reaches the larger N
+        monkeypatch.setenv("COHOPARAM_MAX_WEYL", "1000")
+        start = time.perf_counter()
+        code = main(["verify", "--suite", "packet-sums", "--max-n", "40"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert elapsed < 2
         assert captured.out == ""
         assert captured.err.startswith("unsupported: ")
         assert captured.err.count("\n") == 1

@@ -176,6 +176,14 @@ def test_theta_linear_must_be_a_signed_permutation(bad, theta):
         d.theta_linear
 
 
+def test_galois_index_must_permute_the_simple_roots():
+    # negating e_1 sends alpha_1 = e_1 - e_2 to -e_1 - e_2, no simple root
+    bad = WeylElement((0, 1, 2), (-1, 1, 1))
+    d = dataclasses.replace(build_classical_dual("GL(3,R)"), galois_linear=bad)
+    with pytest.raises(MathCheckError, match="does not permute simple roots"):
+        d.galois_index
+
+
 def test_theta_trivial_for_equal_rank_forms():
     # U(p,q), even-even SO, and non-split SO(4n+2) have discrete series:
     # every standard parabolic is self-associate.

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -378,12 +380,35 @@ def test_catalog_deterministic():
 
 
 def test_catalog_rejects_twisted_group_not_fixed_by_theta(monkeypatch):
-    # (1 2) in S_3 has the order of the true W^theta of GL(3,R) but does not
-    # commute with theta, which swaps e_1 and e_3
-    monkeypatch.setattr(weyl, "_gl_pair_block_gens", lambda n: [weyl._transposition(n, 0, 1)])
+    # one B slot on the pair (0, 1): the transposition (1 2), which has the
+    # order of the true W^theta of GL(3,R) but does not commute with theta,
+    # which swaps e_1 and e_3
+    monkeypatch.setitem(
+        weyl._CATALOG_TABLE, "GL_R", lambda n, p, q: ([("B", ((0, 1),))], None)
+    )
     weyl._compact_weyl_catalog.cache_clear()
     with pytest.raises(MathCheckError):
         compact_weyl_catalog("GL(3,R)")
+
+
+_RECORD = Path(__file__).parent / "golden" / "record.py"
+_spec = importlib.util.spec_from_file_location("golden_record", _RECORD)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+
+def _theta_fixes_all_of_w(desc):
+    d = build_classical_dual(desc)
+    return d.family in ("U", "Sp_R", "SO_odd") or (
+        d.family == "SO_even" and d.signature[0] % 2 == 0
+    )
+
+
+@pytest.mark.parametrize("desc", filter(_theta_fixes_all_of_w, golden.GROUPS))
+def test_catalog_table_gives_all_of_w_where_theta_fixes_it(desc):
+    # the table's blocks against the closure of the datum's simple reflections
+    datum = build_classical_dual(desc)
+    assert compact_weyl_catalog(desc).w_theta == full_weyl_group(datum)
 
 
 def test_subgroup_closure_trivial():
