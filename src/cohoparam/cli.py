@@ -7,6 +7,9 @@ deterministic: no timestamps, canonical ordering everywhere.
 
 Exit codes: 0 success, 2 malformed input, 3 unsupported group or
 embedding, 4 internal cross-check failure, 5 verification-suite failure.
+
+This module holds the commands, the parser and the exit-code mapping;
+the checks that ``verify`` runs live in `cohoparam.verify`.
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ import json
 import sys
 from functools import lru_cache
 
+from . import verify
 from .cohomology import (
     innerform_sum_compact,
     innerform_sum_quasisplit,
     packet_cohomology_sum,
-    partition_independence,
-    so_even_dichotomy,
 )
 from .cohomology import _COMPACT_RE  # descriptor dispatch shared with innerforms
 from .errors import (
@@ -34,13 +36,10 @@ from .halfint import HalfIntVector
 from .packets import packet
 from .params import (
     CohomParameter,
-    central_value_report,
     enumerate_cohomological,
-    enumerate_gl_real,
     parse_gl_parameter,
     route_selfdual,
     standard_rep_parameter,
-    tempered_companion,
     transfer_cohom,
 )
 from .rootdata import build_classical_dual
@@ -289,292 +288,12 @@ def cmd_dump_weyl(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-GL_REAL_LISTS = {
-    2: {"s1[1]", "w0[2]"},
-    3: {"s2[1]+w0[1]", "w0[3]"},
-    4: {"s2[2]", "s3[1]+s1[1]", "s3[1]+w0[2]", "w0[4]"},
-    5: {"s3[2]+w0[1]", "s4[1]+s2[1]+w0[1]", "s4[1]+w0[3]", "w0[5]"},
-}
-
-SUBSET_TABLES = {
-    "Sp(4,R)": {
-        (): "s4[1]+s2[1]+w0[1]",
-        (1,): "s3[2]+w0[1]",
-        (2,): "s4[1]+w1[3]",
-        (1, 2): "w0[5]",
-    },
-    "SO(2,3)": {
-        (): "s3[1]+s1[1]",
-        (1,): "s2[2]",
-        (2,): "s3[1]+w0[2]",
-        (1, 2): "w0[4]",
-    },
-    "GL(4,R)": {
-        (): "s3[1]+s1[1]",
-        (2,): "s3[1]+w0[2]",
-        (1, 3): "s2[2]",
-        (1, 2, 3): "w0[4]",
-    },
-    "U(2,1)": {
-        (): "e1[1]+e0[1]+e-1[1]",
-        (1,): "e1/2[2]+e-1[1]",
-        (2,): "e1[1]+e-1/2[2]",
-        (1, 2): "e0[3]",
-    },
-    "GL(3,C)": {
-        (): "e1[1]+e0[1]+e-1[1]",
-        (1, 4): "e1/2[2]+e-1[1]",
-        (2, 3): "e1[1]+e-1/2[2]",
-        (1, 2, 3, 4): "e0[3]",
-    },
-}
-
-SWEEP_GROUPS = (
-    "GL(2,R)",
-    "GL(3,R)",
-    "GL(4,R)",
-    "GL(5,R)",
-    "SL(4,R)",
-    "GL(2,C)",
-    "GL(3,C)",
-    "U(2,1)",
-    "U(2,2)",
-    "Sp(4,R)",
-    "Sp(6,R)",
-    "SO(2,2)",
-    "SO(2,3)",
-    "SO(3,3)",
-    "SO(2,4)",
-)
-
-
-def _check_equal(got, want, what: str) -> None:
-    if got != want:
-        raise MathCheckError(f"{what}: got {got!r}, expected {want!r}")
-
-
-def _subset_images(descriptor: str) -> dict:
-    return {
-        tuple(sorted(c.S)): standard_rep_parameter(c).text()
-        for c in enumerate_cohomological(descriptor)
-    }
-
-
-def _golden_table_checks() -> list[tuple[str, callable]]:
-    checks = []
-    for n, want in sorted(GL_REAL_LISTS.items()):
-        checks.append(
-            (
-                f"gl-real-list-{n}",
-                lambda n=n, want=want: _check_equal(
-                    {p.text() for p in enumerate_gl_real(n)}, want, f"GL({n},R) list"
-                ),
-            )
-        )
-    for desc, table in sorted(SUBSET_TABLES.items()):
-        checks.append(
-            (
-                f"subset-table-{desc}",
-                lambda desc=desc, table=table: _check_equal(
-                    _subset_images(desc), table, f"{desc} subset images"
-                ),
-            )
-        )
-
-    def both_routes() -> None:
-        _check_equal(
-            set(_subset_images("GL(4,R)").values()),
-            {p.text() for p in enumerate_gl_real(4)},
-            "GL(4,R) two enumeration routes",
-        )
-
-    checks.append(("gl4-route-agreement", both_routes))
-
-    def companions() -> None:
-        images = _subset_images("Sp(4,R)")
-        tempered = parse_gl_parameter(images[()])
-        for text in images.values():
-            got = tempered_companion(parse_gl_parameter(text))
-            _check_equal(
-                got.orbit_key(), tempered.orbit_key(), f"companion of {text}"
-            )
-
-    checks.append(("sp4-tempered-companions", companions))
-
-    def dichotomy() -> None:
-        _check_equal(
-            so_even_dichotomy(3, 3)["contains_trivial"], True, "SO(3,3) dichotomy"
-        )
-        _check_equal(
-            so_even_dichotomy(2, 4)["contains_trivial"], False, "SO(2,4) dichotomy"
-        )
-
-    checks.append(("even-orthogonal-dichotomy", dichotomy))
-
-    def central() -> None:
-        for desc in SWEEP_GROUPS:
-            so_even = build_classical_dual(desc).family == "SO_even"
-            for c in enumerate_cohomological(desc):
-                _check_equal(
-                    c.central_ok, True, f"central value for {desc} S={sorted(c.S)}"
-                )
-                img = standard_rep_parameter(c)
-                if so_even:
-                    # The even orthogonal dual has 2*rho-check with all-even
-                    # coordinates, so its central element acts by +1 on the
-                    # standard representation.  That image is not a GL(2n,R)
-                    # cohomological parameter (its exponents repeat 0), so the
-                    # GL parity table reads uniformly "wrong side" here: every
-                    # atom must sit on the opposite parity from the GL rule.
-                    report = central_value_report(img)
-                    _check_equal(
-                        set(report.per_atom),
-                        {False},
-                        f"uniform central sign for {desc} {img.text()}",
-                    )
-                else:
-                    report = central_value_report(img, c)
-                    _check_equal(
-                        report.overall,
-                        True,
-                        f"central value for {desc} {img.text()}",
-                    )
-
-    checks.append(("central-values", central))
-    return checks
-
-
-def _packet_sum_checks(max_n: int) -> list[tuple[str, callable]]:
-    checks = []
-    for N in range(1, max_n + 1):
-        for flavor in ("O", "SO"):
-            checks.append(
-                (
-                    f"partition-independence-{N}-{flavor}",
-                    lambda N=N, flavor=flavor: _check_equal(
-                        partition_independence(N, flavor)["status"],
-                        "ok",
-                        f"partition sweep N={N} flavor {flavor}",
-                    ),
-                )
-            )
-
-    def sweep(desc: str) -> None:
-        totals = {
-            packet_cohomology_sum(desc, c).value
-            for c in enumerate_cohomological(desc)
-        }
-        if len(totals) != 1:
-            raise MathCheckError(f"{desc}: packet totals vary: {sorted(totals)}")
-
-    for desc in SWEEP_GROUPS:
-        checks.append((f"packet-sum-{desc}", lambda desc=desc: sweep(desc)))
-    return checks
-
-
-def _innerform_checks(max_rank: int) -> list[tuple[str, callable]]:
-    checks = []
-
-    def compact(desc: str) -> None:
-        r = innerform_sum_compact(desc)
-        _check_equal(r.lhs, r.rhs, f"compact inner-form sum for {desc}")
-
-    for rank in range(1, max_rank + 1):
-        for desc in (
-            f"U({rank})",
-            f"Sp({rank})",
-            f"SO({2 * rank})",
-            f"SO({2 * rank + 1})",
-        ):
-            checks.append((f"compact-{desc}", lambda desc=desc: compact(desc)))
-
-    def quasisplit(desc: str) -> None:
-        r = innerform_sum_quasisplit(desc)
-        _check_equal(r.status, "ok", f"quasi-split family of {desc}")
-
-    for desc in (
-        "GL(4,R)",
-        "GL(5,R)",
-        "GL(3,C)",
-        "Sp(4,R)",
-        "Sp(6,R)",
-        "SO(2,3)",
-        "SO(3,4)",
-        "SO(2,2)",
-        "SO(3,3)",
-        "SO(2,4)",
-    ):
-        checks.append((f"quasisplit-{desc}", lambda desc=desc: quasisplit(desc)))
-
-    def unitary_families() -> None:
-        for n in range(1, max_rank + 1):
-            r = innerform_sum_quasisplit(f"U({(n + 1) // 2},{n // 2})")
-            _check_equal(r.lhs, 2**n, f"unitary family sum, n={n}")
-
-    checks.append(("unitary-family-sums", unitary_families))
-
-    def flavored_row() -> None:
-        _check_equal(
-            innerform_sum_quasisplit("SL(4,R)").status,
-            "discrepancy",
-            "connected-flavor row must be reported, not patched",
-        )
-
-    checks.append(("sl4-flavor-discrepancy", flavored_row))
-    return checks
-
-
-def _weyl_identity_checks() -> list[tuple[str, callable]]:
-    checks = []
-
-    def identities(desc: str) -> None:
-        cat = compact_weyl_catalog(desc)
-        for c in enumerate_cohomological(desc):
-            pkt = packet(desc, c)
-            # double cosets partition the twisted Weyl group
-            _check_equal(
-                sum(m.coset_size for m in pkt.members),
-                len(cat.w_theta),
-                f"{desc} S={sorted(c.S)}: coset sizes",
-            )
-            _check_equal(
-                pkt.h_total,
-                (2**cat.d_exponent) * cat.n_cosets,
-                f"{desc} S={sorted(c.S)}: packet total",
-            )
-
-    for desc in SWEEP_GROUPS:
-        checks.append((f"weyl-{desc}", lambda desc=desc: identities(desc)))
-    return checks
-
-
-SUITES = ("paper-tables", "packet-sums", "innerforms", "weyl-identities", "all")
+SUITES = (*verify.SUITES, "all")
 
 
 def cmd_verify(args) -> int:
-    checks: list[tuple[str, callable]] = []
-    if args.suite in ("paper-tables", "all"):
-        checks += _golden_table_checks()
-    if args.suite in ("packet-sums", "all"):
-        checks += _packet_sum_checks(args.max_n)
-    if args.suite in ("innerforms", "all"):
-        checks += _innerform_checks(args.max_rank)
-    if args.suite in ("weyl-identities", "all"):
-        checks += _weyl_identity_checks()
-
-    results = []
-    failed = []
-    for name, fn in checks:
-        try:
-            fn()
-            results.append({"name": name, "status": "ok"})
-        except MathCheckError as exc:  # other errors propagate to exit 2 or 3
-            results.append({"name": name, "status": "failed", "detail": str(exc)})
-            failed.append(name)
+    results = verify.verify(args.suite, args.max_n, args.max_rank)
+    failed = [r["name"] for r in results if r["status"] == "failed"]
     payload = {
         "suite": args.suite,
         "caps": {"max_n": args.max_n, "max_rank": args.max_rank},
@@ -582,7 +301,7 @@ def cmd_verify(args) -> int:
         "failed": failed,
         "status": "failed" if failed else "ok",
     }
-    lines = [f"suite {args.suite}: {len(checks)} checks"]
+    lines = [f"suite {args.suite}: {len(results)} checks"]
     lines += [
         f"  {r['name']:40s} {r['status']}"
         + (f"  ({r['detail']})" if r["status"] == "failed" else "")
@@ -667,8 +386,21 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = lru_cache(maxsize=1)(build_parser)
 
 
+def _join_negative_weight(argv: list[str]) -> list[str]:
+    """`--weight -1,0` as `--weight=-1,0`: argparse reads a value that starts
+    with "-" as a flag, unless it is one negative number."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--weight" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_join_negative_weight(argv))
     try:
         _check_counts(args)
         return args.fn(args)

@@ -40,7 +40,8 @@ from .halfint import HalfIntVector
 from .packets import _levi_blocks, packet, unitary_packet_members
 from .params import CohomParameter, GLParameter, QuadAtom, standard_rep_parameter
 from .rootdata import build_classical_dual
-from .weyl import _catalog_row, _torus_shape, compact_weyl_catalog
+from .weyl import _cap, _catalog_row, _check_twisted_order, _torus_shape
+from .weyl import compact_weyl_catalog
 from .weyl import _simple_weyl_order  # the one table of closed-form Weyl orders
 
 __all__ = [
@@ -128,9 +129,6 @@ class PoincarePolynomial:
                 power = "t" if deg == 1 else f"t^{deg}"
                 terms.append(f"{head}{power}")
         return " + ".join(terms) if terms else "0"
-
-    def to_json(self) -> dict:
-        return {"coefficients": list(self.coeffs), "total": self.total}
 
 
 def _emit(poly: PoincarePolynomial) -> PoincarePolynomial:
@@ -260,7 +258,8 @@ def partition_independence(N: int, flavor: str) -> dict:
     """Sweep all self-dual block shapes of N and compare three routes.
 
     Routes: (i) symmetric-space products times the member count, per
-    shape; (ii) the catalog closed form ``2**d * |W^theta|/|K|``; (iii)
+    shape; (ii) the catalog closed form ``2**d * |W^theta|/|K|``, read off
+    its table (|W^theta| checked against the cap, no group built); (iii)
     the exponent formula (``2**ceil(N/2)`` for odd N, ``2**(N/2)`` for
     the disconnected flavor, ``2**(N/2+1)`` for the connected flavor).
     For odd N the one-generator-fewer variant reading is reported
@@ -281,8 +280,11 @@ def partition_independence(N: int, flavor: str) -> dict:
         )
     (lhs,) = totals
     desc = f"SL({N},R)" if flavor == "SO" else f"GL({N},R)"
-    cat = compact_weyl_catalog(desc)
-    rhs = (2**cat.d_exponent) * cat.n_cosets
+    datum = build_classical_dual(desc)
+    (_, w_theta_order), (_, k_order) = _catalog_row(datum)
+    _check_twisted_order(desc, w_theta_order, _cap(None))
+    split, cplx, _ = _torus_shape(datum.family, N, datum.signature)
+    rhs = 2 ** (split + cplx) * (w_theta_order // k_order)
     expected = _gl_exponent_form(N, flavor)
     report = {
         "identity": "partition-independence",

@@ -258,9 +258,6 @@ class UnitaryMember:
     label: str
     h_dim: int
 
-    def to_json(self) -> dict:
-        return {"r": list(self.r), "label": self.label, "h_dim": self.h_dim}
-
 
 def unitary_packet_members(
     A: int, B: int, blocks: tuple[int, ...]

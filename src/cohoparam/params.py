@@ -251,18 +251,6 @@ class GLParameter:
         """Canonical text of the twist orbit {self, self (x) omega}."""
         return min(self.text(), self.omega_twist().text())
 
-    def to_json(self) -> dict:
-        return {
-            "text": self.text(),
-            "dimension": self.dimension,
-            "det": "1" if self.det_exponent == 0 else "w",
-            "selfdual_type": self.selfdual_type,
-            "multiplicity_free": self.is_multiplicity_free,
-            "regular": self.is_regular,
-            "omega_pair": self.omega_pair,
-            "exponents": [str(e) for e in self.exponents()],
-        }
-
 
 _GL_ATOM_RE = re.compile(r"^(s|w)(\d+)(?:\[(\d+)\])?$")
 
@@ -347,16 +335,6 @@ class ComplexParameter:
         if not self.entries:
             return "0"
         return "+".join(f"e{_fmt_half(two_d)}[{m}]" for two_d, m in self.entries)
-
-    def to_json(self) -> dict:
-        return {
-            "text": self.text(),
-            "dimension": self.dimension,
-            "entries": [[_fmt_half(t), m] for t, m in self.entries],
-            "conjugate_symmetric": self.is_conjugate_symmetric,
-            "multiplicity_free": self.is_multiplicity_free,
-            "regular": self.is_regular,
-        }
 
 
 _C_ATOM_RE = re.compile(r"^e(-?\d+(?:/2)?)(?:\[(\d+)\])?$")
@@ -481,16 +459,6 @@ class CohomParameter:
             if ((a + b) // 2) % 2 != (c // 2) % 2:
                 return False
         return True
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.datum.descriptor,
-            "subset": sorted(self.S),
-            "weight": str(self.lam),
-            "chi": str(self.chi_exponent),
-            "sl2": str(self.sl2_cochar),
-            "inf_char": str(self.inf_char),
-        }
 
 
 def enumerate_cohomological(
@@ -979,13 +947,6 @@ class RouteResult:
     normalized: GLParameter
     reason: str
 
-    def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "parameter": self.normalized.text(),
-            "reason": self.reason,
-        }
-
 
 def route_selfdual(param: GLParameter) -> RouteResult:
     """Which classical family a self-dual parameter belongs to.
@@ -1212,13 +1173,6 @@ class CentralReport:
     overall: bool
     per_atom: tuple[bool, ...]
     subset_side: bool | None
-
-    def to_json(self) -> dict:
-        return {
-            "overall": self.overall,
-            "per_atom": list(self.per_atom),
-            "subset_side": self.subset_side,
-        }
 
 
 def central_value_report(

@@ -151,13 +151,6 @@ class WeylElement(tuple):
     def __getnewargs__(self) -> tuple:
         return (self.perm, self.signs)
 
-    def to_json(self) -> dict:
-        return {
-            "perm": [p + 1 for p in self.perm],
-            "signs": list(self.signs),
-            "window": str(self),
-        }
-
 
 _new_tuple = tuple.__new__
 

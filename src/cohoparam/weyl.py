@@ -317,9 +317,6 @@ class DoubleCoset:
     rep: WeylElement
     size: int
 
-    def to_json(self) -> dict:
-        return {"rep": self.rep.to_json(), "size": self.size}
-
 
 def double_cosets(
     left: tuple[WeylElement, ...],
@@ -402,18 +399,6 @@ class CompactWeylData:
                 f"|K-side| = {len(self.k_weyl)} for {self.descriptor}"
             )
         return len(self.w_theta) // len(self.k_weyl)
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.descriptor,
-            "ambient_dim": self.ambient_dim,
-            "weyl_order": self.full_order,
-            "twisted_order": len(self.w_theta),
-            "compact_side_order": len(self.k_weyl),
-            "cartan_signature": list(self.cartan_signature),
-            "d_exponent": self.d_exponent,
-            "k_connected_only": self.k_connected_only,
-        }
 
 
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -498,6 +483,15 @@ def _catalog_row(datum: RootDatum) -> tuple[tuple[list[WeylElement], int], ...]:
     return tuple(out)
 
 
+def _check_twisted_order(descriptor: str, order: int, cap: int) -> None:
+    """Refuse, before any closure, a twisted Weyl group over the cap."""
+    if order > cap:
+        raise WeylSizeError(
+            f"twisted Weyl group of {descriptor} has {order} elements, "
+            f"over the cap of {cap}"
+        )
+
+
 def _torus_shape(family: str, n: int, signature) -> tuple[int, int, int]:
     """(split, complex, circle) ranks of the fundamental torus, the
     catalog's `cartan_signature` (the SL rows keep the GL shape: they model
@@ -535,7 +529,7 @@ def compact_weyl_catalog(
     return _compact_weyl_catalog(descriptor, _cap(max_size))
 
 
-# `verify --suite all` builds 26 (descriptor, cap) keys, the most of any
+# `verify --suite all` builds 15 (descriptor, cap) keys, the most of any
 # command; 32 holds them all, so each is built once
 @lru_cache(maxsize=32)
 def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
@@ -549,11 +543,7 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
             f"{descriptor}: packets for SO(odd,odd) are only provided through rank 3"
         )
     (w_theta_gens, expected_theta), (k_gens, expected_k) = _catalog_row(datum)
-    if expected_theta > cap:
-        raise WeylSizeError(
-            f"twisted Weyl group of {descriptor} has {expected_theta} elements, "
-            f"over the cap of {cap}"
-        )
+    _check_twisted_order(descriptor, expected_theta, cap)
     w_theta = subgroup_closure(w_theta_gens, n=n, max_size=cap)
     if len(w_theta) != expected_theta:
         raise MathCheckError(

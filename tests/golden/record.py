@@ -15,12 +15,18 @@ W^theta has at most 720 elements.  The corpora:
 * `cohomology_cli.json`: `cohomology-sum` at the zero weight for every
   theta-stable subset of every group of `GROUPS`, `innerforms` on `GROUPS`
   and on the compact forms of `COMPACT_FAMILIES` up to size 8, and
-  `verify` for every suite, each in table and JSON.
+  `verify` for every suite, each in table and JSON;
+* `limits_cli.json`: `verify` at non-default `--max-n` and `--max-rank`
+  caps (table and JSON), the error paths of `tests/test_cli.py`'s
+  `TestExitCodes`, and the `COHOPARAM_MAX_WEYL` cases.  A case that begins
+  with `COHOPARAM_MAX_WEYL=value` runs with the variable set to that value,
+  as in a shell; it is restored afterwards.
 
 `tests/test_golden.py` recomputes every digest against its file.
-Re-record only when an output is meant to change:
+Re-record only when an output is meant to change, naming the corpora to
+write (all of them by default):
 
-    PYTHONPATH=src python tests/golden/record.py
+    PYTHONPATH=src python tests/golden/record.py [limits_cli.json ...]
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import sys
 from pathlib import Path
 
 from cohoparam.cli import EMBEDDINGS, SUITES, main
@@ -158,17 +166,93 @@ def cohomology_cases() -> list[list[str]]:
     return out
 
 
+# the argv of TestExitCodes.test_error_paths in tests/test_cli.py
+ERROR_PATHS = (
+    ["enumerate", "--group", "GL(2,R)", "--weight", "0,0,1"],
+    ["enumerate", "--group", "GL(2,R)", "--weight", "x,0"],
+    ["enumerate", "--group", "GL(2,R)", "--weight", "1/3,0"],
+    ["enumerate", "--group", "GL(2,R)", "--weight", "1/2,-1/2"],
+    ["enumerate", "--group", "E8"],
+    ["packet", "--group", "Sp(4,R)", "--subset", "a"],
+    ["packet", "--group", "Sp(40,R)"],
+    ["enumerate", "--group", "GL(2,R)", "--weight", ",0"],
+    ["enumerate", "--group", "GL(2,R)", "--weight", "1/0,0"],
+    ["enumerate", "--group", "GL(2,R)", "--weight", "1e5000,0"],
+    ["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1/3"],
+    ["transfer", "--embedding", "diag", "--param", "s1[1]*nu^1e5000"],
+)
+
+_ENV_CAP = "COHOPARAM_MAX_WEYL"
+
+
+def limits_cases() -> list[list[str]]:
+    out = []
+    for extra in (
+        *(["packet-sums", "--max-n", n] for n in ("0", "1", "11")),
+        *(["innerforms", "--max-rank", r] for r in ("0", "1", "9")),
+        ["all", "--max-n", "2", "--max-rank", "2"],
+    ):
+        argv = ["verify", "--suite", *extra]
+        out.append(argv)
+        out.append(argv + ["--format", "json"])
+    out.extend(list(argv) for argv in ERROR_PATHS)
+    for command in ("enumerate", "packet", "cohomology-sum", "innerforms", "dump-weyl"):
+        for group in ("SO(1,0)", "SO(0,1)"):
+            out.append([command, "--group", group])
+    for command, flag, value in (
+        ("packet", "--max-size", "-5"),
+        ("packet", "--max-size", "0"),
+        ("dump-weyl", "--max-size", "0"),
+        ("dump-weyl", "--elements", "-3"),
+        ("verify", "--max-n", "-1"),
+        ("verify", "--max-rank", "-2"),
+    ):
+        where = ["--suite", "all"] if command == "verify" else ["--group", "Sp(4,R)"]
+        out.append([command, *where, flag, value])
+    sp4 = ["packet", "--group", "Sp(4,R)"]
+    out.append([f"{_ENV_CAP}=5", *sp4])
+    out.append([f"{_ENV_CAP}=5", *sp4, "--max-size", "100"])
+    out.append([f"{_ENV_CAP}=1000", "verify", "--suite", "packet-sums", "--max-n", "40"])
+    out.extend([f"{_ENV_CAP}={raw}", *sp4] for raw in ("0", "-1", "abc"))
+    return out
+
+
 CORPORA = {
     "weyl_cli.json": weyl_cases,
     "enumerate_cli.json": enumerate_cases,
     "cohomology_cli.json": cohomology_cases,
+    "limits_cli.json": limits_cases,
 }
+
+
+@contextlib.contextmanager
+def _env_cap(value: str | None):
+    """Set COHOPARAM_MAX_WEYL to `value` (None: leave it) for one run."""
+    if value is None:
+        yield
+        return
+    saved = os.environ.get(_ENV_CAP)
+    os.environ[_ENV_CAP] = value
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ[_ENV_CAP]
+        else:
+            os.environ[_ENV_CAP] = saved
 
 
 def digest(argv: list[str]) -> str:
     """sha256 of (stdout, stderr, exit code) of one in-process CLI run."""
+    cap = None
+    if argv[0].startswith(_ENV_CAP + "="):
+        cap, argv = argv[0].partition("=")[2], argv[1:]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        _env_cap(cap),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         code = main(argv)
     blob = json.dumps([out.getvalue(), err.getvalue(), code])
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -179,7 +263,7 @@ def record(corpus: str) -> dict[str, str]:
 
 
 if __name__ == "__main__":
-    for corpus in CORPORA:
+    for corpus in sys.argv[1:] or CORPORA:
         digests = record(corpus)
         path = HERE / corpus
         path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

@@ -54,6 +54,23 @@ class TestEnumerate:
         _, default = run(capsys, "enumerate", "--group", "GL(4,R)")
         assert default == explicit
 
+    @pytest.mark.parametrize("command", ["enumerate", "packet", "cohomology-sum"])
+    def test_weight_may_start_with_a_minus_sign(self, capsys, command):
+        # theta is the identity for U(p,q), so any dominant weight is valid
+        argv = [command, "--group", "U(2,1)"]
+        joined = run(capsys, *argv, "--weight=-1,-1,-2")
+        spaced = run(capsys, *argv, "--weight", "-1,-1,-2")
+        assert spaced == joined
+        assert joined[0] == 0
+        if command == "enumerate":
+            assert joined[1].splitlines() == ["e0[1]+e-1[1]+e-3[1]", "e-1/2[2]+e-3[1]"]
+
+    def test_weight_without_a_value_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--group", "U(2,1)", "--weight", "--format", "json"])
+        assert exc.value.code == 2
+        assert "--weight: expected one argument" in capsys.readouterr().err
+
     def test_nonzero_weight_shrinks_list(self, capsys):
         code, out = run(capsys, "enumerate", "--group", "Sp(4,R)", "--weight", "1,0")
         assert code == 0
@@ -356,9 +373,9 @@ class TestVerify:
         assert info.hits > info.misses
 
     def test_suite_failure_exits_5(self, capsys, monkeypatch):
-        import cohoparam.cli as cli
+        import cohoparam.verify as verify
 
-        monkeypatch.setitem(cli.GL_REAL_LISTS, 4, {"not-a-parameter"})
+        monkeypatch.setitem(verify.GL_REAL_LISTS, 4, {"not-a-parameter"})
         code, out = run(capsys, "verify", "--suite", "paper-tables")
         assert code == 5
         assert "result: failed" in out

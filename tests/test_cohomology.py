@@ -238,6 +238,22 @@ class TestPartitionIndependence:
         assert shapes == set(self_dual_compositions(6))
         assert all(w["total"] == 16 for w in r["witnesses"])
 
+    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("flavor", ["O", "SO"])
+    def test_closed_form_matches_the_built_catalog(self, N, flavor):
+        r = partition_independence(N, flavor)
+        cat = compact_weyl_catalog(r["group"])
+        assert r["rhs"] == 2**cat.d_exponent * cat.n_cosets
+
+    def test_builds_no_catalog(self):
+        # route (ii) reads both orders off the catalog's table, so N = 14
+        # (|W^theta| = 645,120) takes no time and no memory
+        from cohoparam import weyl
+
+        before = weyl._compact_weyl_catalog.cache_info().currsize
+        assert partition_independence(14, "SO")["status"] == "ok"
+        assert weyl._compact_weyl_catalog.cache_info().currsize == before
+
 
 # ---------------------------------------------------------------------------
 # packet sums

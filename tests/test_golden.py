@@ -33,3 +33,7 @@ def test_enumerate_cli_outputs_match_the_recorded_digests():
 
 def test_cohomology_cli_outputs_match_the_recorded_digests():
     _check("cohomology_cli.json")
+
+
+def test_limits_cli_outputs_match_the_recorded_digests():
+    _check("limits_cli.json")
