@@ -40,7 +40,7 @@ from .halfint import HalfIntVector
 from .packets import _levi_blocks, packet, unitary_packet_members
 from .params import CohomParameter, GLParameter, QuadAtom, standard_rep_parameter
 from .rootdata import build_classical_dual
-from .weyl import _cap, _catalog_row, _check_twisted_order, _torus_shape
+from .weyl import _catalog_row, _closed_form_total, _torus_shape
 from .weyl import compact_weyl_catalog
 from .weyl import _simple_weyl_order  # the one table of closed-form Weyl orders
 
@@ -280,11 +280,7 @@ def partition_independence(N: int, flavor: str) -> dict:
         )
     (lhs,) = totals
     desc = f"SL({N},R)" if flavor == "SO" else f"GL({N},R)"
-    datum = build_classical_dual(desc)
-    (_, w_theta_order), (_, k_order) = _catalog_row(datum)
-    _check_twisted_order(desc, w_theta_order, _cap(None))
-    split, cplx, _ = _torus_shape(datum.family, N, datum.signature)
-    rhs = 2 ** (split + cplx) * (w_theta_order // k_order)
+    rhs = _closed_form_total(desc)
     expected = _gl_exponent_form(N, flavor)
     report = {
         "identity": "partition-independence",

@@ -393,11 +393,7 @@ class CompactWeylData:
 
     @property
     def n_cosets(self) -> int:
-        if len(self.w_theta) % len(self.k_weyl) != 0:
-            raise MathCheckError(
-                f"|W^theta| = {len(self.w_theta)} not divisible by "
-                f"|K-side| = {len(self.k_weyl)} for {self.descriptor}"
-            )
+        # the catalog checked both orders against a row that divides
         return len(self.w_theta) // len(self.k_weyl)
 
 
@@ -483,13 +479,30 @@ def _catalog_row(datum: RootDatum) -> tuple[tuple[list[WeylElement], int], ...]:
     return tuple(out)
 
 
-def _check_twisted_order(descriptor: str, order: int, cap: int) -> None:
-    """Refuse, before any closure, a twisted Weyl group over the cap."""
-    if order > cap:
+def _checked_row(datum: RootDatum, descriptor: str, cap: int):
+    """`_catalog_row`, refusing a twisted Weyl group over the cap (before
+    any closure) and a row whose orders |W^theta| and |K| do not divide."""
+    row = _catalog_row(datum)
+    (_, w_theta_order), (_, k_order) = row
+    if w_theta_order > cap:
         raise WeylSizeError(
-            f"twisted Weyl group of {descriptor} has {order} elements, "
+            f"twisted Weyl group of {descriptor} has {w_theta_order} elements, "
             f"over the cap of {cap}"
         )
+    if w_theta_order % k_order != 0:
+        raise MathCheckError(
+            f"|W^theta| = {w_theta_order} not divisible by "
+            f"|K-side| = {k_order} for {datum.descriptor}"
+        )
+    return row
+
+
+def _closed_form_total(descriptor: str) -> int:
+    """The catalog's 2**d_exponent * n_cosets off its row, no group built."""
+    datum = build_classical_dual(descriptor)
+    (_, w_theta), (_, k) = _checked_row(datum, descriptor, _cap(None))
+    split, cplx, _ = _torus_shape(datum.family, datum.ambient_dim, datum.signature)
+    return 2 ** (split + cplx) * (w_theta // k)
 
 
 def _torus_shape(family: str, n: int, signature) -> tuple[int, int, int]:
@@ -542,8 +555,7 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
         raise UnsupportedGroupError(
             f"{descriptor}: packets for SO(odd,odd) are only provided through rank 3"
         )
-    (w_theta_gens, expected_theta), (k_gens, expected_k) = _catalog_row(datum)
-    _check_twisted_order(descriptor, expected_theta, cap)
+    (w_theta_gens, expected_theta), (k_gens, expected_k) = _checked_row(datum, descriptor, cap)
     w_theta = subgroup_closure(w_theta_gens, n=n, max_size=cap)
     if len(w_theta) != expected_theta:
         raise MathCheckError(

@@ -23,10 +23,9 @@ W^theta has at most 720 elements.  The corpora:
   as in a shell; it is restored afterwards.
 
 `tests/test_golden.py` recomputes every digest against its file.
-Re-record only when an output is meant to change, naming the corpora to
-write (all of them by default):
+Re-record only when an output is meant to change:
 
-    PYTHONPATH=src python tests/golden/record.py [limits_cli.json ...]
+    PYTHONPATH=src python tests/golden/record.py
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ import io
 import itertools
 import json
 import os
-import sys
 from pathlib import Path
+from unittest import mock
 
 from cohoparam.cli import EMBEDDINGS, SUITES, main
 from cohoparam.params import enumerate_cohomological, standard_rep_parameter
@@ -225,23 +224,6 @@ CORPORA = {
 }
 
 
-@contextlib.contextmanager
-def _env_cap(value: str | None):
-    """Set COHOPARAM_MAX_WEYL to `value` (None: leave it) for one run."""
-    if value is None:
-        yield
-        return
-    saved = os.environ.get(_ENV_CAP)
-    os.environ[_ENV_CAP] = value
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ[_ENV_CAP]
-        else:
-            os.environ[_ENV_CAP] = saved
-
-
 def digest(argv: list[str]) -> str:
     """sha256 of (stdout, stderr, exit code) of one in-process CLI run."""
     cap = None
@@ -249,7 +231,7 @@ def digest(argv: list[str]) -> str:
         cap, argv = argv[0].partition("=")[2], argv[1:]
     out, err = io.StringIO(), io.StringIO()
     with (
-        _env_cap(cap),
+        mock.patch.dict(os.environ, {} if cap is None else {_ENV_CAP: cap}),
         contextlib.redirect_stdout(out),
         contextlib.redirect_stderr(err),
     ):
@@ -263,7 +245,7 @@ def record(corpus: str) -> dict[str, str]:
 
 
 if __name__ == "__main__":
-    for corpus in sys.argv[1:] or CORPORA:
+    for corpus in CORPORA:
         digests = record(corpus)
         path = HERE / corpus
         path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
