@@ -32,9 +32,9 @@ Three families of identities live here:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from math import comb
 
+from ._record import field, record
 from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
 from .halfint import HalfIntVector
 from .packets import _levi_blocks, packet, unitary_packet_members
@@ -65,7 +65,7 @@ __all__ = [
 # polynomials
 
 
-@dataclass(frozen=True)
+@record
 class PoincarePolynomial:
     """Non-negative integer coefficients by degree."""
 
@@ -267,6 +267,12 @@ def partition_independence(N: int, flavor: str) -> dict:
     """
     if flavor not in ("O", "SO"):
         raise InvalidWeightError(f"flavor must be 'O' or 'SO', got {flavor!r}")
+    if N < 1:
+        raise InvalidWeightError(f"N = {N} < 1")
+    desc = f"SL({N},R)" if flavor == "SO" else f"GL({N},R)"
+    # the Weyl cap bounds the sweep: an N over it is refused before any
+    # of its 2**(N//2) compositions is built
+    rhs = _closed_form_total(desc)
     witnesses = []
     totals = set()
     for comp in self_dual_compositions(N):
@@ -279,8 +285,6 @@ def partition_independence(N: int, flavor: str) -> dict:
             f"{sorted(totals)}"
         )
     (lhs,) = totals
-    desc = f"SL({N},R)" if flavor == "SO" else f"GL({N},R)"
-    rhs = _closed_form_total(desc)
     expected = _gl_exponent_form(N, flavor)
     report = {
         "identity": "partition-independence",
@@ -306,7 +310,7 @@ def partition_independence(N: int, flavor: str) -> dict:
 # packet sums
 
 
-@dataclass(frozen=True)
+@record
 class PacketSumReport:
     """Packet cohomology total with every route that could compute it."""
 
@@ -388,7 +392,7 @@ def packet_cohomology_sum(descriptor: str, param: CohomParameter) -> PacketSumRe
 # inner-form sums, compact case
 
 
-@dataclass(frozen=True)
+@record
 class PureInnerFormClass:
     """One Weyl orbit on the 2-torsion of the compact torus."""
 
@@ -406,7 +410,7 @@ class PureInnerFormClass:
         }
 
 
-@dataclass(frozen=True)
+@record
 class InnerFormReport:
     identity: str
     group: str

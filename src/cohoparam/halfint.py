@@ -17,10 +17,10 @@ Fraction(2, 1)
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
+from ._record import record
 from .errors import InvalidWeightError
 
 __all__ = ["HalfIntVector", "solve_rational"]
@@ -59,7 +59,7 @@ def _fmt_half(twice: int) -> str:
     return f"{twice}/2"
 
 
-@dataclass(frozen=True)
+@record
 class HalfIntVector:
     """A vector in (1/2)Z^n, stored as the tuple of doubled entries."""
 

@@ -34,10 +34,10 @@ the test suite, never merged.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 
+from ._record import record
 from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
 from .params import CohomParameter
 from .rootdata import StandardParabolic, is_self_associate
@@ -64,7 +64,7 @@ __all__ = [
 # member and packet containers
 
 
-@dataclass(frozen=True)
+@record
 class PacketMember:
     """One double coset: representative, real-form label, cohomology total."""
 
@@ -77,7 +77,7 @@ class PacketMember:
         return {"rep": str(self.rep), "label": self.label, "h_dim": self.h_dim}
 
 
-@dataclass(frozen=True)
+@record
 class PacketDescriptor:
     """A packet: the double-coset members for one (group, Levi subset)."""
 
@@ -250,7 +250,7 @@ def theta_stable_parabolic_count(
 # unitary closed form
 
 
-@dataclass(frozen=True)
+@record
 class UnitaryMember:
     """One member of a unitary packet in closed form."""
 

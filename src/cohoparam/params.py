@@ -37,10 +37,10 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import record
 from .errors import (
     InvalidWeightError,
     MathCheckError,
@@ -87,7 +87,7 @@ __all__ = [
 # atoms
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class TwoDimAtom:
     """s{d}[m]: the two-dimensional piece with exponents +-d/2 times [m]."""
 
@@ -122,7 +122,7 @@ class TwoDimAtom:
         return f"s{self.d}[{self.m}]"
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class QuadAtom:
     """w{eps}[a]: the order-two character to the eps times [a]."""
 
@@ -165,7 +165,7 @@ def _atom_sort_key(atom: Atom) -> tuple:
 # self-dual (real-coefficient) parameters
 
 
-@dataclass(frozen=True)
+@record
 class GLParameter:
     """A formal sum of atoms, optionally twisted by nu^(twist2/2).
 
@@ -284,7 +284,7 @@ def parse_gl_parameter(text: str) -> GLParameter:
 # complex-coefficient parameters
 
 
-@dataclass(frozen=True)
+@record
 class ComplexParameter:
     """A formal sum of pieces (z-exponent d, sl2-size m); d stored doubled."""
 
@@ -381,7 +381,7 @@ def _weight_pairings(
     return pairings, first_negative
 
 
-@dataclass(frozen=True)
+@record
 class CohomParameter:
     """A self-associate subset of simple roots plus a compatible weight.
 
@@ -941,7 +941,7 @@ def tempered_companion(param: GLParameter) -> GLParameter:
 # self-dual classification and routing
 
 
-@dataclass(frozen=True)
+@record
 class RouteResult:
     target: str | None
     normalized: GLParameter
@@ -1069,7 +1069,7 @@ def transfer_weight(kind: str, source: RootDatum, v: HalfIntVector) -> HalfIntVe
     return image
 
 
-@dataclass(frozen=True)
+@record
 class TransferResult:
     kind: str
     source_group: str
@@ -1093,6 +1093,13 @@ class TransferResult:
         }
 
 
+@lru_cache(maxsize=32)
+def _gl_real_orbit_keys(n: int, mu: HalfIntVector) -> frozenset:
+    """The orbit keys of `enumerate_gl_real(n, mu)`, the target list of the
+    GL transfers; every parameter of one source and weight shares it."""
+    return frozenset(p.orbit_key() for p in enumerate_gl_real(n, mu))
+
+
 def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
     """Functorial image of a subset-side parameter along one embedding."""
     source = cohom.datum
@@ -1109,8 +1116,7 @@ def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
         target_n = check.ambient_dim
         try:
             mu = gl_coefficient_weight(base, target_n)
-            orbit_keys = {p.orbit_key() for p in enumerate_gl_real(target_n, mu)}
-            coh = base.orbit_key() in orbit_keys
+            coh = base.orbit_key() in _gl_real_orbit_keys(target_n, mu)
         except InvalidWeightError as exc:
             notes.append(f"image coefficients not checkable: {exc}")
         notes.append("standard-representation image")
@@ -1168,7 +1174,7 @@ def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
 # central value and unitary bookkeeping
 
 
-@dataclass(frozen=True)
+@record
 class CentralReport:
     overall: bool
     per_atom: tuple[bool, ...]

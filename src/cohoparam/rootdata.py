@@ -27,12 +27,12 @@ over `fractions.Fraction`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping
 
+from ._record import record
 from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
 from .halfint import HalfIntVector, solve_rational
 
@@ -164,7 +164,7 @@ def _from_window(window) -> WeylElement:
 # factors and the datum
 
 
-@dataclass(frozen=True)
+@record
 class Factor:
     """One simple (or torus) factor of the dual group, in local coordinates.
 
@@ -262,7 +262,7 @@ def _embed(local: list[int], offset: int, total: int) -> HalfIntVector:
     return HalfIntVector.from_ints(*v)
 
 
-@dataclass(frozen=True)
+@record
 class RootDatum:
     """Based root datum of the dual group, plus the Galois diagram action.
 
@@ -675,7 +675,7 @@ def _positive_root_supports(datum: RootDatum) -> tuple[frozenset[int], ...]:
     return tuple(supports)
 
 
-@dataclass(frozen=True)
+@record
 class StandardParabolic:
     """A standard parabolic of the dual group, named by its Levi subset S.
 
@@ -727,7 +727,7 @@ def is_self_associate(parabolic: StandardParabolic) -> bool:
 # principal SL2 coefficients
 
 
-@dataclass(frozen=True)
+@record
 class PrincipalSL2:
     """Solution of the principal-SL2 linear system on a Levi subset.
 
@@ -818,7 +818,7 @@ def principal_sl2_coefficients(
 # the canonical central element epsilon = 2 rho-check(-1)
 
 
-@dataclass(frozen=True)
+@record
 class EpsilonElement:
     """The order-<=2 central element 2 rho-check(-1) as a parity functional."""
 

@@ -51,9 +51,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from ._record import record
 from .errors import (
     InvalidWeightError,
     MathCheckError,
@@ -310,7 +310,7 @@ def theta_fixed_subgroup(
     return tuple(sorted(fixed, key=lambda w: w.sort_key))
 
 
-@dataclass(frozen=True)
+@record
 class DoubleCoset:
     """One (left, right) double coset: its sort_key-minimal member and size."""
 
@@ -359,7 +359,7 @@ def double_cosets(
 # per-family compact-side data
 
 
-@dataclass(frozen=True)
+@record
 class CompactWeylData:
     """Twisted Weyl group and compact-side subgroup for one real form.
 

@@ -8,9 +8,11 @@ here byte for byte.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -487,6 +489,28 @@ class TestExitCodes:
         assert captured.err.startswith("unsupported: ")
         assert captured.err.count("\n") == 1
 
+    def test_verify_over_the_cap_builds_no_composition(self, capsys, monkeypatch):
+        # under a cap of 1 only N = 1 is in range: the sweep stops at N = 2
+        # with exit 3, before it builds that N's compositions
+        from cohoparam import cohomology
+
+        compositions = cohomology.self_dual_compositions
+
+        def only_n1(N):
+            if N > 1:
+                pytest.fail(f"self_dual_compositions({N}) built over the cap")
+            return compositions(N)
+
+        monkeypatch.setattr(cohomology, "self_dual_compositions", only_n1)
+        monkeypatch.setenv("COHOPARAM_MAX_WEYL", "1")
+        code = main(["verify", "--suite", "packet-sums", "--max-n", "40"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == (
+            "unsupported: twisted Weyl group of GL(2,R) has 2 elements, "
+            "over the cap of 1\n"
+        )
+
     @pytest.mark.parametrize("raw", ["0", "-1", "abc"])
     def test_malformed_env_cap_is_invalid_input(self, raw, capsys, monkeypatch):
         monkeypatch.setenv("COHOPARAM_MAX_WEYL", raw)
@@ -596,3 +620,32 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert proc.stdout == "w0[1]\n"
+
+
+class TestStartup:
+    def test_import_loads_no_unused_module(self):
+        # a command pays for what `import cohoparam.cli` loads: no
+        # dataclasses (and the inspect it pulls in), no json before a JSON
+        # print, no verify before a suite runs; every layer module is loaded
+        # eagerly, as the package promises
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import sys, cohoparam.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith("
+            "('dataclasses', 'inspect', 'json', 'typing', 'cohoparam')))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert not loaded & {"dataclasses", "inspect", "json", "typing", "cohoparam.verify"}
+        layers = ("rootdata", "weyl", "params", "packets", "cohomology")
+        assert {f"cohoparam.{m}" for m in layers} <= loaded
+
+    def test_suite_names_are_the_verify_suites(self):
+        from cohoparam import verify
+
+        assert SUITES == (*verify.SUITES, "all")

@@ -20,6 +20,7 @@ from cohoparam import (
     MathCheckError,
     PoincarePolynomial,
     UnsupportedGroupError,
+    WeylSizeError,
     build_classical_dual,
     enumerate_cohomological,
     innerform_sum_compact,
@@ -244,6 +245,18 @@ class TestPartitionIndependence:
         r = partition_independence(N, flavor)
         cat = compact_weyl_catalog(r["group"])
         assert r["rhs"] == 2**cat.d_exponent * cat.n_cosets
+
+    def test_over_the_cap_builds_no_composition(self, monkeypatch):
+        # |W^theta| of GL(40,R) is over the default cap, and the cap is
+        # checked before the sweep builds any of 2**20 compositions
+        from cohoparam import cohomology
+
+        def never(N):
+            pytest.fail(f"self_dual_compositions({N}) built over the cap")
+
+        monkeypatch.setattr(cohomology, "self_dual_compositions", never)
+        with pytest.raises(WeylSizeError):
+            partition_independence(40, "O")
 
     def test_builds_no_catalog(self):
         # route (ii) reads both orders off the catalog's table, so N = 14
