@@ -1,20 +1,15 @@
-"""Frozen value records: the part of ``@dataclass(frozen=True)`` this
-package uses, without importing `dataclasses` (which loads `inspect`,
-`ast` and `tokenize`, and runs six ``exec`` calls per class).
+"""Frozen value records: what this package used of ``@dataclass(frozen=True)``,
+without importing `dataclasses` (which loads `inspect`, `ast` and `tokenize`).
 
-``@record`` takes the names annotated in the class body, in order, as the
-fields; a class attribute of the same name is that field's default, and
-``field(default_factory=f)`` makes a fresh default per instance.  It adds
-an ``__init__`` (one ``exec``; it calls ``__post_init__`` last, when the
-class has one) and shared methods over the tuple of field values:
-``__eq__`` and, with ``order=True``, the orderings, each only between
-instances of one class; ``__hash__``; ``__repr__`` as ``Name(a=1, b=2)``;
-and a ``__setattr__``/``__delattr__`` that raise `FrozenRecordError`.  A
-method the class body defines is kept.  Instances keep their
-``__dict__``, so `functools.cached_property` works on them.
+The names annotated in the class body are the fields, in order; a class
+attribute of the same name is a default, ``field(default_factory=f)`` a
+fresh one per instance.  One ``exec`` builds ``__init__`` (then
+``__post_init__``, if any), ``__hash__``, ``__eq__`` and, with
+``order=True``, the orderings, all over ``(self.a, self.b,)`` and only
+between instances of one class, as `dataclasses` does.  ``__repr__`` reads
+``Name(a=1, b=2)``; assignment raises `FrozenRecordError`.  Methods the
+class body defines are kept; instances keep ``__dict__`` for `cached_property`.
 """
-
-from operator import attrgetter, eq, ge, gt, le, lt
 
 _NONE = object()
 
@@ -30,32 +25,13 @@ class field:
         self.default_factory = default_factory
 
 
-def _compare(op):
-    def method(self, other):
-        if other.__class__ is self.__class__:
-            return op(self.__record_key__(self), other.__record_key__(other))
-        return NotImplemented
-
-    return method
-
-
-def _hash(self):
-    return hash(self.__record_key__(self))
-
-
 def _repr(self):
-    pairs = zip(self.__record_fields__, self.__record_key__(self))
-    return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+    pairs = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__record_fields__)
+    return f"{type(self).__qualname__}({pairs})"
 
 
 def _frozen(self, name, *value):
     raise FrozenRecordError(f"cannot assign to or delete field {name!r}")
-
-
-_METHODS = {"__eq__": _compare(eq), "__hash__": _hash, "__repr__": _repr,
-            "__setattr__": _frozen, "__delattr__": _frozen}
-_ORDER = {"__lt__": _compare(lt), "__le__": _compare(le),
-          "__gt__": _compare(gt), "__ge__": _compare(ge)}
 
 
 def record(cls=None, *, order=False):
@@ -78,13 +54,19 @@ def record(cls=None, *, order=False):
         body.append(f"    _set(self, {n!r}, {value})\n")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()\n")
-    exec(f"def __init__({', '.join(args)}):\n{''.join(body)}", ns)
-    cls.__init__ = ns["__init__"]
+    mine = "".join(f"self.{n}," for n in names)
+    theirs = "".join(f"other.{n}," for n in names)
+    ops = {"eq": "=="} | ({"lt": "<", "le": "<=", "gt": ">", "ge": ">="} if order else {})
+    src = [f"def __init__({', '.join(args)}):\n{''.join(body)}",
+           f"def __hash__(self):\n    return hash(({mine}))\n"]
+    src += [f"def __{op}__(self, other):\n    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) {sym} ({theirs})\n    return NotImplemented\n"
+            for op, sym in ops.items()]
+    exec("".join(src), ns)
+    made = {m: ns[m] for m in ("__init__", "__hash__", *(f"__{op}__" for op in ops))}
+    made |= {"__repr__": _repr, "__setattr__": _frozen, "__delattr__": _frozen}
     cls.__record_fields__ = names
-    get = attrgetter(*names)
-    # a one-field key is still a tuple, so the hash is hash((value,))
-    cls.__record_key__ = get if len(names) > 1 else staticmethod(lambda o: (get(o),))
-    for name, method in (*_METHODS.items(), *(_ORDER.items() if order else ())):
+    for name, method in made.items():
         if name not in cls.__dict__:
             setattr(cls, name, method)
     return cls

@@ -1093,13 +1093,6 @@ class TransferResult:
         }
 
 
-@lru_cache(maxsize=32)
-def _gl_real_orbit_keys(n: int, mu: HalfIntVector) -> frozenset:
-    """The orbit keys of `enumerate_gl_real(n, mu)`, the target list of the
-    GL transfers; every parameter of one source and weight shares it."""
-    return frozenset(p.orbit_key() for p in enumerate_gl_real(n, mu))
-
-
 def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
     """Functorial image of a subset-side parameter along one embedding."""
     source = cohom.datum
@@ -1116,7 +1109,8 @@ def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
         target_n = check.ambient_dim
         try:
             mu = gl_coefficient_weight(base, target_n)
-            coh = base.orbit_key() in _gl_real_orbit_keys(target_n, mu)
+            orbit_keys = {p.orbit_key() for p in enumerate_gl_real(target_n, mu)}
+            coh = base.orbit_key() in orbit_keys
         except InvalidWeightError as exc:
             notes.append(f"image coefficients not checkable: {exc}")
         notes.append("standard-representation image")
