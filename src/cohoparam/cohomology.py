@@ -39,6 +39,7 @@ from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
 from .halfint import HalfIntVector
 from .packets import _levi_blocks, packet, unitary_packet_members
 from .params import CohomParameter, GLParameter, QuadAtom, standard_rep_parameter
+from .params import _self_dual_compositions  # the one composition walker
 from .rootdata import build_classical_dual
 from .weyl import _catalog_row, _closed_form_total, _torus_shape
 from .weyl import compact_weyl_catalog
@@ -228,22 +229,7 @@ def self_dual_compositions(N: int) -> tuple[tuple[int, ...], ...]:
     """Ordered block shapes of N equal to their own reversal."""
     if N < 1:
         raise InvalidWeightError(f"N = {N} < 1")
-    out = []
-
-    def grow(prefix: list[int], used: int) -> None:
-        rest = N - 2 * used
-        if rest >= 0:
-            mirrored = prefix + list(reversed(prefix))
-            if rest == 0:
-                if mirrored:
-                    out.append(tuple(mirrored))
-            else:
-                out.append(tuple(prefix + [rest] + list(reversed(prefix))))
-        for size in range(1, (N - 2 * used) // 2 + 1):
-            grow(prefix + [size], used + size)
-
-    grow([], 0)
-    return tuple(sorted(out, key=lambda c: (len(c), c)))
+    return tuple(sorted(_self_dual_compositions(N), key=lambda c: (len(c), c)))
 
 
 def _gl_exponent_form(N: int, flavor: str) -> int:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from ._record import record
 from .errors import InvalidWeightError
 
-__all__ = ["HalfIntVector", "solve_rational"]
+__all__ = ["HalfIntVector"]
 
 
 # a rational written `a`, `a/b` or `a.d`; Fraction alone would also take
@@ -156,31 +156,6 @@ class HalfIntVector:
 
     def __repr__(self) -> str:
         return f"HalfIntVector.parse({str(self)!r})"
-
-
-def solve_rational(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """Solve a square linear system exactly by Gaussian elimination.
-
-    Returns None when the matrix is singular.  Systems here are tiny
-    (Cartan matrices of Levi subsystems), so no pivot strategy is needed
-    beyond nonzero selection.
-    """
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 if __name__ == "__main__":

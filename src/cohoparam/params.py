@@ -832,14 +832,23 @@ def _compositions(n: int):
             yield (first,) + rest
 
 
-def _block_compositions(n: int, lam: HalfIntVector | None):
-    """(composition, doubled block exponents) for each composition of n on
-    whose blocks `lam` is constant; the j-th block carries the exponent
-    (n - n_j)/2 - (preceding sum) + its weight."""
+def _self_dual_compositions(n: int):
+    """The compositions of n equal to their own reversal: a half, an
+    optional middle block, then the half reversed."""
+    for m in range(n // 2 + 1):
+        middle = (n - 2 * m,) if n > 2 * m else ()
+        for half in _compositions(m):
+            yield half + middle + half[::-1]
+
+
+def _block_compositions(n: int, lam: HalfIntVector | None, comps):
+    """(composition, doubled block exponents) for each of the compositions
+    `comps` of n on whose blocks `lam` is constant; the j-th block carries
+    the exponent (n - n_j)/2 - (preceding sum) + its weight."""
     twice = (0,) * n if lam is None else lam.twice
     if len(twice) != n:
         raise InvalidWeightError(f"weight has {len(twice)} coordinates")
-    for comp in _compositions(n):
+    for comp in comps:
         exps = []
         pos = 0
         for size in comp:
@@ -861,10 +870,8 @@ def gl_cascade_parameters(
     block exponents pair off around zero.
     """
     out = []
-    for comp, exps in _block_compositions(n, lam):
+    for comp, exps in _block_compositions(n, lam, _self_dual_compositions(n)):
         k = len(comp)
-        if comp != comp[::-1]:
-            continue
         sums = {exps[j] + exps[k - 1 - j] for j in range(k)}
         if len(sums) != 1:
             continue
@@ -891,7 +898,7 @@ def enumerate_complex_cohomological(
     """Direct route for complex-coefficient parameters: one per composition
     with block-constant weight."""
     seen = {}
-    for comp, exps in _block_compositions(n, lam):
+    for comp, exps in _block_compositions(n, lam, _compositions(n)):
         p = ComplexParameter(tuple(zip(exps, comp)))
         seen.setdefault(p.text(), p)
     return tuple(sorted(seen.values(), key=lambda p: p.text()))

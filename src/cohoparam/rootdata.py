@@ -34,7 +34,7 @@ from operator import itemgetter
 
 from ._record import record
 from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
-from .halfint import HalfIntVector, solve_rational
+from .halfint import HalfIntVector
 
 __all__ = [
     "Factor",
@@ -350,10 +350,6 @@ class RootDatum:
     def pairing(self, i: int, j: int) -> Fraction:
         """<alpha_i, alpha_j-check> for 1-based indices."""
         return self.alpha(i).dot(self.alpha_check(j))
-
-    def cartan_matrix(self, subset: Iterable[int] | None = None) -> list[list[Fraction]]:
-        idx = sorted(subset) if subset is not None else list(range(1, self.rank + 1))
-        return [[self.pairing(i, j) for j in idx] for i in idx]
 
     # -- Levi coroot sums ----------------------------------------------------
 
@@ -696,15 +692,6 @@ class StandardParabolic:
                 f"Levi subset {sorted(self.S)} out of range 1..{self.datum.rank}"
             )
 
-    def levi_positive(self) -> list[tuple[HalfIntVector, HalfIntVector]]:
-        """Positive roots of the Levi: those supported on S."""
-        supports = _positive_root_supports(self.datum)
-        return [
-            pair
-            for pair, support in zip(self.datum.positive_roots, supports)
-            if support <= self.S
-        ]
-
     @property
     def rho_check_levi(self) -> HalfIntVector:
         return HalfIntVector(tuple(self.datum.levi_coroot_sum(self.S))).scale(1, 2)
@@ -761,15 +748,17 @@ def principal_sl2_coefficients(
     datum = parabolic.datum
     idx = sorted(parabolic.S)
     if phi is not None and not callable(phi):
-        table = dict(phi)
-        phi = table.__getitem__
+        # an index phi lacks maps to None, which the subset check reports
+        phi = dict(phi).get
 
     if not idx:
         return PrincipalSL2((), {}, {}, frozenset())
 
     rows = [[datum.pairing(i, j) for j in idx] for i in idx]
-    rhs = [Fraction(2)] * len(idx)
-    sol = solve_rational(rows, rhs)
+    # the Cartan columns are the basis, the all-2 vector the target
+    columns = [HalfIntVector.from_fractions(col) for col in zip(*rows)]
+    twos = HalfIntVector.from_ints(*[2] * len(idx))
+    (sol,) = _expand_each_in_basis(columns, [twos])
     if sol is None:
         raise MathCheckError(f"Cartan matrix of {idx} is singular")
     coeffs = {i: a for i, a in zip(idx, sol)}
@@ -833,20 +822,6 @@ class EpsilonElement:
                 f"<2 rho-check, {mu}> = {val} is not an integer"
             )
         return -1 if val % 2 else 1
-
-    @property
-    def is_trivial(self) -> bool:
-        """Does the parity functional vanish on the declared weight lattice?"""
-        for f in self.datum.factors:
-            seg = self.two_rho_check.twice[f.offset : f.offset + f.dim]
-            if f.flavor == "Adjoint":
-                # root lattice: only differences of coordinates pair
-                if any((seg[k] - seg[0]) // 2 % 2 for k in range(len(seg))):
-                    return False
-            else:
-                if any((t // 2) % 2 for t in seg):
-                    return False
-        return True
 
 
 def epsilon_element(datum: RootDatum) -> EpsilonElement:

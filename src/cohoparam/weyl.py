@@ -45,6 +45,10 @@ coordinates a..b-1 (K = W^theta where no K is given):
 
 In the last row every flip also negates coordinate n-1.  Each block's
 order is a closed form, so both sizes are known before any closure.
+
+No group here is generated from the datum's simple reflections.  That
+route (the reflections, all of W, W_L and w_0) is the independent check
+the tests hold in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -60,10 +64,8 @@ from .errors import (
     UnsupportedGroupError,
     WeylSizeError,
 )
-from .halfint import HalfIntVector
 from .rootdata import (
     RootDatum,
-    StandardParabolic,
     WeylElement,
     build_classical_dual,
 )
@@ -74,13 +76,7 @@ __all__ = [
     "CompactWeylData",
     "max_weyl_size",
     "weyl_order",
-    "simple_reflection",
-    "all_simple_reflections",
-    "full_weyl_group",
-    "longest_element",
     "subgroup_closure",
-    "levi_weyl_group",
-    "conjugate_element",
     "theta_fixed_subgroup",
     "double_cosets",
     "compact_weyl_catalog",
@@ -130,45 +126,13 @@ def _simple_weyl_order(cartan: str, r: int) -> int:
     raise UnsupportedGroupError(f"unknown Cartan type {cartan}")
 
 
-# ---------------------------------------------------------------------------
-# reflections and full groups
-
-
-def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
-    """The reflection in the i-th simple root (1-based), as an element.
-
-    A reference route, read off the root datum: no library code calls it.
-    """
-    root = datum.alpha(i)
-    coroot = datum.alpha_check(i)
-    n = datum.ambient_dim
-    cols = []
-    for k in range(n):
-        basis = HalfIntVector.from_ints(*(1 if j == k else 0 for j in range(n)))
-        pairing = basis.dot(coroot)
-        image = basis - root.scale(pairing.numerator, pairing.denominator)
-        cols.append(image.twice)
-    perm = [0] * n
-    signs = [1] * n
-    for k, col in enumerate(cols):
-        hits = [(j, t) for j, t in enumerate(col) if t != 0]
-        if len(hits) != 1 or abs(hits[0][1]) != 2:
-            raise MathCheckError(
-                f"reflection in alpha_{i} of {datum.descriptor} is not a signed "
-                f"permutation"
-            )
-        perm[k] = hits[0][0]
-        signs[k] = 1 if hits[0][1] > 0 else -1
-    return WeylElement(tuple(perm), tuple(signs))
-
-
-def all_simple_reflections(datum: RootDatum) -> tuple[WeylElement, ...]:
-    return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
-
-
 def weyl_order(datum: RootDatum) -> int:
     """Closed-form order of the (full) Weyl group of the datum."""
     return math.prod(_simple_weyl_order(f.cartan, f.rank) for f in datum.factors)
+
+
+# ---------------------------------------------------------------------------
+# closure of a generating set
 
 
 def subgroup_closure(
@@ -205,86 +169,8 @@ def subgroup_closure(
     return tuple(sorted(seen, key=lambda w: w.sort_key))
 
 
-def full_weyl_group(
-    datum: RootDatum, *, max_size: int | None = None
-) -> tuple[WeylElement, ...]:
-    """All elements of W, generated from the simple reflections.
-
-    A reference route: no library code calls it; the tests compare the
-    catalog's table with it wherever W^theta is all of W.
-    """
-    cap = _cap(max_size)
-    expected = weyl_order(datum)
-    if expected > cap:
-        raise WeylSizeError(
-            f"|W({datum.descriptor})| = {expected} exceeds the cap of {cap}"
-        )
-    elems = subgroup_closure(
-        list(all_simple_reflections(datum)), n=datum.ambient_dim, max_size=cap
-    )
-    if len(elems) != expected:
-        raise MathCheckError(
-            f"generated {len(elems)} elements for {datum.descriptor}, "
-            f"expected {expected}"
-        )
-    return elems
-
-
-def longest_element(datum: RootDatum) -> WeylElement:
-    """w_0, assembled factor by factor and checked against rho-check.
-
-    A reference route: no library code calls it; the tests check it against
-    the datum's opposition involution (-w_0 = iota).
-    """
-    n = datum.ambient_dim
-    perm = list(range(n))
-    signs = [1] * n
-    for f in datum.factors:
-        lo = f.offset
-        hi = f.offset + f.dim
-        if f.cartan == "A":
-            for k in range(f.dim):
-                perm[lo + k] = hi - 1 - k
-        elif f.cartan in ("B", "C"):
-            for k in range(lo, hi):
-                signs[k] = -1
-        elif f.cartan == "D":
-            if f.rank < 2:
-                continue
-            for k in range(lo, hi):
-                signs[k] = -1
-            if f.rank % 2 == 1:
-                signs[hi - 1] = 1
-    w0 = WeylElement(tuple(perm), tuple(signs))
-    if not (w0 * w0).is_identity:
-        raise MathCheckError("longest element is not an involution")
-    if w0.apply(datum.rho_check) != -datum.rho_check:
-        raise MathCheckError("longest element does not negate rho-check")
-    return w0
-
-
-def levi_weyl_group(
-    parabolic: StandardParabolic, *, max_size: int | None = None
-) -> tuple[WeylElement, ...]:
-    """W_L for a standard parabolic: closure of its simple reflections.
-
-    A reference route: no library code calls it.  The packet layer takes
-    W_L^theta as a stabilizer inside W^theta instead; this closure, with
-    `theta_fixed_subgroup`, is that route's check in the tests.
-    """
-    gens = [simple_reflection(parabolic.datum, i) for i in sorted(parabolic.S)]
-    return subgroup_closure(
-        gens, n=parabolic.datum.ambient_dim, max_size=max_size
-    )
-
-
 # ---------------------------------------------------------------------------
 # twisted subgroups and double cosets
-
-
-def conjugate_element(m: WeylElement, w: WeylElement) -> WeylElement:
-    """m o w o m^{-1}."""
-    return m * w * m.inverse()
 
 
 def theta_fixed_subgroup(

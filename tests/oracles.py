@@ -1,0 +1,236 @@
+"""Reference routes that only the tests call.
+
+Each one is an independent way to compute something the library computes
+another way, so the tests compare the two.  None of them is merged into
+the route it checks:
+
+* Weyl groups from the simple reflections read off the root datum
+  (`simple_reflection`, `full_weyl_group`, `levi_weyl_group`), against
+  the catalog's block table and the packet layer's stabilizers;
+* `longest_element`, assembled factor by factor, against the datum's
+  opposition involution;
+* `cartan_matrix`, `levi_positive` and `is_trivial`, read straight off a
+  datum, a standard parabolic or an epsilon element;
+* the mirror-symmetric compositions grown by recursion or filtered from
+  all compositions, and `gl_cascade_parameters` over the filtered ones,
+  against the library's one walker (a half, a middle, the half reversed).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from cohoparam.errors import MathCheckError, WeylSizeError
+from cohoparam.halfint import HalfIntVector
+from cohoparam.params import (
+    GLParameter,
+    TwoDimAtom,
+    _assign_quad_eps,
+    _block_compositions,
+    _compositions,
+)
+from cohoparam.rootdata import (
+    EpsilonElement,
+    RootDatum,
+    StandardParabolic,
+    WeylElement,
+    _positive_root_supports,
+)
+from cohoparam.weyl import _cap, subgroup_closure, weyl_order
+
+# ---------------------------------------------------------------------------
+# Weyl groups from simple reflections
+
+
+def simple_reflection(datum: RootDatum, i: int) -> WeylElement:
+    """The reflection in the i-th simple root (1-based), as an element."""
+    root = datum.alpha(i)
+    coroot = datum.alpha_check(i)
+    n = datum.ambient_dim
+    cols = []
+    for k in range(n):
+        basis = HalfIntVector.from_ints(*(1 if j == k else 0 for j in range(n)))
+        pairing = basis.dot(coroot)
+        image = basis - root.scale(pairing.numerator, pairing.denominator)
+        cols.append(image.twice)
+    perm = [0] * n
+    signs = [1] * n
+    for k, col in enumerate(cols):
+        hits = [(j, t) for j, t in enumerate(col) if t != 0]
+        if len(hits) != 1 or abs(hits[0][1]) != 2:
+            raise MathCheckError(
+                f"reflection in alpha_{i} of {datum.descriptor} is not a signed "
+                f"permutation"
+            )
+        perm[k] = hits[0][0]
+        signs[k] = 1 if hits[0][1] > 0 else -1
+    return WeylElement(tuple(perm), tuple(signs))
+
+
+def all_simple_reflections(datum: RootDatum) -> tuple[WeylElement, ...]:
+    return tuple(simple_reflection(datum, i) for i in range(1, datum.rank + 1))
+
+
+def full_weyl_group(
+    datum: RootDatum, *, max_size: int | None = None
+) -> tuple[WeylElement, ...]:
+    """All elements of W, generated from the simple reflections; the
+    catalog's table is compared with it wherever W^theta is all of W."""
+    cap = _cap(max_size)
+    expected = weyl_order(datum)
+    if expected > cap:
+        raise WeylSizeError(
+            f"|W({datum.descriptor})| = {expected} exceeds the cap of {cap}"
+        )
+    elems = subgroup_closure(
+        list(all_simple_reflections(datum)), n=datum.ambient_dim, max_size=cap
+    )
+    if len(elems) != expected:
+        raise MathCheckError(
+            f"generated {len(elems)} elements for {datum.descriptor}, "
+            f"expected {expected}"
+        )
+    return elems
+
+
+def longest_element(datum: RootDatum) -> WeylElement:
+    """w_0, assembled factor by factor and checked against rho-check; the
+    tests check it against the datum's opposition involution (-w_0 = iota)."""
+    n = datum.ambient_dim
+    perm = list(range(n))
+    signs = [1] * n
+    for f in datum.factors:
+        lo = f.offset
+        hi = f.offset + f.dim
+        if f.cartan == "A":
+            for k in range(f.dim):
+                perm[lo + k] = hi - 1 - k
+        elif f.cartan in ("B", "C"):
+            for k in range(lo, hi):
+                signs[k] = -1
+        elif f.cartan == "D":
+            if f.rank < 2:
+                continue
+            for k in range(lo, hi):
+                signs[k] = -1
+            if f.rank % 2 == 1:
+                signs[hi - 1] = 1
+    w0 = WeylElement(tuple(perm), tuple(signs))
+    if not (w0 * w0).is_identity:
+        raise MathCheckError("longest element is not an involution")
+    if w0.apply(datum.rho_check) != -datum.rho_check:
+        raise MathCheckError("longest element does not negate rho-check")
+    return w0
+
+
+def levi_weyl_group(
+    parabolic: StandardParabolic, *, max_size: int | None = None
+) -> tuple[WeylElement, ...]:
+    """W_L for a standard parabolic: closure of its simple reflections.
+
+    The packet layer takes W_L^theta as a stabilizer inside W^theta; this
+    closure, with `theta_fixed_subgroup`, is that route's check.
+    """
+    gens = [simple_reflection(parabolic.datum, i) for i in sorted(parabolic.S)]
+    return subgroup_closure(
+        gens, n=parabolic.datum.ambient_dim, max_size=max_size
+    )
+
+
+def conjugate_element(m: WeylElement, w: WeylElement) -> WeylElement:
+    """m o w o m^{-1}."""
+    return m * w * m.inverse()
+
+
+# ---------------------------------------------------------------------------
+# root-datum readings
+
+
+def cartan_matrix(datum: RootDatum, subset=None) -> list[list[Fraction]]:
+    """<alpha_i, alpha_j-check> over `subset` (all simple roots by default)."""
+    idx = sorted(subset) if subset is not None else list(range(1, datum.rank + 1))
+    return [[datum.pairing(i, j) for j in idx] for i in idx]
+
+
+def levi_positive(
+    parabolic: StandardParabolic,
+) -> list[tuple[HalfIntVector, HalfIntVector]]:
+    """Positive (root, coroot) pairs of the Levi: those supported on S."""
+    supports = _positive_root_supports(parabolic.datum)
+    return [
+        pair
+        for pair, support in zip(parabolic.datum.positive_roots, supports)
+        if support <= parabolic.S
+    ]
+
+
+def is_trivial(eps: EpsilonElement) -> bool:
+    """Does the parity functional vanish on the declared weight lattice?"""
+    for f in eps.datum.factors:
+        seg = eps.two_rho_check.twice[f.offset : f.offset + f.dim]
+        if f.flavor == "Adjoint":
+            # root lattice: only differences of coordinates pair
+            if any((seg[k] - seg[0]) // 2 % 2 for k in range(len(seg))):
+                return False
+        else:
+            if any((t // 2) % 2 for t in seg):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# mirror-symmetric compositions
+
+
+def self_dual_compositions_by_recursion(N: int) -> tuple[tuple[int, ...], ...]:
+    """Ordered block shapes of N equal to their own reversal, grown from
+    the outside in, sorted by (length, shape)."""
+    out = []
+
+    def grow(prefix: list[int], used: int) -> None:
+        rest = N - 2 * used
+        if rest >= 0:
+            mirrored = prefix + list(reversed(prefix))
+            if rest == 0:
+                if mirrored:
+                    out.append(tuple(mirrored))
+            else:
+                out.append(tuple(prefix + [rest] + list(reversed(prefix))))
+        for size in range(1, (N - 2 * used) // 2 + 1):
+            grow(prefix + [size], used + size)
+
+    grow([], 0)
+    return tuple(sorted(out, key=lambda c: (len(c), c)))
+
+
+def self_dual_compositions_by_filter(N: int) -> list[tuple[int, ...]]:
+    """The compositions of N equal to their reversal, kept from all 2**(N-1)."""
+    return [c for c in _compositions(N) if c == c[::-1]]
+
+
+def gl_cascade_by_filter(n: int, lam: HalfIntVector | None = None):
+    """`gl_cascade_parameters` over every composition of n, dropping the
+    ones that are not their own reversal."""
+    out = []
+    for comp, exps in _block_compositions(n, lam, _compositions(n)):
+        k = len(comp)
+        if comp != comp[::-1]:
+            continue
+        sums = {exps[j] + exps[k - 1 - j] for j in range(k)}
+        if len(sums) != 1:
+            continue
+        total = sums.pop()
+        if total % 2:
+            continue
+        twist2 = total // 2
+        two_ds = [exps[j] - twist2 for j in range(k // 2)]
+        if any(d <= 0 for d in two_ds):
+            continue
+        quadlens = []
+        if k % 2 == 1:
+            quadlens.append(comp[k // 2])
+        quads, flag = _assign_quad_eps(quadlens, 0, None)
+        atoms = [TwoDimAtom(d, m) for d, m in zip(two_ds, comp)]
+        out.append(GLParameter(tuple(atoms + quads), twist2, flag))
+    out.sort(key=lambda p: p.text())
+    return tuple(out)

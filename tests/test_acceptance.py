@@ -44,7 +44,9 @@ from cohoparam.rootdata import (
     dominant_orbit_rep,
     principal_sl2_coefficients,
 )
-from cohoparam.weyl import compact_weyl_catalog, levi_weyl_group, weyl_order
+from cohoparam.weyl import compact_weyl_catalog, weyl_order
+
+from oracles import levi_weyl_group
 
 
 def zero(n: int) -> HalfIntVector:

@@ -35,6 +35,8 @@ from cohoparam import (
 )
 from cohoparam.weyl import compact_weyl_catalog
 
+from oracles import self_dual_compositions_by_filter, self_dual_compositions_by_recursion
+
 
 def zero(n):
     return HalfIntVector((0,) * n)
@@ -208,6 +210,18 @@ class TestSelfDualCompositions:
         for comp in self_dual_compositions(N):
             assert comp == tuple(reversed(comp))
             assert sum(comp) == N
+
+    @pytest.mark.parametrize("N", range(1, 15))
+    def test_matches_the_recursive_and_filtered_oracles(self, N):
+        out = self_dual_compositions(N)
+        assert out == self_dual_compositions_by_recursion(N)
+        by_filter = self_dual_compositions_by_filter(N)
+        assert out == tuple(sorted(by_filter, key=lambda c: (len(c), c)))
+
+    def test_rejects_N_below_one(self):
+        for N in (0, -1):
+            with pytest.raises(InvalidWeightError):
+                self_dual_compositions(N)
 
 
 class TestPartitionIndependence:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cohoparam.errors import InvalidWeightError
-from cohoparam.halfint import HalfIntVector, _fmt_half, _parse_half, solve_rational
+from cohoparam.halfint import HalfIntVector, _fmt_half, _parse_half
 
 
 def test_parse_and_str_roundtrip():
@@ -83,14 +83,3 @@ def test_parse_half_rejects(text):
     with pytest.raises(InvalidWeightError):
         _parse_half(text)
 
-
-def test_solve_rational_exact():
-    # 2x - y = 2 ; -x + 2y = 2  =>  x = y = 2
-    rows = [[Fraction(2), Fraction(-1)], [Fraction(-1), Fraction(2)]]
-    sol = solve_rational(rows, [Fraction(2), Fraction(2)])
-    assert sol == [Fraction(2), Fraction(2)]
-
-
-def test_solve_rational_singular():
-    rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    assert solve_rational(rows, [Fraction(1), Fraction(2)]) is None

@@ -36,12 +36,12 @@ from cohoparam.weyl import (
     WeylElement,
     compact_weyl_catalog,
     double_cosets,
-    full_weyl_group,
-    levi_weyl_group,
     subgroup_closure,
     theta_fixed_subgroup,
     weyl_order,
 )
+
+from oracles import full_weyl_group, levi_weyl_group
 
 
 def zero(n: int) -> HalfIntVector:

@@ -51,6 +51,8 @@ from cohoparam.rootdata import (
     dominant_orbit_rep,
 )
 
+from oracles import gl_cascade_by_filter
+
 
 def zero(n: int) -> HalfIntVector:
     return HalfIntVector((0,) * n)
@@ -631,6 +633,26 @@ class TestRouteEquality:
         cascade = sorted(p.text() for p in gl_cascade_parameters(n))
         assert s_route == direct == cascade
         assert len(direct) == 2 ** (n // 2)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_gl_cascade_walks_the_same_compositions_as_the_filter(self, n):
+        # the zero weight, then weights constant on the blocks of the
+        # shapes (a, n - 2a, a), (a, n - a) and (1, ..., 1)
+        weights = [None]
+        for a in range(1, n // 2 + 1):
+            weights.append([1] * a + [0] * (n - 2 * a) + [-1] * a)
+            weights.append([2] * a + [1] * (n - 2 * a) + [0] * a)
+        for a in range(1, n):
+            weights.append([1] * a + [0] * (n - a))
+        weights.append(list(range(n, 0, -1)))
+        nonempty = 0
+        for w in weights:
+            lam = None if w is None else HalfIntVector.from_ints(*w)
+            expected = gl_cascade_by_filter(n, lam)
+            assert gl_cascade_parameters(n, lam) == expected, w
+            nonempty += bool(expected)
+        # the zero weight and both weights of each (a, n - 2a, a) give some
+        assert nonempty >= (n > 0) + 2 * (n // 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_gl_complex_two_routes(self, n):

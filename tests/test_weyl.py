@@ -13,15 +13,18 @@ from cohoparam.rootdata import StandardParabolic, build_classical_dual
 from cohoparam.weyl import (
     WeylElement,
     compact_weyl_catalog,
-    conjugate_element,
     double_cosets,
+    subgroup_closure,
+    theta_fixed_subgroup,
+    weyl_order,
+)
+
+from oracles import (
+    conjugate_element,
     full_weyl_group,
     levi_weyl_group,
     longest_element,
     simple_reflection,
-    subgroup_closure,
-    theta_fixed_subgroup,
-    weyl_order,
 )
 
 
