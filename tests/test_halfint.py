@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cohoparam.errors import InvalidWeightError
 from cohoparam.halfint import HalfIntVector, _fmt_half, _parse_half
+from cohoparam.rootdata import expand_in_basis
 
 
 def test_parse_and_str_roundtrip():
@@ -83,3 +84,19 @@ def test_parse_half_rejects(text):
     with pytest.raises(InvalidWeightError):
         _parse_half(text)
 
+
+# The exact rational solve of half-integer systems lives in
+# `rootdata.expand_in_basis`; these are its two textbook cases.
+
+
+def test_solve_rational_exact():
+    # 2x - y = 2 ; -x + 2y = 2  =>  x = y = 2
+    columns = [HalfIntVector.from_ints(2, -1), HalfIntVector.from_ints(-1, 2)]
+    sol = expand_in_basis(columns, HalfIntVector.from_ints(2, 2))
+    assert sol == [Fraction(2), Fraction(2)]
+
+
+def test_solve_rational_singular():
+    # x + y = 1 ; 2x + 2y = 2: the columns are equal, no unique solution
+    columns = [HalfIntVector.from_ints(1, 2)] * 2
+    assert expand_in_basis(columns, HalfIntVector.from_ints(1, 2)) is None
