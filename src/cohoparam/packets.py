@@ -8,7 +8,9 @@ are the double cosets
 computed inside the catalog data of :func:`cohoparam.weyl.compact_weyl_catalog`.
 The theta-fixed Levi Weyl group is picked out of the catalog's W^theta as a
 stabilizer, so no Levi group is built and the Weyl cap applies only to the
-catalog's groups.
+catalog's groups.  The double cosets are the orbits of W_L^theta on the
+catalog's table of K-cosets, which `double_cosets` builds once per catalog,
+so a packet costs |W_L^theta| products per member.
 Each member carries a cohomology total
 
     h_dim = 2**d * |W_L^theta| / |W_L^theta  intersect  w^{-1} K w|,
@@ -16,6 +18,10 @@ Each member carries a cohomology total
 where ``d`` is the split-plus-complex rank of the fundamental Cartan; the
 members therefore sum to ``2**d * |W^theta| / |K|`` by the orbit-counting
 identity, and the module asserts both the per-member and the total form.
+The intersection is counted by conjugating each element of W_L^theta into
+K, apart from the orbit that gave the coset's size.  The stabilizer filter
+and the conjugations run on `operator.itemgetter` tables, not on element
+products.
 
 The subset ``S`` lives on the dual diagram and is used there directly:
 the based-root-datum identification matches simple roots by index, so no
@@ -137,20 +143,23 @@ def _unitary_label(
 def _member_from_coset(
     cat: CompactWeylData,
     coset: DoubleCoset,
-    levi_theta: tuple[WeylElement, ...],
+    levi_times: list[itemgetter],
     label: str,
 ) -> PacketMember:
     k_order = len(cat.k_weyl)
     w = coset.rep
-    w_inv = w.inverse()
-    k_set = cat.k_weyl_set
-    inter = sum(1 for l in levi_theta if (w * l) * w_inv in k_set)
-    if len(levi_theta) % inter:
+    # w * l * w^-1 is the table itemgetter(*w^-1)(itemgetter(*l)(w)), with
+    # levi_times[i] = itemgetter(*l_i) made once per packet; the plain
+    # tuples hash and compare like the elements of K
+    after_inverse = itemgetter(*w.inverse())
+    conjugates = map(after_inverse, [l(w) for l in levi_times])
+    inter = sum(map(cat.k_weyl_set.__contains__, conjugates))
+    if len(levi_times) % inter:
         raise MathCheckError(
-            f"|W_L^theta| = {len(levi_theta)} not divisible by the "
+            f"|W_L^theta| = {len(levi_times)} not divisible by the "
             f"intersection order {inter}"
         )
-    h_dim = (2**cat.d_exponent) * (len(levi_theta) // inter)
+    h_dim = (2**cat.d_exponent) * (len(levi_times) // inter)
     # independent route: |K w L| = |K| * |L| / |L  intersect  w^{-1} K w|
     if (2**cat.d_exponent) * coset.size != h_dim * k_order:
         raise MathCheckError(
@@ -172,11 +181,14 @@ def _cosets_for_subset(
     # rest, so its stabilizer in W is W_L (Chevalley) and in W^theta it is
     # W_L^theta; filtering the sorted W^theta keeps sort_key order.  With
     # vt = (0, v_1..v_n, -v_n..-v_1) laid out like an element's table, w
-    # fixes v exactly when vt[w_k] = v_k for every k: vt o w == vt, taken
-    # on the tables the way `WeylElement.__mul__` takes a product
+    # fixes v exactly when vt[w_k] = v_k for k = 1..n.  The catalog's
+    # column getters read vt[w_k] for all of W^theta at once, one tuple
+    # per k, and zip lines them up element by element
     v = (cat.datum.rho_check - parabolic.rho_check_levi).twice
     vt = (0, *v, *(-x for x in reversed(v)))
-    levi_theta = tuple(w for w in cat.w_theta if itemgetter(*w)(vt) == vt)
+    images = zip(*(column(vt) for column in cat.window_columns))
+    fixes_v = map(v.__eq__, images)
+    levi_theta = tuple(itertools.compress(cat.w_theta, fixes_v))
     cosets = double_cosets(cat.k_weyl, levi_theta, cat.w_theta)
     return cosets, levi_theta
 
@@ -201,13 +213,14 @@ def packet(
         unitary_blocks = _levi_blocks(cat.ambient_dim, param.S)
         first_part = cat.datum.signature[0]
 
+    levi_times = [itemgetter(*l) for l in levi_theta]
     members = []
     for coset in cosets:
         if unitary_blocks is not None:
             label = _unitary_label(coset.rep, unitary_blocks, first_part)
         else:
             label = str(coset.rep)
-        members.append(_member_from_coset(cat, coset, levi_theta, label))
+        members.append(_member_from_coset(cat, coset, levi_times, label))
 
     pkt = PacketDescriptor(
         group=cat.descriptor,

@@ -110,7 +110,7 @@ class WeylElement(tuple):
 
     @property
     def perm(self) -> tuple[int, ...]:
-        return tuple(abs(w) - 1 for w in self.window)
+        return tuple(map(_DECREMENT, map(abs, self.window)))
 
     @property
     def signs(self) -> tuple[int, ...]:
@@ -122,8 +122,16 @@ class WeylElement(tuple):
 
     @property
     def sort_key(self) -> tuple:
-        """(sign bits, perm): the order every sorted tuple of elements uses."""
-        return tuple(1 if w < 0 else 0 for w in self.window), self.perm
+        """(sign bits, perm): the order every sorted tuple of elements uses.
+
+        Both halves are C-level maps over the window: a sign bit is 1 for
+        a negative entry and 0 otherwise, a perm entry is |w_k| - 1.
+        """
+        window = self[1 : len(self) // 2 + 1]
+        return (
+            tuple(map(int, map(_NEGATIVE, window))),
+            tuple(map(_DECREMENT, map(abs, window))),
+        )
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         """self o other (apply `other` first): entry j is self[other[j]]."""
@@ -153,6 +161,8 @@ class WeylElement(tuple):
 
 
 _new_tuple = tuple.__new__
+_NEGATIVE = (0).__gt__  # _NEGATIVE(w) is w < 0
+_DECREMENT = (-1).__add__
 
 
 def _from_window(window) -> WeylElement:

@@ -8,9 +8,18 @@ lookup table (0, w_1..w_n, -w_n..-w_1), so a product is one C-level lookup
 per entry and sets and dicts of elements hash one tuple.
 
 Everything that returns a collection returns a tuple sorted by
-`WeylElement.sort_key`, so identical inputs always serialize identically.
+`WeylElement.sort_key`, so identical inputs always serialize identically
+(`theta_fixed_subgroup` filters, so it keeps the order of a sorted input).
 `double_cosets` relies on it: its ambient group must come in that order,
 which the catalog checks once when it is built.
+
+`double_cosets` numbers the left cosets left*w of its ambient group once
+per (left, ambient) pair and keeps that table, so the packets of one
+catalog share it.  Each double coset is then an orbit of the right group
+on the table: |right| products per double coset, not a pass over the
+ambient group.  Tables and maps of the hot loops are built with
+`operator.itemgetter`: u * w is the plain tuple itemgetter(*w)(u), which
+hashes and compares like the element it equals.
 
 The size of any group this module is asked to write down is capped:
 `COHOPARAM_MAX_WEYL` (default 10**6), which a `max_size` argument can
@@ -56,6 +65,7 @@ from __future__ import annotations
 import math
 import os
 from functools import cached_property, lru_cache
+from operator import attrgetter, itemgetter
 
 from ._record import record
 from .errors import (
@@ -67,6 +77,7 @@ from .errors import (
 from .rootdata import (
     RootDatum,
     WeylElement,
+    _new_tuple,
     build_classical_dual,
 )
 
@@ -83,6 +94,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_WEYL = 10**6
+
+_SORT_KEY = attrgetter("sort_key")
 
 
 def max_weyl_size() -> int:
@@ -153,20 +166,24 @@ def subgroup_closure(
     ident = WeylElement.identity(dim)
     seen = {ident}
     frontier = [ident]
+    # w * g is the plain tuple itemgetter(*g)(w), which hashes and compares
+    # like the element; only a new one is made a `WeylElement`
+    times = [itemgetter(*g) for g in gens]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in gens:
-                x = w * g
+            for g in times:
+                x = g(w)
                 if x not in seen:
                     if len(seen) >= cap:
                         raise WeylSizeError(
                             f"group closure exceeds the cap of {cap} elements"
                         )
+                    x = _new_tuple(WeylElement, x)
                     seen.add(x)
                     nxt.append(x)
         frontier = nxt
-    return tuple(sorted(seen, key=lambda w: w.sort_key))
+    return tuple(sorted(seen, key=_SORT_KEY))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +196,16 @@ def theta_fixed_subgroup(
     """Fixed points of conjugation by `theta` on a group given by listing.
 
     Checks that conjugation maps the listed group into itself (so the fixed
-    set really is a subgroup) and raises `MathCheckError` otherwise.
+    set really is a subgroup) and raises `MathCheckError` otherwise.  The
+    fixed points keep the order of `elements`, so a sorted listing (every
+    group this module returns) gives a sorted subgroup without a re-sort.
     """
     pool = set(elements)
-    theta_inv = theta.inverse()
+    # theta * w * theta^-1 has entry j theta[w[theta^-1[j]]]
+    after_inverse = itemgetter(*theta.inverse())
     fixed = []
     for w in elements:
-        cw = theta * w * theta_inv
+        cw = tuple(map(theta.__getitem__, after_inverse(w)))
         if cw not in pool:
             raise MathCheckError(
                 "conjugation does not preserve the given group; element "
@@ -193,7 +213,7 @@ def theta_fixed_subgroup(
             )
         if cw == w:
             fixed.append(w)
-    return tuple(sorted(fixed, key=lambda w: w.sort_key))
+    return tuple(fixed)
 
 
 @record
@@ -212,33 +232,81 @@ def double_cosets(
     """Partition `ambient` into left*x*right double cosets.
 
     `ambient` must come in sort_key order, as every tuple this module
-    returns does; the order is not re-checked here.  Seeds are taken in
-    that order, so each seed is its coset's minimum and the cosets come
-    back sorted by it.  `left` and `right` must be subgroups contained in
-    `ambient` (checked).  Each double coset is a union of right cosets
-    x*right, so only an x in left*seed that no right coset found so far
-    covers is expanded.  The elements not yet covered are the one lookup
-    table: each coset must lie inside them, i.e. inside `ambient` and
-    outside the cosets already found.
+    returns does; the order is not re-checked here.  `left` and `right`
+    must be subgroups contained in `ambient` (checked).  The cosets come
+    back sorted by their minima.
+
+    The work runs on the left cosets left*w, numbered in the order of
+    their minima (`_left_coset_table`, built once per (left, ambient)).
+    A double coset is an orbit of `right` on that table: start at the
+    first left coset not yet covered, whose minimum m is the double
+    coset's minimum, and collect the left cosets of m*r for r in `right`.
+    That is |right| products per double coset, and the size is |orbit| *
+    |left|.  Each orbit must lie inside the table, i.e. inside `ambient`
+    and outside the orbits already found.
     """
-    remaining = dict.fromkeys(ambient)
-    for grp, name in ((left, "left"), (right, "right")):
-        if not all(map(remaining.__contains__, grp)):
-            raise MathCheckError(f"{name} subgroup is not inside the ambient group")
+    index, minima = _left_coset_table(left, ambient)
+    if not all(map(index.__contains__, right)):
+        raise MathCheckError("right subgroup is not inside the ambient group")
+    if minima is None:
+        raise MathCheckError("double coset escapes the ambient group")
+    covered: set[int] = set()
     cosets = []
-    while remaining:
-        seed = next(iter(remaining))
-        orbit: set[WeylElement] = set()
-        for l in left:
-            x = l * seed
-            if x not in orbit:
-                orbit.update(x * r for r in right)
-        if not orbit <= remaining.keys():
-            raise MathCheckError("double coset escapes the ambient group")
-        cosets.append(DoubleCoset(rep=seed, size=len(orbit)))
-        for x in orbit:
-            del remaining[x]
+    for c, m in enumerate(minima):
+        if c not in covered:
+            orbit = set(map(index.get, map(m.__mul__, right)))
+            if c not in orbit or None in orbit or not covered.isdisjoint(orbit):
+                raise MathCheckError("double coset escapes the ambient group")
+            covered |= orbit
+            cosets.append(DoubleCoset(rep=m, size=len(orbit) * len(left)))
     return tuple(cosets)
+
+
+# (id(left), id(ambient)) -> (left, ambient, table).  An entry holds both
+# tuples, so neither id is reused while it stands; keying on identity
+# spares hashing every element of `ambient` on each call.  A catalog
+# hands out the same tuples each time, so one table serves all of its
+# packets; 32 entries is the bound `_compact_weyl_catalog` keeps too
+_LEFT_COSET_TABLES: dict[tuple[int, int], tuple] = {}
+
+
+def _left_coset_table(left, ambient):
+    """(index, minima): `index` maps each element of `ambient` to the number
+    of its left coset left*w, and minima[c] is the first element of coset
+    c in `ambient`'s order, so cosets are numbered by their minima.
+
+    Raises when `left` is not inside `ambient`.  When the left cosets do
+    not partition `ambient` (one leaves it or meets another, or one is
+    smaller than `left`), `minima` is None and `double_cosets` reports the
+    escape after checking `right`.
+    """
+    key = (id(left), id(ambient))
+    if key not in _LEFT_COSET_TABLES:
+        table = _build_left_coset_table(left, ambient)
+        if len(_LEFT_COSET_TABLES) >= 32:
+            del _LEFT_COSET_TABLES[next(iter(_LEFT_COSET_TABLES))]
+        _LEFT_COSET_TABLES[key] = (left, ambient, table)
+    return _LEFT_COSET_TABLES[key][2]
+
+
+def _build_left_coset_table(left, ambient):
+    index = dict.fromkeys(ambient, -1)
+    if not all(map(index.__contains__, left)):
+        raise MathCheckError("left subgroup is not inside the ambient group")
+    minima: list[WeylElement] = []
+    for w in ambient:
+        if index[w] < 0:
+            # k * w is itemgetter(*w)(k), a plain tuple equal to the element;
+            # the coset holds w, and each of its members lies in `ambient`
+            # (get is not None) and in no coset so far (-1)
+            coset = dict.fromkeys(map(itemgetter(*w), left), len(minima))
+            if w not in coset or set(map(index.get, coset)) != {-1}:
+                return index, None
+            index.update(coset)  # keeps the element keys of `ambient`
+            minima.append(w)
+    if len(minima) * len(left) != len(index):
+        return index, None
+    return index, tuple(minima)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +344,15 @@ class CompactWeylData:
     @cached_property
     def k_weyl_set(self) -> frozenset[WeylElement]:
         return frozenset(self.k_weyl)
+
+    @cached_property
+    def window_columns(self) -> tuple[itemgetter, ...]:
+        """One getter per coordinate k = 1..n: window_columns[k-1](t) is
+        the tuple of t[w_k] over `w_theta` in order, with one more entry
+        t[0] at the end (the extra index keeps a one-element W^theta from
+        making a getter that returns a bare entry)."""
+        columns = list(zip(*self.w_theta))[1 : self.ambient_dim + 1]
+        return tuple(itemgetter(*column, 0) for column in columns)
 
     @property
     def n_cosets(self) -> int:

@@ -9,6 +9,10 @@ the route it checks:
   the catalog's block table and the packet layer's stabilizers;
 * `longest_element`, assembled factor by factor, against the datum's
   opposition involution;
+* `double_cosets_by_expansion`, each double coset grown right coset by
+  right coset out of the ambient elements still uncovered, against
+  `double_cosets`, which walks the orbits of the right group on a table
+  of left cosets;
 * `cartan_matrix`, `levi_positive` and `is_trivial`, read straight off a
   datum, a standard parabolic or an epsilon element;
 * the mirror-symmetric compositions grown by recursion or filtered from
@@ -19,6 +23,7 @@ the route it checks:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from cohoparam.errors import MathCheckError, WeylSizeError
 from cohoparam.halfint import HalfIntVector
@@ -36,7 +41,7 @@ from cohoparam.rootdata import (
     WeylElement,
     _positive_root_supports,
 )
-from cohoparam.weyl import _cap, subgroup_closure, weyl_order
+from cohoparam.weyl import DoubleCoset, _cap, subgroup_closure, weyl_order
 
 # ---------------------------------------------------------------------------
 # Weyl groups from simple reflections
@@ -140,6 +145,42 @@ def levi_weyl_group(
 def conjugate_element(m: WeylElement, w: WeylElement) -> WeylElement:
     """m o w o m^{-1}."""
     return m * w * m.inverse()
+
+
+def double_cosets_by_expansion(
+    left: tuple[WeylElement, ...],
+    right: tuple[WeylElement, ...],
+    ambient: tuple[WeylElement, ...],
+) -> tuple[DoubleCoset, ...]:
+    """`double_cosets` by expanding right cosets, with its checks.
+
+    Seeds are the elements of the sort_key-ordered `ambient` that no
+    double coset found so far covers, in order, so each seed is its double
+    coset's minimum.  A double coset is
+    the union of the right cosets x*right over x in left*seed, and only an
+    x that no right coset found so far covers is expanded.  Products are
+    taken on the tables (u * w is itemgetter(*w)(u), a plain tuple equal
+    to the element), which keeps the sweep over every catalog group short.
+    """
+    pool = set(ambient)
+    for grp, name in ((left, "left"), (right, "right")):
+        if not pool.issuperset(grp):
+            raise MathCheckError(f"{name} subgroup is not inside the ambient group")
+    times_right = [itemgetter(*r) for r in right]
+    covered: set[tuple[int, ...]] = set()
+    cosets = []
+    for seed in ambient:
+        if seed in covered:
+            continue
+        orbit: set[tuple[int, ...]] = set()
+        for x in map(itemgetter(*seed), left):  # l * seed
+            if x not in orbit:
+                orbit.update([r(x) for r in times_right])  # x * r
+        if seed not in orbit or not orbit <= pool or not covered.isdisjoint(orbit):
+            raise MathCheckError("double coset escapes the ambient group")
+        covered |= orbit
+        cosets.append(DoubleCoset(rep=seed, size=len(orbit)))
+    return tuple(cosets)
 
 
 # ---------------------------------------------------------------------------

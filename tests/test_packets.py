@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cohoparam.errors import InvalidWeightError, UnsupportedGroupError
 from cohoparam.halfint import HalfIntVector
-from cohoparam import packets
+from cohoparam import packets, weyl
 from cohoparam.packets import (
     _cosets_for_subset,
     packet,
@@ -41,7 +41,7 @@ from cohoparam.weyl import (
     weyl_order,
 )
 
-from oracles import full_weyl_group, levi_weyl_group
+from oracles import double_cosets_by_expansion, full_weyl_group, levi_weyl_group
 
 
 def zero(n: int) -> HalfIntVector:
@@ -170,6 +170,7 @@ class TestUnitaryOracles:
         left = block_group(N, (A, B) if B else (A,))
         right = block_group(N, (m, n) if n else (m,))
         cosets = double_cosets(left, right, ambient)
+        assert cosets == double_cosets_by_expansion(left, right, ambient)
         size, _ = packet_size_unitary(A, B, m, n)
         assert len(cosets) == size
         # coset sizes partition the full group
@@ -417,19 +418,33 @@ def _levi_theta_by_closure(parabolic: StandardParabolic, theta: WeylElement):
     return _CLOSURE_ROUTE[key]
 
 
-@pytest.mark.parametrize("desc", _catalog_groups_up_to(5040))
-def test_levi_theta_by_stabilizer_matches_closure(desc, monkeypatch):
-    # only W_L^theta is compared here; the cosets are checked above
-    monkeypatch.setattr(packets, "double_cosets", lambda *groups: ())
-    cat = compact_weyl_catalog(desc)
-    d = cat.datum
+def _self_associate_parabolics(d):
     for r in range(d.rank + 1):
         for S in itertools.combinations(range(1, d.rank + 1), r):
             parabolic = StandardParabolic(d, frozenset(S))
-            if not is_self_associate(parabolic):
-                continue
-            _, levi_theta = _cosets_for_subset(cat, parabolic.S)
-            assert levi_theta == _levi_theta_by_closure(parabolic, cat.theta_map), S
+            if is_self_associate(parabolic):
+                yield parabolic
+
+
+@pytest.mark.parametrize("desc", _catalog_groups_up_to(5040))
+def test_levi_theta_by_stabilizer_matches_closure(desc, monkeypatch):
+    # only W_L^theta is compared here; the cosets are checked below
+    monkeypatch.setattr(packets, "double_cosets", lambda *groups: ())
+    cat = compact_weyl_catalog(desc)
+    for parabolic in _self_associate_parabolics(cat.datum):
+        _, levi_theta = _cosets_for_subset(cat, parabolic.S)
+        expected = _levi_theta_by_closure(parabolic, cat.theta_map)
+        assert levi_theta == expected, parabolic.S
+
+
+@pytest.mark.parametrize("desc", _catalog_groups_up_to(5040))
+def test_double_cosets_match_the_right_coset_expansion(desc):
+    # same reps, sizes and order as the route that expands right cosets
+    cat = compact_weyl_catalog(desc)
+    for parabolic in _self_associate_parabolics(cat.datum):
+        cosets, levi_theta = _cosets_for_subset(cat, parabolic.S)
+        expected = double_cosets_by_expansion(cat.k_weyl, levi_theta, cat.w_theta)
+        assert cosets == expected, parabolic.S
 
 
 @pytest.mark.parametrize(
@@ -451,3 +466,38 @@ def test_double_cosets_expand_each_right_coset_once(desc, S, monkeypatch):
     monkeypatch.undo()
     assert sum(c.size for c in cosets) == len(cat.w_theta)
     assert products <= sum(len(cat.k_weyl) + c.size for c in cosets)
+
+
+@pytest.mark.parametrize(
+    "desc,S", [("Sp(8,R)", frozenset()), ("U(3,3)", frozenset(range(1, 6)))]
+)
+def test_double_cosets_take_one_product_per_right_element_and_coset(
+    desc, S, monkeypatch
+):
+    cat = compact_weyl_catalog(desc)
+    _, levi_theta = _cosets_for_subset(cat, S)
+    monkeypatch.setattr(weyl, "_LEFT_COSET_TABLES", {})
+    build = weyl._build_left_coset_table
+    builds = []
+
+    def counted_build(left, ambient):
+        builds.append(left)
+        return build(left, ambient)
+
+    mul = WeylElement.__mul__
+    products = 0
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(weyl, "_build_left_coset_table", counted_build)
+    monkeypatch.setattr(WeylElement, "__mul__", counted)
+    for _ in range(2):  # the second call reuses the first call's table
+        products = 0
+        cosets = double_cosets(cat.k_weyl, levi_theta, cat.w_theta)
+        assert products == len(cosets) * len(levi_theta)
+        assert len(builds) == 1
+    monkeypatch.undo()
+    assert sum(c.size for c in cosets) == len(cat.w_theta)

@@ -21,6 +21,7 @@ from cohoparam.weyl import (
 
 from oracles import (
     conjugate_element,
+    double_cosets_by_expansion,
     full_weyl_group,
     levi_weyl_group,
     longest_element,
@@ -276,6 +277,36 @@ def test_double_cosets_checks_the_subgroups_lie_in_the_ambient_group():
     ):
         with pytest.raises(MathCheckError, match=f"{name} subgroup is not inside"):
             double_cosets(left, right, cat.w_theta)
+
+
+def test_double_cosets_check_the_subgroups_after_the_table_is_kept():
+    # a good call keeps the left-coset table of (K, W^theta); the checks
+    # on `left` and `right` must still run on every later call
+    cat = compact_weyl_catalog("U(2,1)")
+    flip = WeylElement((0, 1, 2), (-1, 1, 1))
+    double_cosets(cat.k_weyl, cat.k_weyl, cat.w_theta)
+    bad_right = (WeylElement.identity(3), flip)
+    with pytest.raises(
+        MathCheckError, match="right subgroup is not inside the ambient group"
+    ):
+        double_cosets(cat.k_weyl, bad_right, cat.w_theta)
+    with pytest.raises(MathCheckError, match="left subgroup is not inside"):
+        double_cosets(cat.k_weyl + (flip,), cat.k_weyl, cat.w_theta)
+
+
+def test_double_cosets_report_a_listing_that_is_not_a_group():
+    # W^theta of U(2,1) less its last element: the right cosets of K no
+    # longer fit, and the subgroup checks still come first
+    cat = compact_weyl_catalog("U(2,1)")
+    ident = (WeylElement.identity(3),)
+    broken = cat.w_theta[:-1]
+    for route in (double_cosets, double_cosets_by_expansion):
+        with pytest.raises(MathCheckError, match="escapes the ambient group"):
+            route(ident, cat.k_weyl, broken)
+        with pytest.raises(MathCheckError, match="escapes the ambient group"):
+            route(cat.k_weyl, ident, broken)
+        with pytest.raises(MathCheckError, match="right subgroup is not inside"):
+            route(ident, cat.w_theta, broken)
 
 
 def test_double_cosets_partition_and_determinism():
