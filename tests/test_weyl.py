@@ -305,8 +305,11 @@ def test_double_cosets_report_a_listing_that_is_not_a_group():
             route(ident, cat.k_weyl, broken)
         with pytest.raises(MathCheckError, match="escapes the ambient group"):
             route(cat.k_weyl, ident, broken)
+        with pytest.raises(MathCheckError, match="left subgroup is not inside"):
+            route(cat.w_theta, ident, broken)
+        # the K-cosets of `broken` escape too, but `right` is reported
         with pytest.raises(MathCheckError, match="right subgroup is not inside"):
-            route(ident, cat.w_theta, broken)
+            route(cat.k_weyl, cat.w_theta, broken)
 
 
 def test_double_cosets_partition_and_determinism():
