@@ -263,8 +263,9 @@ def double_cosets(
 
 
 # (id(left), id(ambient)) -> (left, ambient, table).  An entry holds both
-# tuples, so neither id is reused while it stands; keying on identity
-# spares hashing every element of `ambient` on each call.  A catalog
+# tuples, so neither id is reused while it stands, and tuples cannot
+# change under it; keying on identity spares hashing every element of
+# `ambient` on each call.  A catalog
 # hands out the same tuples each time, so one table serves all of its
 # packets; 32 entries is the bound `_compact_weyl_catalog` keeps too
 _LEFT_COSET_TABLES: dict[tuple[int, int], tuple] = {}
