@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from functools import cached_property
 
 from ._record import record
 from .errors import InvalidWeightError
@@ -152,7 +153,11 @@ class HalfIntVector:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return ",".join(map(_fmt_half, self.twice))
+        return self._text
+
+    # kept on the instance: a memoized infinitesimal character is printed
+    # once per parameter
+    _text = cached_property(lambda self: ",".join(map(_fmt_half, self.twice)))
 
     def __repr__(self) -> str:
         return f"HalfIntVector.parse({str(self)!r})"

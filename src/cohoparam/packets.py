@@ -46,7 +46,7 @@ from operator import itemgetter
 from ._record import record
 from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
 from .params import CohomParameter
-from .rootdata import StandardParabolic, is_self_associate
+from .rootdata import StandardParabolic, _table_getter, is_self_associate
 from .weyl import (
     CompactWeylData,
     DoubleCoset,
@@ -151,7 +151,7 @@ def _member_from_coset(
     # w * l * w^-1 is the table itemgetter(*w^-1)(itemgetter(*l)(w)), with
     # levi_times[i] = itemgetter(*l_i) made once per packet; the plain
     # tuples hash and compare like the elements of K
-    after_inverse = itemgetter(*w.inverse())
+    after_inverse = _table_getter(w.inverse())
     conjugates = map(after_inverse, [l(w) for l in levi_times])
     inter = sum(map(cat.k_weyl_set.__contains__, conjugates))
     if len(levi_times) % inter:
@@ -213,7 +213,7 @@ def packet(
         unitary_blocks = _levi_blocks(cat.ambient_dim, param.S)
         first_part = cat.datum.signature[0]
 
-    levi_times = [itemgetter(*l) for l in levi_theta]
+    levi_times = [_table_getter(l) for l in levi_theta]
     members = []
     for coset in cosets:
         if unitary_blocks is not None:

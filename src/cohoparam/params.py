@@ -334,7 +334,11 @@ class ComplexParameter:
     def text(self) -> str:
         if not self.entries:
             return "0"
-        return "+".join(f"e{_fmt_half(two_d)}[{m}]" for two_d, m in self.entries)
+        return "+".join(map(_entry_text, self.entries))
+
+
+# the entries of images repeat across parameters
+_entry_text = lru_cache(maxsize=1024)(lambda e: f"e{_fmt_half(e[0])}[{e[1]}]")
 
 
 _C_ATOM_RE = re.compile(r"^e(-?\d+(?:/2)?)(?:\[(\d+)\])?$")
@@ -602,34 +606,16 @@ def _assign_quad_eps(
     return atoms, flag
 
 
-def _coordinate_pairs(cohom: CohomParameter) -> list[tuple[int, int]]:
-    """(doubled chi exponent, sl2 weight) of each coordinate.
-
-    The sl2 weight h is the coordinate of 2 rho-check_L, the Levi's coroot
-    sum, and chi = lam + rho-check - h/2, so in doubled ints the pair is
-    (lam2 + rho-check2 - h, h).
-    """
-    d = cohom.datum
-    out = []
-    sums = d.levi_coroot_sum(cohom.S)
-    for lam2, rho2, t in zip(cohom.lam.twice, d.rho_check.twice, sums):
-        if t % 2:
-            raise MathCheckError("sl2 weights must be integers")
-        h = t // 2
-        out.append((lam2 + rho2 - h, h))
-    return out
-
-
 def _selfdual_strings(
-    fam: str, coords: list[tuple[int, int]]
+    fam: str, coords: list[tuple[int, int]], zero: bool = False
 ) -> tuple[list[TwoDimAtom], list[int]]:
     """Two-dimensional atoms and zero-string lengths of a self-dual image.
 
     The image's pairs at exponent -x mirror those at +x, so only its pairs
     with x >= 0 are split: a string at x > 0 stands for itself and its
     mirror, one at x = 0 is a quad.  Sp_R and SO images are the coordinates
-    and their mirrors (and, for Sp_R, one (0, 0)); GL_R and SL_R images are
-    the coordinates alone, which must be their own mirror image.
+    and their mirrors (and, with `zero`, Sp_R's one (0, 0)); GL_R and SL_R
+    images are the coordinates alone, which must be their own mirror image.
     """
     if fam in ("GL_R", "SL_R"):
         full = Counter(coords)
@@ -645,7 +631,7 @@ def _selfdual_strings(
         table = Counter((x, h) if x > 0 else (-x, -h) for x, h in coords)
         # a zero coordinate's mirror (0, -h) is counted above, (0, h) here
         table.update((0, h) for x, h in coords if not x)
-        if fam == "Sp_R":
+        if zero:
             table[(0, 0)] += 1
     twodims, quadlens = [], []
     for x, m in _extract_strings(table):
@@ -656,37 +642,75 @@ def _selfdual_strings(
     return twodims, quadlens
 
 
+def _split_cell(datum: RootDatum, lam: HalfIntVector, cell: tuple) -> tuple:
+    """The strings of one block of `RootDatum._levi_blocks` (for GL_R and
+    SL_R, the block and its mirror), in two parts: for U all (x2, m) and ();
+    for GL_C those of each factor; for the self-dual families the two-dim
+    atoms and the zero-string lengths.  Coordinate k gives the pair
+    (lam2 + rho-check2 - h, h), h its entry of the block's 2 rho-check_L.
+    """
+    roots, first, last = cell
+    fam, n = datum.family, datum.ambient_dim
+    coords = list(range(first, last + 1))
+    if fam in ("GL_R", "SL_R") and first + last < n - 1:
+        roots += tuple(datum.theta_subset(roots))
+        coords += range(n - 1 - last, n - first)
+    sums = datum.levi_coroot_sum(roots) if roots else [0] * n
+    pairs = []
+    for k in coords:
+        if sums[k] % 2:
+            raise MathCheckError("sl2 weights must be integers")
+        h = sums[k] // 2
+        pairs.append((lam.twice[k] + datum.rho_check.twice[k] - h, h))
+    if fam in ("U", "GL_C"):
+        j = len(pairs) if fam == "U" else max(0, n // 2 - first)
+        return tuple(_extract_strings(pairs[:j])), tuple(_extract_strings(pairs[j:]))
+    twodims, quadlens = _selfdual_strings(fam, pairs, fam == "Sp_R" and datum.rank in roots)
+    return tuple(twodims), tuple(quadlens)
+
+
+@lru_cache(maxsize=128)
+def _cell_pieces(datum: RootDatum, lam: HalfIntVector) -> dict[tuple, tuple]:
+    """`_split_cell` of each Levi block met so far at one (datum, lam)."""
+    return {}
+
+
 def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParameter:
-    """Push a subset-side parameter through the dual standard representation."""
-    fam = cohom.datum.family
-    coords = _coordinate_pairs(cohom)
-    n = cohom.datum.ambient_dim
+    """Push a subset-side parameter through the dual standard representation.
 
-    if fam == "U":
-        return ComplexParameter(tuple(_extract_strings(coords)))
-
-    if fam == "GL_C":
-        half = n // 2
-        s1 = _extract_strings(coords[:half])
-        s2 = _extract_strings(coords[half:])
-        if Counter((-x, m) for x, m in s1) != Counter(s2):
+    Restricted to the dual Levi, the standard representation is the direct
+    sum of the blocks' (Vogan-Zuckerman; Adams-Johnson), and the string
+    counts mult(h) - mult(h+2) add over a direct sum: the image puts its
+    blocks' strings together, each block split once per (datum, lam).
+    """
+    datum, fam, lam = cohom.datum, cohom.datum.family, cohom.lam
+    memo = _cell_pieces(datum, lam)
+    pieces = []
+    cells = datum._levi_blocks(cohom.S)
+    if fam in ("GL_R", "SL_R"):  # theta maps coordinate k to n-1-k, blocks to
+        # blocks: each one up to the middle stands for its mirror too
+        cells = [cell for cell in cells if cell[1] + cell[2] < datum.ambient_dim]
+    for cell in cells:
+        if cell not in memo:
+            memo[cell] = _split_cell(datum, lam, cell)
+        pieces.append(memo[cell])
+    one, two = ([s for piece in pieces for s in piece[k]] for k in (0, 1))
+    if fam in ("U", "GL_C"):
+        if fam == "GL_C" and Counter((-x, m) for x, m in one) != Counter(two):
             raise MathCheckError("second factor is not the conjugate of the first")
-        return ComplexParameter(tuple(s1))
-
+        return ComplexParameter(tuple(one))
     # self-dual families: the determinant class constrains the quad signs
-    if fam in ("GL_R", "SL_R", "SO_odd"):
-        delta = None
-    elif fam == "Sp_R":
-        delta = 0
-    elif fam == "SO_even":
-        p, q = cohom.datum.signature
-        delta = (q - n) % 2
-    else:  # pragma: no cover
+    if fam not in ("GL_R", "SL_R", "SO_odd", "Sp_R", "SO_even"):  # pragma: no cover
         raise UnsupportedGroupError(f"no standard-representation rule for {fam}")
-    twodims, quadlens = _selfdual_strings(fam, coords)
-    twodim_det = sum(t.det_exponent for t in twodims) % 2
-    quads, flag = _assign_quad_eps(quadlens, twodim_det, delta)
-    return GLParameter(tuple(twodims + quads), 0, flag)
+    delta = 0 if fam == "Sp_R" else None
+    if fam == "SO_even":
+        delta = (datum.signature[1] - datum.ambient_dim) % 2
+    if fam == "Sp_R" and datum.rank not in cohom.S:
+        two.append(1)  # the extra (0, 0) of Sp_R, alone: w[1]
+    two.sort(reverse=True)
+    twodim_det = sum(t.det_exponent for t in one) % 2
+    quads, flag = _assign_quad_eps(two, twodim_det, delta)
+    return GLParameter(tuple(one + quads), 0, flag)
 
 
 # ---------------------------------------------------------------------------

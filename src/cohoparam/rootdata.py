@@ -69,7 +69,7 @@ class WeylElement(tuple):
     so entry j is the signed 1-based image of e_j, and Python's negative
     indexing reads entry -j as -w_j, the image of -e_j.  The product
     u * w (apply w first) is then u[w[j]] entry by entry, one C-level
-    ``itemgetter(*w)(u)`` (for n >= 1), and hash and equality are those of
+    ``itemgetter(*w)(u)`` (`_table_getter`), and hash and equality are those of
     the one tuple.  `perm` and `signs` are decoded views of the window
     (w_1, ..., w_n), which is also the printed form.  The element is the
     tuple itself rather than an object holding one: CPython keeps up to
@@ -135,7 +135,7 @@ class WeylElement(tuple):
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         """self o other (apply `other` first): entry j is self[other[j]]."""
-        return _new_tuple(WeylElement, itemgetter(*other)(self))
+        return _new_tuple(WeylElement, _table_getter(other)(self))
 
     def inverse(self) -> "WeylElement":
         inv = [0] * self.n
@@ -163,6 +163,12 @@ class WeylElement(tuple):
 _new_tuple = tuple.__new__
 _NEGATIVE = (0).__gt__  # _NEGATIVE(w) is w < 0
 _DECREMENT = (-1).__add__
+
+
+def _table_getter(w: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """u |-> the table of u * w, as `itemgetter(*w)`; for n = 0 the table
+    (0,) has one entry, where `itemgetter` would return it bare."""
+    return itemgetter(*w) if len(w) > 1 else lambda u: (u[w[0]],)
 
 
 def _from_window(window) -> WeylElement:
@@ -361,38 +367,54 @@ class RootDatum:
         """<alpha_i, alpha_j-check> for 1-based indices."""
         return self.alpha(i).dot(self.alpha_check(j))
 
-    # -- Levi coroot sums ----------------------------------------------------
+    # -- Levi blocks and coroot sums -----------------------------------------
 
     @cached_property
-    def _dynkin_neighbours(self) -> tuple[frozenset[int], ...]:
-        """Dynkin neighbours of each simple root, by 1-based index (0 unused).
+    def _coroot_spans(self) -> tuple[tuple[int, int], ...]:
+        """(first, last) 0-based coordinate of each simple coroot, by 1-based
+        index, both growing with it; entry 0 is (n, n), just past the end."""
+        supports = ([k for k, t in enumerate(c.twice) if t] for c in self.simple_coroots)
+        return ((self.ambient_dim,) * 2,) + tuple((k[0], k[-1]) for k in supports)
 
-        i and j are joined when <alpha_i, alpha_j-check> != 0, so the two
-        fork nodes of type D are not joined to each other.
+    def _levi_blocks(self, S: Iterable[int]) -> list[tuple[tuple[int, ...], int, int]]:
+        """The blocks of the Levi S, as (roots, first, last 0-based coordinate).
+
+        Roots of S that share a coordinate form one block: the Dynkin
+        components of S, with the two fork nodes of type D (orthogonal, so
+        not Dynkin neighbours) joined.  Each run of coordinates that no root
+        of S touches is a block without roots.  S must lie in 1..rank.
         """
-        nodes = range(1, self.rank + 1)
-        return (frozenset(),) + tuple(
-            frozenset(j for j in nodes if j != i and self.pairing(i, j)) for i in nodes
-        )
+        spans = self._coroot_spans
+        out, roots, first, last = [], (), 0, -1
+        for i in (*sorted(S), 0):  # 0 ends the walk: its span is (n, n)
+            a, b = spans[i]
+            if a <= last:
+                roots += (i,)
+                last = b
+                continue
+            if roots:
+                out.append((roots, first, last))
+            if a > last + 1:
+                out.append(((), last + 1, a - 1))
+            roots, first, last = (i,), a, b
+        return out
 
     @cached_property
-    def _component_coroot_sums(
-        self,
-    ) -> dict[frozenset[int], tuple[tuple[int, int], ...]]:
-        """Memo of `levi_coroot_sum`: a connected simple-root subset maps to
-        the nonzero (coordinate, doubled entry) pairs of its coroot sum.
+    def _block_coroot_sums(self) -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """Memo of `levi_coroot_sum`: the roots of a block map to the nonzero
+        (coordinate, doubled entry) pairs of its coroot sum.
 
-        A classical Dynkin diagram has O(rank^2) connected subsets, so the
-        memo stays small however many Levi subsets are asked for.
+        A classical Dynkin diagram has O(rank^2) blocks, so the memo stays
+        small however many Levi subsets are asked for.
         """
         return {}
 
-    def _coroot_sum_on(self, component: frozenset[int]) -> tuple[tuple[int, int], ...]:
+    def _coroot_sum_on(self, block: frozenset[int]) -> tuple[tuple[int, int], ...]:
         supports = _positive_root_supports(self)
         coroots = [
             coroot.twice
             for (_, coroot), support in zip(self.positive_roots, supports)
-            if support <= component
+            if support <= block
         ]
         sums = [sum(col) for col in zip(*coroots)]
         return tuple((k, t) for k, t in enumerate(sums) if t)
@@ -401,26 +423,15 @@ class RootDatum:
         """Doubled entries of the sum of the Levi S's positive coroots (2 rho-check_L).
 
         The support of a root is connected, so the Levi's positive roots are
-        those of the connected components of S, and the sum is the sum of
-        the components' memoized sums.  S must lie in 1..rank.
+        those of its blocks, and the sum is the sum of the blocks' memoized
+        sums.  S must lie in 1..rank.
         """
-        neighbours = self._dynkin_neighbours
-        memo = self._component_coroot_sums
+        memo = self._block_coroot_sums
         acc = [0] * self.ambient_dim
-        left = set(S)
-        while left:
-            stack = [left.pop()]
-            component = set(stack)
-            while stack:
-                near = neighbours[stack.pop()] & left
-                left -= near
-                component |= near
-                stack.extend(near)
-            key = frozenset(component)
-            entries = memo.get(key)
-            if entries is None:
-                entries = memo[key] = self._coroot_sum_on(key)
-            for k, t in entries:
+        for roots, _, _ in self._levi_blocks(S):
+            if roots not in memo:
+                memo[roots] = self._coroot_sum_on(frozenset(roots))
+            for k, t in memo[roots]:
                 acc[k] += t
         return acc
 

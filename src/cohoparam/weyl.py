@@ -78,6 +78,7 @@ from .rootdata import (
     RootDatum,
     WeylElement,
     _new_tuple,
+    _table_getter,
     build_classical_dual,
 )
 
@@ -168,7 +169,7 @@ def subgroup_closure(
     frontier = [ident]
     # w * g is the plain tuple itemgetter(*g)(w), which hashes and compares
     # like the element; only a new one is made a `WeylElement`
-    times = [itemgetter(*g) for g in gens]
+    times = [_table_getter(g) for g in gens]
     while frontier:
         nxt = []
         for w in frontier:
@@ -202,7 +203,7 @@ def theta_fixed_subgroup(
     """
     pool = set(elements)
     # theta * w * theta^-1 has entry j theta[w[theta^-1[j]]]
-    after_inverse = itemgetter(*theta.inverse())
+    after_inverse = _table_getter(theta.inverse())
     fixed = []
     for w in elements:
         cw = tuple(map(theta.__getitem__, after_inverse(w)))
@@ -300,7 +301,7 @@ def _build_left_coset_table(left, ambient):
             # k * w is itemgetter(*w)(k), a plain tuple equal to the element;
             # the coset holds w, and each of its members lies in `ambient`
             # (get is not None) and in no coset so far (-1)
-            coset = dict.fromkeys(map(itemgetter(*w), left), len(minima))
+            coset = dict.fromkeys(map(_table_getter(w), left), len(minima))
             if w not in coset or set(map(index.get, coset)) != {-1}:
                 return index, None
             index.update(coset)  # keeps the element keys of `ambient`

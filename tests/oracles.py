@@ -17,22 +17,30 @@ the route it checks:
   datum, a standard parabolic or an epsilon element;
 * the mirror-symmetric compositions grown by recursion or filtered from
   all compositions, and `gl_cascade_parameters` over the filtered ones,
-  against the library's one walker (a half, a middle, the half reversed).
+  against the library's one walker (a half, a middle, the half reversed);
+* `standard_rep_by_whole_table`, which splits the (exponent, sl2 weight)
+  pairs of all coordinates at once, against `standard_rep_parameter`,
+  which puts together the strings of each Levi block, split once per weight.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 
 from cohoparam.errors import MathCheckError, WeylSizeError
 from cohoparam.halfint import HalfIntVector
 from cohoparam.params import (
+    CohomParameter,
+    ComplexParameter,
     GLParameter,
     TwoDimAtom,
     _assign_quad_eps,
     _block_compositions,
     _compositions,
+    _extract_strings,
+    _selfdual_strings,
 )
 from cohoparam.rootdata import (
     EpsilonElement,
@@ -275,3 +283,52 @@ def gl_cascade_by_filter(n: int, lam: HalfIntVector | None = None):
         out.append(GLParameter(tuple(atoms + quads), twist2, flag))
     out.sort(key=lambda p: p.text())
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# standard-representation images from the whole table
+
+
+def coordinate_pairs(cohom: CohomParameter) -> list[tuple[int, int]]:
+    """(doubled chi exponent, sl2 weight) of each coordinate.
+
+    The sl2 weight h is the coordinate of 2 rho-check_L, the Levi's coroot
+    sum, and chi = lam + rho-check - h/2, so in doubled ints the pair is
+    (lam2 + rho-check2 - h, h).
+    """
+    d = cohom.datum
+    out = []
+    sums = d.levi_coroot_sum(cohom.S)
+    for lam2, rho2, t in zip(cohom.lam.twice, d.rho_check.twice, sums):
+        if t % 2:
+            raise MathCheckError("sl2 weights must be integers")
+        h = t // 2
+        out.append((lam2 + rho2 - h, h))
+    return out
+
+
+def standard_rep_by_whole_table(cohom: CohomParameter):
+    """The image with every coordinate's pair split in one table."""
+    fam = cohom.datum.family
+    coords = coordinate_pairs(cohom)
+    n = cohom.datum.ambient_dim
+    if fam == "U":
+        return ComplexParameter(tuple(_extract_strings(coords)))
+    if fam == "GL_C":
+        half = n // 2
+        s1 = _extract_strings(coords[:half])
+        s2 = _extract_strings(coords[half:])
+        if Counter((-x, m) for x, m in s1) != Counter(s2):
+            raise MathCheckError("second factor is not the conjugate of the first")
+        return ComplexParameter(tuple(s1))
+    if fam in ("GL_R", "SL_R", "SO_odd"):
+        delta = None
+    elif fam == "Sp_R":
+        delta = 0
+    else:
+        p, q = cohom.datum.signature
+        delta = (q - n) % 2
+    twodims, quadlens = _selfdual_strings(fam, coords, fam == "Sp_R")
+    twodim_det = sum(t.det_exponent for t in twodims) % 2
+    quads, flag = _assign_quad_eps(quadlens, twodim_det, delta)
+    return GLParameter(tuple(twodims + quads), 0, flag)

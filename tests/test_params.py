@@ -8,15 +8,18 @@ through the independent direct routes.
 """
 
 import hashlib
+import importlib.util
 import itertools
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohoparam.errors import (
+    CohoparamError,
     InvalidWeightError,
     MathCheckError,
     UnsupportedGroupError,
@@ -51,7 +54,12 @@ from cohoparam.rootdata import (
     dominant_orbit_rep,
 )
 
-from oracles import gl_cascade_by_filter
+from oracles import coordinate_pairs, gl_cascade_by_filter, standard_rep_by_whole_table
+
+_RECORD = Path(__file__).parent / "golden" / "record.py"
+_spec = importlib.util.spec_from_file_location("golden_record", _RECORD)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
 
 
 def zero(n: int) -> HalfIntVector:
@@ -299,8 +307,7 @@ class TestCohomParameter:
                 CohomParameter(d, frozenset(S), HalfIntVector.from_ints(*weight))
             assert str(exc.value) == message
 
-    def test_levi_rho_check_computed_once_per_image(self, monkeypatch):
-        c = enumerate_cohomological("Sp(6,R)")[-1]
+    def test_levi_coroot_sum_called_once_per_block_per_weight(self, monkeypatch):
         seen = []
         original = RootDatum.levi_coroot_sum
 
@@ -309,8 +316,23 @@ class TestCohomParameter:
             return original(self, S)
 
         monkeypatch.setattr(RootDatum, "levi_coroot_sum", counted)
-        assert standard_rep_parameter(c).text() == "w0[7]"
-        assert seen == [c.S]
+        params._cell_pieces.cache_clear()
+        for group in ("Sp(10,R)", "GL(9,R)", "U(4,4)", "SO(5,5)", "GL(4,C)"):
+            d = build_classical_dual(group)
+            lam = HalfIntVector.parse(golden.nonzero_weights(group)[0])
+            for weight in (zero(d.ambient_dim), lam, zero(d.ambient_dim)):
+                before = len(seen)
+                for c in enumerate_cohomological(d, weight):
+                    standard_rep_parameter(c)
+                calls = seen[before:]
+                # no block is summed twice at one weight, and each call is
+                # one block (for GL_R, a block and its mirror), never all of S
+                assert len(calls) == len(set(calls)), group
+                for S in calls:
+                    blocks = [b for b in d._levi_blocks(S) if b[0]]
+                    assert len(blocks) == 1 or (d.family == "GL_R" and len(blocks) == 2)
+            # the third pass repeats the first weight: every block is memoized
+            assert calls == [], group
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +529,15 @@ SELFDUAL_GROUPS = tuple(
 def test_selfdual_strings_match_oracle(case):
     datum, lam = case
     for c in enumerate_cohomological(datum, lam):
-        coords = params._coordinate_pairs(c)
+        coords = coordinate_pairs(c)
         # the whole image: Sp and SO add each coordinate's mirror, Sp one (0, 0)
         sym = list(coords)
         if datum.family not in ("GL_R", "SL_R"):
             sym += [(-x, -h) for x, h in coords]
         if datum.family == "Sp_R":
             sym.append((0, 0))
-        twodims, quadlens = params._selfdual_strings(datum.family, coords)
+        zero_pair = datum.family == "Sp_R"
+        twodims, quadlens = params._selfdual_strings(datum.family, coords, zero_pair)
         expected = pair_strings_oracle(extract_strings_oracle(sym))
         assert (sorted(twodims, reverse=True), quadlens) == expected
 
@@ -535,6 +558,81 @@ def test_gl_image_that_is_not_selfdual_is_rejected(family, coords, message):
     with pytest.raises(MathCheckError) as exc:
         params._selfdual_strings(family, coords)
     assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# images put together from Levi blocks against the whole-table split
+
+
+def _image_or_error(route, c):
+    try:
+        return route(c)
+    except CohoparamError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("group", golden.GROUPS)
+def test_block_images_match_the_whole_table(group):
+    """Every theta-stable S at the zero weight and both nonzero weights."""
+    d = build_classical_dual(group)
+    compared = 0
+    for weight in (None, *golden.nonzero_weights(group)):
+        lam = zero(d.ambient_dim) if weight is None else HalfIntVector.parse(weight)
+        for S in golden.theta_stable_subsets(group):
+            try:
+                c = CohomParameter(d, frozenset(S), lam)
+            except InvalidWeightError:
+                continue  # both routes start from a valid parameter
+            assert _image_or_error(standard_rep_parameter, c) == _image_or_error(
+                standard_rep_by_whole_table, c
+            ), (weight, S)
+            compared += 1
+    assert compared >= 1
+
+
+@pytest.mark.parametrize(
+    "group,S,blocks,text",
+    [
+        # the D fork: e3 - e4 and e3 + e4 are orthogonal but share coordinates
+        ("SO(4,4)", (3, 4), [((), 0, 1), ((3, 4), 2, 3)], "s6[1]+s4[1]+w0[3]+w0[1]"),
+        ("SO(4,4)", (1, 3, 4), [((1,), 0, 1), ((3, 4), 2, 3)], "s5[2]+w0[3]+w0[1]"),
+        ("SO(6,4)", (4, 5), [((), 0, 2), ((4, 5), 3, 4)], "s8[1]+s6[1]+s4[1]+w0[3]+w0[1]"),
+        # the Sp_R tail: the extra (0, 0) joins the block of the last root ...
+        ("Sp(8,R)", (4,), [((), 0, 2), ((4,), 3, 3)], "s8[1]+s6[1]+s4[1]+w1[3]"),
+        ("Sp(8,R)", (3, 4), [((), 0, 1), ((3, 4), 2, 3)], "s8[1]+s6[1]+w0[5]"),
+        # ... and stands alone as w[1] without it
+        ("Sp(8,R)", (2, 3), [((), 0, 0), ((2, 3), 1, 3)], "s8[1]+s4[3]+w0[1]"),
+        ("Sp(8,R)", (), [((), 0, 3)], "s8[1]+s6[1]+s4[1]+s2[1]+w0[1]"),
+        # GL_R, odd and even n: a block and its mirror, or a block on the middle
+        ("GL(5,R)", (1, 4), [((1,), 0, 1), ((), 2, 2), ((4,), 3, 4)], "s3[2]+w0[1]"),
+        ("GL(5,R)", (2, 3), [((), 0, 0), ((2, 3), 1, 3), ((), 4, 4)], "s4[1]+w0[3]"),
+        ("GL(6,R)", (1, 5), [((1,), 0, 1), ((), 2, 3), ((5,), 4, 5)], "s4[2]+s1[1]"),
+        ("GL(6,R)", (3,), [((), 0, 1), ((3,), 2, 3), ((), 4, 5)], "s5[1]+s3[1]+w0[2]"),
+        # GL_C: a block without roots may run across the two factors
+        ("GL(3,C)", (), [((), 0, 5)], "e1[1]+e0[1]+e-1[1]"),
+        ("GL(3,C)", (1, 4), [((1,), 0, 1), ((), 2, 3), ((4,), 4, 5)], "e1/2[2]+e-1[1]"),
+        ("GL(3,C)", (1, 2, 3, 4), [((1, 2), 0, 2), ((3, 4), 3, 5)], "e0[3]"),
+    ],
+)
+def test_levi_blocks_and_their_images(group, S, blocks, text):
+    d = build_classical_dual(group)
+    assert d._levi_blocks(S) == blocks
+    c = CohomParameter(d, frozenset(S), zero(d.ambient_dim))
+    assert standard_rep_parameter(c) == standard_rep_by_whole_table(c)
+    assert standard_rep_parameter(c).text() == text
+
+
+@pytest.mark.parametrize("group,S", [("GL(4,R)", ()), ("GL(4,R)", (1, 3)), ("GL(3,C)", ())])
+def test_block_images_reject_a_weight_that_is_not_theta_fixed(group, S):
+    # forged past the parameter's own checks, which refuse this weight
+    d = build_classical_dual(group)
+    lam = HalfIntVector.from_ints(1, *[0] * (d.ambient_dim - 1))
+    c = object.__new__(CohomParameter)
+    for name, value in (("datum", d), ("S", frozenset(S)), ("lam", lam)):
+        object.__setattr__(c, name, value)
+    for route in (standard_rep_parameter, standard_rep_by_whole_table):
+        with pytest.raises(MathCheckError, match="not self-dual|not the conjugate"):
+            route(c)
 
 
 # ---------------------------------------------------------------------------

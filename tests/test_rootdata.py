@@ -414,11 +414,12 @@ def test_component_sums_match_the_whole_root_filter(desc):
 
 def test_fork_nodes_are_separate_components():
     d = build_classical_dual("SO(4,4)")  # D_4: 2 is the centre, 3 and 4 the fork
-    assert d._dynkin_neighbours[1:] == (
-        frozenset({2}), frozenset({1, 3, 4}), frozenset({2}), frozenset({2})
-    )
-    # e_3 - e_4 and e_3 + e_4 are orthogonal: their coroots add to 2 e_3
+    neighbours = [{j for j in range(1, 5) if j != i and d.pairing(i, j)} for i in range(1, 5)]
+    assert neighbours == [{2}, {1, 3, 4}, {2}, {2}]
+    # e_3 - e_4 and e_3 + e_4 are orthogonal: their coroots add to 2 e_3;
+    # they share both coordinates, so the Levi has them in one block
     assert d.levi_coroot_sum({3, 4}) == [0, 0, 4, 0]
+    assert d._levi_blocks({3, 4}) == [((), 0, 1), ((3, 4), 2, 3)]
 
 
 # -- principal SL2 -----------------------------------------------------------

@@ -124,6 +124,19 @@ def test_entries_that_are_not_signed_indices_decode_to_zero():
     assert str(WeylElement((0, 1, 2), (1, 0, 1))) == "(1 0 3)"
 
 
+def test_ambient_dimension_zero():
+    # the table (0,) has one entry, where itemgetter of one index would
+    # return the bare entry: the product, the closure, the theta-fixed
+    # subgroup and the double cosets all take it as a one-entry table
+    e = WeylElement.identity(0)
+    assert e * e == e and (e * e).is_identity and type(e * e) is WeylElement
+    assert subgroup_closure([e]) == (e,)
+    assert subgroup_closure([], n=0) == (e,)
+    assert theta_fixed_subgroup((e,), e) == (e,)
+    (coset,) = double_cosets((e,), (e,), (e,))
+    assert (coset.rep, coset.size) == (e, 1)
+
+
 def test_simple_reflections_B2():
     d = build_classical_dual("Sp(4,R)")  # B_2
     s1 = simple_reflection(d, 1)
