@@ -697,7 +697,7 @@ class StandardParabolic:
     """A standard parabolic of the dual group, named by its Levi subset S.
 
     S contains 1-based simple-root indices.  The Levi's rho-check is
-    summed on every access from the datum's per-component memo
+    summed on every access from the datum's per-block memo
     (`RootDatum.levi_coroot_sum`) and never stored per S; a caller that
     needs it twice keeps the value.
     """
