@@ -506,8 +506,8 @@ def enumerate_cohomological(
 def _extract_strings(pairs: Counter | list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Split a table of (doubled exponent, sl2 weight) pairs into sl2-strings.
 
-    The table is a `Counter` of pairs or a list of them, and is copied, not
-    used up.  Each returned (x2, m) certifies the presence of the m pairs
+    The table is a dict of pair counts or a list of pairs, and is not used
+    up.  Each returned (x2, m) certifies the presence of the m pairs
     (x2, m-1), (x2, m-3), ..., (x2, -(m-1)); the strings come longest first,
     in (m, x2)-descending order.
 
@@ -518,11 +518,11 @@ def _extract_strings(pairs: Counter | list[tuple[int, int]]) -> list[tuple[int, 
     goes to the greedy walk, which names the first missing or unmatched
     pair in its error.
     """
-    work = Counter(pairs)
+    work = pairs if isinstance(pairs, dict) else Counter(pairs)
     tops = []
     for (x, h), c in work.items():
         if work.get((x, -h)) != c or (h >= 2 and work.get((x, h - 2), 0) < c):
-            return _extract_strings_greedy(work)
+            return _extract_strings_greedy(Counter(work))
         if h >= 0:
             k = c - work.get((x, h + 2), 0)
             if k > 0:
@@ -626,11 +626,11 @@ def _selfdual_strings(
                     f"image is not self-dual: {c} of ({_fmt_half(x)}, {h}) "
                     f"against {mirror} of ({_fmt_half(-x)}, {-h})"
                 )
-        table = Counter({p: c for p, c in full.items() if p[0] >= 0})
+        table = {p: c for p, c in full.items() if p[0] >= 0}
     else:
-        table = Counter((x, h) if x > 0 else (-x, -h) for x, h in coords)
-        # a zero coordinate's mirror (0, -h) is counted above, (0, h) here
-        table.update((0, h) for x, h in coords if not x)
+        # a zero coordinate's mirror (0, -h) is counted first, (0, h) second
+        table = Counter([(x, h) if x > 0 else (-x, -h) for x, h in coords]
+                        + [(0, h) for x, h in coords if not x])
         if zero:
             table[(0, 0)] += 1
     twodims, quadlens = [], []
@@ -656,12 +656,12 @@ def _split_cell(datum: RootDatum, lam: HalfIntVector, cell: tuple) -> tuple:
         roots += tuple(datum.theta_subset(roots))
         coords += range(n - 1 - last, n - first)
     sums = datum.levi_coroot_sum(roots) if roots else [0] * n
-    pairs = []
+    lam2, rho2, pairs = lam.twice, datum.rho_check.twice, []
     for k in coords:
         if sums[k] % 2:
             raise MathCheckError("sl2 weights must be integers")
         h = sums[k] // 2
-        pairs.append((lam.twice[k] + datum.rho_check.twice[k] - h, h))
+        pairs.append((lam2[k] + rho2[k] - h, h))
     if fam in ("U", "GL_C"):
         j = len(pairs) if fam == "U" else max(0, n // 2 - first)
         return tuple(_extract_strings(pairs[:j])), tuple(_extract_strings(pairs[j:]))
@@ -685,16 +685,16 @@ def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParame
     """
     datum, fam, lam = cohom.datum, cohom.datum.family, cohom.lam
     memo = _cell_pieces(datum, lam)
-    pieces = []
-    cells = datum._levi_blocks(cohom.S)
-    if fam in ("GL_R", "SL_R"):  # theta maps coordinate k to n-1-k, blocks to
-        # blocks: each one up to the middle stands for its mirror too
-        cells = [cell for cell in cells if cell[1] + cell[2] < datum.ambient_dim]
-    for cell in cells:
-        if cell not in memo:
-            memo[cell] = _split_cell(datum, lam, cell)
-        pieces.append(memo[cell])
-    one, two = ([s for piece in pieces for s in piece[k]] for k in (0, 1))
+    one, two = [], []
+    mirrored = fam in ("GL_R", "SL_R")  # theta: k -> n-1-k; a block stands for its mirror
+    for cell in datum._levi_blocks(cohom.S):
+        if mirrored and cell[1] + cell[2] >= datum.ambient_dim:
+            continue
+        piece = memo.get(cell)
+        if piece is None:
+            piece = memo[cell] = _split_cell(datum, lam, cell)
+        one += piece[0]
+        two += piece[1]
     if fam in ("U", "GL_C"):
         if fam == "GL_C" and Counter((-x, m) for x, m in one) != Counter(two):
             raise MathCheckError("second factor is not the conjugate of the first")

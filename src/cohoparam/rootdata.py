@@ -388,15 +388,14 @@ class RootDatum:
         out, roots, first, last = [], (), 0, -1
         for i in (*sorted(S), 0):  # 0 ends the walk: its span is (n, n)
             a, b = spans[i]
-            if a <= last:
-                roots += (i,)
-                last = b
-                continue
-            if roots:
-                out.append((roots, first, last))
-            if a > last + 1:
-                out.append(((), last + 1, a - 1))
-            roots, first, last = (i,), a, b
+            if a > last:  # i shares no coordinate with the open block
+                if roots:
+                    out.append((roots, first, last))
+                if a > last + 1:
+                    out.append(((), last + 1, a - 1))
+                roots, first = (), a
+            roots += (i,)
+            last = b
         return out
 
     @cached_property
