@@ -167,12 +167,7 @@ def _locate_cohomological(descriptor: str, text: str):
 
 
 def cmd_transfer(args) -> int:
-    kind = EMBEDDINGS.get(args.embedding)
-    if kind is None:
-        raise UnsupportedGroupError(
-            f"unknown embedding {args.embedding!r}; choose from "
-            f"{sorted(EMBEDDINGS)}"
-        )
+    kind = EMBEDDINGS[args.embedding]  # argparse accepts only these choices
     if args.disc != "trivial":
         raise UnsupportedGroupError(
             "only the trivial normalized discriminant is supported"

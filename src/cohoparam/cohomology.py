@@ -142,9 +142,6 @@ def _emit(poly: PoincarePolynomial) -> PoincarePolynomial:
 # symmetric-space tables
 
 
-SPACE_TAGS = ("U_n", "U/SO_odd", "U/SO_even", "U/O_even", "U/Sp")
-
-
 def symmetric_space_poincare(tag: str, n: int) -> PoincarePolynomial:
     """Poincare polynomial of one compact symmetric-space factor.
 
@@ -524,7 +521,7 @@ def innerform_sum_quasisplit(descriptor: str) -> InnerFormReport:
     datum = build_classical_dual(descriptor)
     fam = datum.family
     n = datum.ambient_dim
-    a_rank, b_rank, e = _torus_shape(fam, n, datum.signature)
+    a_rank, b_rank, e = _torus_shape(datum)
     rhs = 2**e
     betti = 2 ** (a_rank + b_rank + e)
     classes: list[dict] = []

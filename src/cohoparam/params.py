@@ -363,14 +363,14 @@ def parse_complex_parameter(text: str) -> ComplexParameter:
 
 
 @lru_cache(maxsize=128)
-def _weight_pairings(
-    datum: RootDatum, lam: HalfIntVector
-) -> tuple[tuple[Fraction, ...], int | None]:
-    """The checks of a weight that do not involve S, once per (datum, lam).
+def _at_weight(datum: RootDatum, lam: HalfIntVector) -> tuple:
+    """What a parameter reads off (datum, lam) alone, once per pair.
 
     Raises on a wrong length, a non-integral or a non-theta-fixed weight;
-    returns <lam, alpha_i-check> for i = 1..rank and the first i where it
-    is negative (None for a dominant weight).
+    returns <lam, alpha_i-check> for i = 1..rank, the first i where it is
+    negative (None for a dominant weight), the infinitesimal character
+    (the dominant representative of W.(lam + rho-check)), and the dict of
+    `_split_cell` pieces of the Levi blocks met so far at this weight.
     """
     if len(lam) != datum.ambient_dim:
         raise InvalidWeightError(
@@ -382,19 +382,24 @@ def _weight_pairings(
         raise InvalidWeightError(f"{lam} is not theta-fixed")
     pairings = tuple(lam.dot(coroot) for coroot in datum.simple_coroots)
     first_negative = next((i for i, p in enumerate(pairings, 1) if p < 0), None)
-    return pairings, first_negative
+    inf_char = dominant_orbit_rep(datum, lam + datum.rho_check)
+    return pairings, first_negative, inf_char, {}
 
 
 @record
 class CohomParameter:
     """A self-associate subset of simple roots plus a compatible weight.
 
-    Validity (checked eagerly; the checks of `lam` alone are memoized per
-    (datum, lam), those of S run for every parameter):
+    Validity (checked eagerly; the checks of `lam` alone run once per
+    (datum, lam) in `_at_weight`, those of S for every parameter):
 
     * `lam` is an integral dominant weight fixed by theta;
     * S is stable under theta;
     * `lam` pairs to zero with every coroot indexed by S.
+
+    Every parameter at one (datum, lam) keeps a reference to the same
+    `_at_weight` record, ``_weight``; it is not a field, so eq, hash and
+    repr do not see it.
     """
 
     datum: RootDatum
@@ -404,7 +409,8 @@ class CohomParameter:
     def __post_init__(self) -> None:
         d = self.datum
         rank = d.rank
-        pairings, first_negative = _weight_pairings(d, self.lam)
+        object.__setattr__(self, "_weight", _at_weight(d, self.lam))
+        pairings, first_negative, _, _ = self._weight
         # dominance and S-singularity are one scan over alpha_1..alpha_rank:
         # the lowest failing index decides which of the two is reported
         first_in_s = min(
@@ -433,7 +439,8 @@ class CohomParameter:
     def _chi_and_sl2(self) -> tuple[HalfIntVector, HalfIntVector]:
         """(chi, sl2) from one computation of rho-check of the Levi.
 
-        Nothing is kept on the parameter: an enumeration holds all of its
+        Nothing of its own is kept on the parameter, only its reference to
+        the shared per-weight record: an enumeration holds all of its
         parameters at once, and a cached value on each raised its peak memory.
         """
         rho_levi = self.parabolic.rho_check_levi
@@ -449,16 +456,15 @@ class CohomParameter:
 
     @property
     def inf_char(self) -> HalfIntVector:
-        return self.datum.infinitesimal_character(self.lam)
+        return self._weight[2]
 
     @property
     def central_ok(self) -> bool:
         """(-1)^(2 chi + sl2) equals (-1)^(2 rho-check), coordinatewise."""
-        two_chi = self.chi_exponent.scale(2)
+        chi, sl2 = self._chi_and_sl2()
+        two_chi = chi.scale(2)
         target = self.datum.rho_check.scale(2)
-        for a, b, c in zip(
-            two_chi.twice, self.sl2_cochar.twice, target.twice
-        ):
+        for a, b, c in zip(two_chi.twice, sl2.twice, target.twice):
             # a, b, c are doubled integers of integral vectors: values a/2 etc.
             if ((a + b) // 2) % 2 != (c // 2) % 2:
                 return False
@@ -481,8 +487,7 @@ def enumerate_cohomological(
     if lam is None:
         lam = HalfIntVector((0,) * datum.ambient_dim)
     # validate the weight once through the parameter with S = {}
-    CohomParameter(datum, frozenset(), lam)
-    pairings, _ = _weight_pairings(datum, lam)
+    pairings = CohomParameter(datum, frozenset(), lam)._weight[0]
     singular = [i for i, p in enumerate(pairings, 1) if p == 0]
     # lam is theta-fixed, so the involution theta maps the singular set to
     # itself, and its theta-stable subsets are the unions of the orbits
@@ -669,22 +674,17 @@ def _split_cell(datum: RootDatum, lam: HalfIntVector, cell: tuple) -> tuple:
     return tuple(twodims), tuple(quadlens)
 
 
-@lru_cache(maxsize=128)
-def _cell_pieces(datum: RootDatum, lam: HalfIntVector) -> dict[tuple, tuple]:
-    """`_split_cell` of each Levi block met so far at one (datum, lam)."""
-    return {}
-
-
 def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParameter:
     """Push a subset-side parameter through the dual standard representation.
 
     Restricted to the dual Levi, the standard representation is the direct
     sum of the blocks' (Vogan-Zuckerman; Adams-Johnson), and the string
     counts mult(h) - mult(h+2) add over a direct sum: the image puts its
-    blocks' strings together, each block split once per (datum, lam).
+    blocks' strings together, each block split once per (datum, lam) and
+    kept in the parameter's `_at_weight` record.
     """
     datum, fam, lam = cohom.datum, cohom.datum.family, cohom.lam
-    memo = _cell_pieces(datum, lam)
+    memo = cohom._weight[3]
     one, two = [], []
     mirrored = fam in ("GL_R", "SL_R")  # theta: k -> n-1-k; a block stands for its mirror
     for cell in datum._levi_blocks(cohom.S):

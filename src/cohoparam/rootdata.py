@@ -347,16 +347,6 @@ class RootDatum:
         return acc.scale(1, 2)
 
     @cached_property
-    def infinitesimal_character(self) -> Callable[[HalfIntVector], HalfIntVector]:
-        """lam |-> the dominant representative of W.(lam + rho-check).
-
-        Memoized per datum, so a lookup hashes lam alone.
-        """
-        return lru_cache(maxsize=128)(
-            lambda lam: dominant_orbit_rep(self, lam + self.rho_check)
-        )
-
-    @cached_property
     def rho_check(self) -> HalfIntVector:
         acc = HalfIntVector((0,) * self.ambient_dim)
         for _, coroot in self.positive_roots:
@@ -408,8 +398,23 @@ class RootDatum:
         """
         return {}
 
+    @cached_property
+    def _positive_root_supports(self) -> tuple[frozenset[int], ...]:
+        """Simple-root support of each positive root, in enumeration order.
+
+        The expansion does not depend on any Levi subset, so it is computed
+        once per datum; per-subset filtering stays uncached.
+        """
+        roots = [root for root, _ in self.positive_roots]
+        supports = []
+        for coeffs in _expand_each_in_basis(list(self.simple_roots), roots):
+            if coeffs is None:
+                raise MathCheckError("positive root outside simple-root span")
+            supports.append(frozenset(i + 1 for i, c in enumerate(coeffs) if c != 0))
+        return tuple(supports)
+
     def _coroot_sum_on(self, block: frozenset[int]) -> tuple[tuple[int, int], ...]:
-        supports = _positive_root_supports(self)
+        supports = self._positive_root_supports
         coroots = [
             coroot.twice
             for (_, coroot), support in zip(self.positive_roots, supports)
@@ -675,22 +680,6 @@ def _build_classical_dual(kind: str, first: int, second: int | str) -> RootDatum
 # parabolics
 
 
-@lru_cache(maxsize=None)
-def _positive_root_supports(datum: RootDatum) -> tuple[frozenset[int], ...]:
-    """Simple-root support of each positive root, in enumeration order.
-
-    The expansion does not depend on any Levi subset, so it is computed
-    once per datum; per-subset filtering stays uncached.
-    """
-    roots = [root for root, _ in datum.positive_roots]
-    supports = []
-    for coeffs in _expand_each_in_basis(list(datum.simple_roots), roots):
-        if coeffs is None:
-            raise MathCheckError("positive root outside simple-root span")
-        supports.append(frozenset(i + 1 for i, c in enumerate(coeffs) if c != 0))
-    return tuple(supports)
-
-
 @record
 class StandardParabolic:
     """A standard parabolic of the dual group, named by its Levi subset S.
@@ -937,18 +926,7 @@ def dominant_orbit_rep(datum: RootDatum, v: HalfIntVector) -> HalfIntVector:
 
 
 def is_regular_orbit(datum: RootDatum, v: HalfIntVector) -> bool:
-    """Is the W-stabilizer of v trivial (equivalently: no root pairs to zero)?"""
-    for f in datum.factors:
-        seg = list(v.twice[f.offset : f.offset + f.dim])
-        if f.cartan == "A":
-            if len(set(seg)) != len(seg):
-                return False
-        elif f.cartan in ("B", "C"):
-            a = [abs(t) for t in seg]
-            if len(set(a)) != len(a) or 0 in a:
-                return False
-        elif f.cartan == "D":
-            a = [abs(t) for t in seg]
-            if len(set(a)) != len(a) or a.count(0) > 1:
-                return False
-    return True
+    """Is the W-stabilizer of v trivial?  Exactly when its dominant
+    representative pairs nonzero with every simple coroot."""
+    dominant = dominant_orbit_rep(datum, v)
+    return all(dominant.dot(coroot) for coroot in datum.simple_coroots)

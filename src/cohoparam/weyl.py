@@ -466,23 +466,18 @@ def _closed_form_total(descriptor: str) -> int:
     """The catalog's 2**d_exponent * n_cosets off its row, no group built."""
     datum = build_classical_dual(descriptor)
     (_, w_theta), (_, k) = _checked_row(datum, descriptor, _cap(None))
-    split, cplx, _ = _torus_shape(datum.family, datum.ambient_dim, datum.signature)
+    split, cplx, _ = _torus_shape(datum)
     return 2 ** (split + cplx) * (w_theta // k)
 
 
-def _torus_shape(family: str, n: int, signature) -> tuple[int, int, int]:
+def _torus_shape(datum: RootDatum) -> tuple[int, int, int]:
     """(split, complex, circle) ranks of the fundamental torus, the
-    catalog's `cartan_signature` (the SL rows keep the GL shape: they model
-    the connected-compact flavor, not the literal special linear group)."""
-    if family in ("GL_R", "SL_R"):
-        return (n % 2, n // 2, 0)
-    if family == "GL_C":
-        return (0, n // 2, 0)
-    if family == "SO_even" and signature[1] % 2:
-        return (1, 0, n - 1)
-    if family in ("U", "Sp_R", "SO_odd", "SO_even"):
-        return (0, 0, n)
-    raise UnsupportedGroupError(f"no torus shape for family {family}")
+    catalog's `cartan_signature`, read off theta: the coordinates it
+    negates, the pairs it swaps and the coordinates it fixes."""
+    window = datum.theta_linear.window
+    split = sum(w == -k for k, w in enumerate(window, 1))
+    circle = sum(w == k for k, w in enumerate(window, 1))
+    return split, (len(window) - split - circle) // 2, circle
 
 
 def compact_weyl_catalog(
@@ -559,7 +554,7 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
         full_order=full_order,
         w_theta=w_theta,
         k_weyl=k_weyl,
-        cartan_signature=_torus_shape(datum.family, n, datum.signature),
+        cartan_signature=_torus_shape(datum),
         k_connected_only=datum.family in ("SO_odd", "SO_even"),
     )
 

@@ -179,6 +179,9 @@ ERROR_PATHS = (
     ["enumerate", "--group", "GL(2,R)", "--weight", "1e5000,0"],
     ["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1/3"],
     ["transfer", "--embedding", "diag", "--param", "s1[1]*nu^1e5000"],
+    ["transfer", "--embedding", "sp-gl", "--param", "s1[1]+w0[1]"],
+    ["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1"],
+    ["transfer", "--embedding", "sp-gl", "--param", "w0[1]+w0[1]+w0[1]"],
 )
 
 _ENV_CAP = "COHOPARAM_MAX_WEYL"

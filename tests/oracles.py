@@ -47,7 +47,6 @@ from cohoparam.rootdata import (
     RootDatum,
     StandardParabolic,
     WeylElement,
-    _positive_root_supports,
 )
 from cohoparam.weyl import DoubleCoset, _cap, subgroup_closure, weyl_order
 
@@ -205,7 +204,7 @@ def levi_positive(
     parabolic: StandardParabolic,
 ) -> list[tuple[HalfIntVector, HalfIntVector]]:
     """Positive (root, coroot) pairs of the Levi: those supported on S."""
-    supports = _positive_root_supports(parabolic.datum)
+    supports = parabolic.datum._positive_root_supports
     return [
         pair
         for pair, support in zip(parabolic.datum.positive_roots, supports)

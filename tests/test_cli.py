@@ -405,6 +405,9 @@ class TestExitCodes:
             (["enumerate", "--group", "GL(2,R)", "--weight", "1e5000,0"], 2),
             (["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1/3"], 2),
             (["transfer", "--embedding", "diag", "--param", "s1[1]*nu^1e5000"], 2),
+            (["transfer", "--embedding", "sp-gl", "--param", "s1[1]+w0[1]"], 3),
+            (["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1"], 3),
+            (["transfer", "--embedding", "sp-gl", "--param", "w0[1]+w0[1]+w0[1]"], 2),
         ],
     )
     def test_error_paths(self, argv, code, capsys):

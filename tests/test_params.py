@@ -222,14 +222,38 @@ class TestCohomParameter:
         assert str(c.sl2_cochar) == "0,2"
         assert str(c.inf_char) == "2,1"
 
-    def test_inf_char_once_per_weight(self):
+    def test_inf_char_once_per_weight(self, monkeypatch):
         d = build_classical_dual("Sp(6,R)")
         lams = [zero(3)] + [HalfIntVector.from_ints(*v) for v in ((2, 1, 0), (1, 1, 0))]
-        d.infinitesimal_character.cache_clear()
+        calls = []
+
+        def counted(datum, v):
+            calls.append(v)
+            return dominant_orbit_rep(datum, v)
+
+        monkeypatch.setattr(params, "dominant_orbit_rep", counted)
+        params._at_weight.cache_clear()
         for lam in lams:
             for c in enumerate_cohomological(d, lam):
                 assert c.inf_char == dominant_orbit_rep(d, lam + d.rho_check)
-        assert d.infinitesimal_character.cache_info().misses == len(lams)
+        assert params._at_weight.cache_info().misses == len(lams)
+        assert len(calls) == len(lams)
+
+    def test_every_parameter_of_an_enumeration_holds_one_weight_record(self):
+        for group in ("Sp(10,R)", "GL(9,R)", "U(4,4)", "SO(5,5)", "GL(4,C)"):
+            d = build_classical_dual(group)
+            lam = HalfIntVector.parse(golden.nonzero_weights(group)[0])
+            for weight in (zero(d.ambient_dim), lam):
+                params._at_weight.cache_clear()
+                cs = enumerate_cohomological(d, weight)
+                assert len(cs) > 1, group
+                assert all(c._weight is cs[0]._weight for c in cs), group
+                # the enumeration's S = {} check and each parameter: one lookup each
+                info = params._at_weight.cache_info()
+                assert (info.hits, info.misses) == (len(cs), 1), group
+        # the record is not a field: equality, hash and repr do not see it
+        assert cs[0] == CohomParameter(d, cs[0].S, weight)
+        assert "_weight" not in repr(cs[0])
 
     def test_enumeration_order(self):
         subsets = [sorted(c.S) for c in enumerate_cohomological("Sp(4,R)")]
@@ -261,15 +285,18 @@ class TestCohomParameter:
             return original(self, v)
 
         monkeypatch.setattr(RootDatum, "weight_is_integral", counted)
-        params._weight_pairings.cache_clear()
+        params._at_weight.cache_clear()
         # 4 theta-orbits {1,7} {2,6} {3,5} {4}: 16 parameters, one weight check
         assert len(enumerate_cohomological("GL(8,R)")) == 16
         assert len(calls) == 1
+        assert params._at_weight.cache_info().misses == 1
         enumerate_cohomological("GL(8,R)")
         assert len(calls) == 1  # same (datum, lam): answered by the memo
+        assert params._at_weight.cache_info().misses == 1
         lam = HalfIntVector.from_ints(1, 1, 0, 0, 0, 0, -1, -1)
         assert len(enumerate_cohomological("GL(8,R)", lam)) == 8
         assert len(calls) == 2
+        assert params._at_weight.cache_info().misses == 2
 
     @pytest.mark.parametrize(
         "S,weight,message",
@@ -316,7 +343,7 @@ class TestCohomParameter:
             return original(self, S)
 
         monkeypatch.setattr(RootDatum, "levi_coroot_sum", counted)
-        params._cell_pieces.cache_clear()
+        params._at_weight.cache_clear()
         for group in ("Sp(10,R)", "GL(9,R)", "U(4,4)", "SO(5,5)", "GL(4,C)"):
             d = build_classical_dual(group)
             lam = HalfIntVector.parse(golden.nonzero_weights(group)[0])
@@ -628,7 +655,9 @@ def test_block_images_reject_a_weight_that_is_not_theta_fixed(group, S):
     d = build_classical_dual(group)
     lam = HalfIntVector.from_ints(1, *[0] * (d.ambient_dim - 1))
     c = object.__new__(CohomParameter)
-    for name, value in (("datum", d), ("S", frozenset(S)), ("lam", lam)):
+    # the image reads only the block pieces of the per-weight record
+    forged = (("datum", d), ("S", frozenset(S)), ("lam", lam), ("_weight", (None, None, None, {})))
+    for name, value in forged:
         object.__setattr__(c, name, value)
     for route in (standard_rep_parameter, standard_rep_by_whole_table):
         with pytest.raises(MathCheckError, match="not self-dual|not the conjugate"):

@@ -572,6 +572,18 @@ def test_regularity():
     assert not is_regular_orbit(d, HalfIntVector.from_ints(3, 1, 1, 0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["GL(4,R)", "GL(2,C)", "U(2,3)", "Sp(8,R)", "SO(4,5)", "SO(4,4)", "SO(3,7)"]),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+)
+def test_regularity_is_no_root_on_its_wall(group, entries):
+    # the definition: no positive coroot pairs to zero with v, dominant or not
+    d = build_classical_dual(group)
+    v = HalfIntVector.from_ints(*entries[: d.ambient_dim], *[0] * (d.ambient_dim - 5))
+    assert is_regular_orbit(d, v) == all(v.dot(c) for _, c in d.positive_roots)
+
+
 def test_weight_lattices():
     gl = build_classical_dual("GL(2,R)")
     assert gl.weight_is_integral(HalfIntVector.from_ints(1, -1))
