@@ -64,22 +64,18 @@ from .params import (
     enumerate_selfdual,
     gl_cascade_parameters,
     gl_coefficient_weight,
-    parse_complex_parameter,
     parse_gl_parameter,
     route_selfdual,
     standard_rep_parameter,
     tempered_companion,
     transfer_cohom,
     transfer_weight,
-    unitary_relevance,
 )
 from .rootdata import (
     RootDatum,
     StandardParabolic,
     build_classical_dual,
-    epsilon_element,
     is_self_associate,
-    opposition_involution,
     principal_sl2_coefficients,
 )
 
@@ -95,9 +91,7 @@ __all__ = [
     "RootDatum",
     "StandardParabolic",
     "build_classical_dual",
-    "epsilon_element",
     "is_self_associate",
-    "opposition_involution",
     "principal_sl2_coefficients",
     "TRANSFER_KINDS",
     "CentralReport",
@@ -115,14 +109,12 @@ __all__ = [
     "enumerate_selfdual",
     "gl_cascade_parameters",
     "gl_coefficient_weight",
-    "parse_complex_parameter",
     "parse_gl_parameter",
     "route_selfdual",
     "standard_rep_parameter",
     "tempered_companion",
     "transfer_cohom",
     "transfer_weight",
-    "unitary_relevance",
     "PacketDescriptor",
     "PacketMember",
     "UnitaryMember",

@@ -149,18 +149,19 @@ def cmd_packet(args) -> int:
 def _locate_cohomological(descriptor: str, text: str):
     """Find the weight-zero subset parameter whose image is `text`.
 
-    Exact canonical text first, then the order-two twist orbit.
+    Exact canonical text first, then the order-two twist orbit.  Returns
+    the parameter, its image and the note on how it matched.
     """
     target = parse_gl_parameter(text)
     fallback = None
     for c in enumerate_cohomological(descriptor):
         img = standard_rep_parameter(c)
         if img.text() == target.text():
-            return c, ""
+            return c, img, ""
         if img.orbit_key() == target.orbit_key():
-            fallback = c
+            fallback = c, img
     if fallback is not None:
-        return fallback, "matched up to the order-two twist"
+        return *fallback, "matched up to the order-two twist"
     raise InvalidWeightError(
         f"{text!r} is not in the weight-zero enumeration of {descriptor}"
     )
@@ -188,10 +189,10 @@ def cmd_transfer(args) -> int:
         raise InvalidWeightError(
             f"--n {args.n} does not match {source} (rank {datum.ambient_dim})"
         )
-    cohom, twist_note = _locate_cohomological(source, args.param)
+    cohom, image, twist_note = _locate_cohomological(source, args.param)
     result = transfer_cohom(cohom, kind)
     payload = result.to_json()
-    payload["source_parameter"] = standard_rep_parameter(cohom).text()
+    payload["source_parameter"] = image.text()
     if twist_note:
         payload["twist_note"] = twist_note
     lines = [

@@ -103,10 +103,6 @@ class PoincarePolynomial:
         return sum(self.coeffs)
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def is_palindromic(self) -> bool:
         return self.coeffs == self.coeffs[::-1]
 
@@ -117,19 +113,6 @@ class PoincarePolynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return PoincarePolynomial(tuple(out))
-
-    def text(self) -> str:
-        terms = []
-        for deg, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if deg == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                power = "t" if deg == 1 else f"t^{deg}"
-                terms.append(f"{head}{power}")
-        return " + ".join(terms) if terms else "0"
 
 
 def _emit(poly: PoincarePolynomial) -> PoincarePolynomial:

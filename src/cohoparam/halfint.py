@@ -106,13 +106,6 @@ class HalfIntVector:
     def __iter__(self) -> Iterator[Fraction]:
         return (Fraction(t, 2) for t in self.twice)
 
-    def entries(self) -> tuple[Fraction, ...]:
-        return tuple(self)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(t % 2 == 0 for t in self.twice)
-
     @property
     def is_zero(self) -> bool:
         return all(t == 0 for t in self.twice)

@@ -62,7 +62,6 @@ __all__ = [
     "ComplexParameter",
     "CohomParameter",
     "parse_gl_parameter",
-    "parse_complex_parameter",
     "enumerate_cohomological",
     "standard_rep_parameter",
     "enumerate_gl_real",
@@ -79,7 +78,6 @@ __all__ = [
     "TRANSFER_KINDS",
     "central_value_report",
     "CentralReport",
-    "unitary_relevance",
 ]
 
 
@@ -170,9 +168,8 @@ class GLParameter:
     """A formal sum of atoms, optionally twisted by nu^(twist2/2).
 
     The constructor is permissive: it sorts the atoms canonically and
-    checks only the atoms' own field ranges.  Semantic health (regular
-    infinitesimal character, multiplicity freeness, self-duality type)
-    is exposed through predicates so callers can decide what to require.
+    checks only the atoms' own field ranges; `selfdual_type` reports the
+    self-duality type, and `exponents()` the infinitesimal character.
     """
 
     atoms: tuple[Atom, ...]
@@ -192,21 +189,12 @@ class GLParameter:
     def det_exponent(self) -> int:
         return sum(a.det_exponent for a in self.atoms) % 2
 
-    @property
-    def is_multiplicity_free(self) -> bool:
-        return len(set(self.atoms)) == len(self.atoms)
-
     def exponents(self) -> list[Fraction]:
         shift = Fraction(self.twist2, 2)
         out = []
         for a in self.atoms:
             out.extend(e + shift for e in a.exponents())
         return sorted(out, reverse=True)
-
-    @property
-    def is_regular(self) -> bool:
-        exps = self.exponents()
-        return len(set(exps)) == len(exps)
 
     @property
     def selfdual_type(self) -> str:
@@ -304,27 +292,12 @@ class ComplexParameter:
     def dimension(self) -> int:
         return sum(m for _, m in self.entries)
 
-    @property
-    def is_multiplicity_free(self) -> bool:
-        return len(set(self.entries)) == len(self.entries)
-
     def exponents(self) -> list[Fraction]:
         out = []
         for two_d, m in self.entries:
             for k in range(m):
                 out.append(Fraction(two_d, 2) + Fraction(m - 1 - 2 * k, 2))
         return sorted(out, reverse=True)
-
-    @property
-    def is_regular(self) -> bool:
-        exps = self.exponents()
-        return len(set(exps)) == len(exps)
-
-    @property
-    def is_conjugate_symmetric(self) -> bool:
-        """Multiset symmetry (d, m) <-> (-d, m)."""
-        bag = Counter(self.entries)
-        return all(bag[(-t, m)] == c for (t, m), c in bag.items())
 
     def central_parity_ok(self) -> tuple[bool, list[bool]]:
         n = self.dimension
@@ -339,23 +312,6 @@ class ComplexParameter:
 
 # the entries of images repeat across parameters
 _entry_text = lru_cache(maxsize=1024)(lambda e: f"e{_fmt_half(e[0])}[{e[1]}]")
-
-
-_C_ATOM_RE = re.compile(r"^e(-?\d+(?:/2)?)(?:\[(\d+)\])?$")
-
-
-def parse_complex_parameter(text: str) -> ComplexParameter:
-    """Parse `e1[1]+e-1/2[2]` style text."""
-    entries = []
-    body = text.strip()
-    if body not in ("", "0"):
-        for piece in body.split("+"):
-            m = _C_ATOM_RE.match(piece.strip())
-            if not m:
-                raise InvalidWeightError(f"bad entry {piece!r}")
-            d_text, bracket = m.groups()
-            entries.append((_parse_half(d_text), int(bracket or 1)))
-    return ComplexParameter(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +401,6 @@ class CohomParameter:
         """
         rho_levi = self.parabolic.rho_check_levi
         return self.lam + self.datum.rho_check - rho_levi, rho_levi.scale(2)
-
-    @property
-    def chi_exponent(self) -> HalfIntVector:
-        return self._chi_and_sl2()[0]
-
-    @property
-    def sl2_cochar(self) -> HalfIntVector:
-        return self._chi_and_sl2()[1]
 
     @property
     def inf_char(self) -> HalfIntVector:
@@ -1218,14 +1166,3 @@ def central_value_report(
         )
     return CentralReport(overall, tuple(per), side)
 
-
-def unitary_relevance(param: ComplexParameter, p: int, q: int) -> tuple[bool, str]:
-    """Signature balance: blocks bigger than one force equal split."""
-    singles = sum(1 for _, m in param.entries if m == 1)
-    ok = abs(p - q) <= singles
-    why = (
-        f"|p-q| = {abs(p - q)} <= {singles} single blocks"
-        if ok
-        else f"|p-q| = {abs(p - q)} exceeds the {singles} single blocks"
-    )
-    return ok, why

@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from ._record import record
-from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
+from .errors import MathCheckError, UnsupportedGroupError
 from .halfint import HalfIntVector
 
 __all__ = [
@@ -42,14 +42,10 @@ __all__ = [
     "StandardParabolic",
     "WeylElement",
     "PrincipalSL2",
-    "EpsilonElement",
     "build_classical_dual",
     "parse_group",
-    "opposition_involution",
     "is_self_associate",
     "principal_sl2_coefficients",
-    "epsilon_element",
-    "expand_in_basis",
     "dominant_orbit_rep",
     "is_regular_orbit",
 ]
@@ -115,10 +111,6 @@ class WeylElement(tuple):
     @property
     def signs(self) -> tuple[int, ...]:
         return tuple(1 if w > 0 else -1 for w in self.window)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.window == tuple(range(1, self.n + 1))
 
     @property
     def sort_key(self) -> tuple:
@@ -706,11 +698,6 @@ class StandardParabolic:
         return HalfIntVector(tuple(self.datum.levi_coroot_sum(self.S))).scale(1, 2)
 
 
-def opposition_involution(datum: RootDatum) -> tuple[tuple[int, ...], WeylElement]:
-    """The opposition involution: (1-based index map, linear -w0)."""
-    return datum.iota_index, datum.iota_linear
-
-
 def is_self_associate(parabolic: StandardParabolic) -> bool:
     """Is the standard parabolic conjugate to its opposite in the full dual?
 
@@ -813,52 +800,17 @@ def principal_sl2_coefficients(
 
 
 # ---------------------------------------------------------------------------
-# the canonical central element epsilon = 2 rho-check(-1)
-
-
-@record
-class EpsilonElement:
-    """The order-<=2 central element 2 rho-check(-1) as a parity functional."""
-
-    datum: RootDatum
-    two_rho_check: HalfIntVector
-
-    def sign(self, mu: HalfIntVector) -> int:
-        """(-1)^{<2 rho-check, mu>}; mu must pair integrally."""
-        val = self.two_rho_check.dot(mu)
-        if val.denominator != 1:
-            raise InvalidWeightError(
-                f"<2 rho-check, {mu}> = {val} is not an integer"
-            )
-        return -1 if val % 2 else 1
-
-
-def epsilon_element(datum: RootDatum) -> EpsilonElement:
-    two_rc = datum.rho_check.scale(2)
-    if not two_rc.is_integral:
-        raise MathCheckError("2 rho-check must be integral")
-    return EpsilonElement(datum, two_rc)
-
-
-# ---------------------------------------------------------------------------
 # small exact linear helpers
-
-
-def expand_in_basis(
-    basis: list[HalfIntVector], target: HalfIntVector
-) -> list[Fraction] | None:
-    """Coefficients of `target` in the linearly independent `basis`, or None.
-
-    Works for overdetermined coordinates (ambient dim > len(basis)).
-    """
-    return _expand_each_in_basis(basis, [target])[0]
 
 
 def _expand_each_in_basis(
     basis: list[HalfIntVector], targets: list[HalfIntVector]
 ) -> list[list[Fraction] | None]:
-    """`expand_in_basis` for every target, with one elimination of the basis:
-    the targets ride along as extra columns of the augmented matrix.
+    """Coefficients of each target in the linearly independent `basis`, or
+    None for a target outside its span.  One elimination of the basis
+    serves every target: the targets ride along as extra columns of the
+    augmented matrix, and the coordinates may be overdetermined (ambient
+    dim > len(basis)).
 
     The elimination runs on the doubled integer entries without division:
     a row update is pivot * row - f * pivot_row, a nonzero multiple of the

@@ -13,24 +13,28 @@ the route it checks:
   right coset out of the ambient elements still uncovered, against
   `double_cosets`, which walks the orbits of the right group on a table
   of left cosets;
-* `cartan_matrix`, `levi_positive` and `is_trivial`, read straight off a
-  datum, a standard parabolic or an epsilon element;
+* `cartan_matrix` and `levi_positive`, read straight off a datum or a
+  standard parabolic;
 * the mirror-symmetric compositions grown by recursion or filtered from
   all compositions, and `gl_cascade_parameters` over the filtered ones,
   against the library's one walker (a half, a middle, the half reversed);
 * `standard_rep_by_whole_table`, which splits the (exponent, sl2 weight)
   pairs of all coordinates at once, against `standard_rep_parameter`,
-  which puts together the strings of each Levi block, split once per weight.
+  which puts together the strings of each Levi block, split once per weight;
+* `parse_complex_parameter`, which reads `e1[1]+e-1/2[2]` text back into a
+  `ComplexParameter`, against the text the CLI prints for the complex
+  families.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 
-from cohoparam.errors import MathCheckError, WeylSizeError
-from cohoparam.halfint import HalfIntVector
+from cohoparam.errors import InvalidWeightError, MathCheckError, WeylSizeError
+from cohoparam.halfint import HalfIntVector, _parse_half
 from cohoparam.params import (
     CohomParameter,
     ComplexParameter,
@@ -42,12 +46,7 @@ from cohoparam.params import (
     _extract_strings,
     _selfdual_strings,
 )
-from cohoparam.rootdata import (
-    EpsilonElement,
-    RootDatum,
-    StandardParabolic,
-    WeylElement,
-)
+from cohoparam.rootdata import RootDatum, StandardParabolic, WeylElement
 from cohoparam.weyl import DoubleCoset, _cap, subgroup_closure, weyl_order
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def longest_element(datum: RootDatum) -> WeylElement:
             if f.rank % 2 == 1:
                 signs[hi - 1] = 1
     w0 = WeylElement(tuple(perm), tuple(signs))
-    if not (w0 * w0).is_identity:
+    if w0 * w0 != WeylElement.identity(n):
         raise MathCheckError("longest element is not an involution")
     if w0.apply(datum.rho_check) != -datum.rho_check:
         raise MathCheckError("longest element does not negate rho-check")
@@ -210,20 +209,6 @@ def levi_positive(
         for pair, support in zip(parabolic.datum.positive_roots, supports)
         if support <= parabolic.S
     ]
-
-
-def is_trivial(eps: EpsilonElement) -> bool:
-    """Does the parity functional vanish on the declared weight lattice?"""
-    for f in eps.datum.factors:
-        seg = eps.two_rho_check.twice[f.offset : f.offset + f.dim]
-        if f.flavor == "Adjoint":
-            # root lattice: only differences of coordinates pair
-            if any((seg[k] - seg[0]) // 2 % 2 for k in range(len(seg))):
-                return False
-        else:
-            if any((t // 2) % 2 for t in seg):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -331,3 +316,24 @@ def standard_rep_by_whole_table(cohom: CohomParameter):
     twodim_det = sum(t.det_exponent for t in twodims) % 2
     quads, flag = _assign_quad_eps(quadlens, twodim_det, delta)
     return GLParameter(tuple(twodims + quads), 0, flag)
+
+
+# ---------------------------------------------------------------------------
+# complex-parameter text
+
+
+_C_ATOM_RE = re.compile(r"^e(-?\d+(?:/2)?)(?:\[(\d+)\])?$")
+
+
+def parse_complex_parameter(text: str) -> ComplexParameter:
+    """Parse `e1[1]+e-1/2[2]` style text."""
+    entries = []
+    body = text.strip()
+    if body not in ("", "0"):
+        for piece in body.split("+"):
+            m = _C_ATOM_RE.match(piece.strip())
+            if not m:
+                raise InvalidWeightError(f"bad entry {piece!r}")
+            d_text, bracket = m.groups()
+            entries.append((_parse_half(d_text), int(bracket or 1)))
+    return ComplexParameter(tuple(entries))

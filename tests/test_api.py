@@ -8,7 +8,7 @@ import importlib
 
 import pytest
 
-from cohoparam import halfint, rootdata, weyl
+from cohoparam import cohomology, halfint, params, rootdata, weyl
 
 PUBLIC_API = {
     "cohoparam": [
@@ -16,17 +16,15 @@ PUBLIC_API = {
         "UnsupportedGroupError", "WeylSizeError",
         "HalfIntVector",
         "RootDatum", "StandardParabolic", "build_classical_dual",
-        "epsilon_element", "is_self_associate", "opposition_involution",
-        "principal_sl2_coefficients",
+        "is_self_associate", "principal_sl2_coefficients",
         "TRANSFER_KINDS", "CentralReport", "CohomParameter",
         "ComplexParameter", "GLParameter", "QuadAtom", "RouteResult",
         "TransferResult", "TwoDimAtom", "central_value_report",
         "enumerate_cohomological", "enumerate_complex_cohomological",
         "enumerate_gl_real", "enumerate_selfdual", "gl_cascade_parameters",
-        "gl_coefficient_weight", "parse_complex_parameter",
-        "parse_gl_parameter", "route_selfdual", "standard_rep_parameter",
-        "tempered_companion", "transfer_cohom", "transfer_weight",
-        "unitary_relevance",
+        "gl_coefficient_weight", "parse_gl_parameter", "route_selfdual",
+        "standard_rep_parameter", "tempered_companion", "transfer_cohom",
+        "transfer_weight",
         "PacketDescriptor", "PacketMember", "UnitaryMember", "packet",
         "packet_size_unitary", "theta_stable_parabolic_count",
         "unitary_packet_members",
@@ -45,9 +43,8 @@ PUBLIC_API = {
     "cohoparam.halfint": ["HalfIntVector"],
     "cohoparam.rootdata": [
         "Factor", "RootDatum", "StandardParabolic", "WeylElement",
-        "PrincipalSL2", "EpsilonElement", "build_classical_dual",
-        "parse_group", "opposition_involution", "is_self_associate",
-        "principal_sl2_coefficients", "epsilon_element", "expand_in_basis",
+        "PrincipalSL2", "build_classical_dual", "parse_group",
+        "is_self_associate", "principal_sl2_coefficients",
         "dominant_orbit_rep", "is_regular_orbit",
     ],
     "cohoparam.weyl": [
@@ -57,14 +54,13 @@ PUBLIC_API = {
     ],
     "cohoparam.params": [
         "TwoDimAtom", "QuadAtom", "GLParameter", "ComplexParameter",
-        "CohomParameter", "parse_gl_parameter", "parse_complex_parameter",
-        "enumerate_cohomological", "standard_rep_parameter",
+        "CohomParameter", "parse_gl_parameter", "enumerate_cohomological",
+        "standard_rep_parameter",
         "enumerate_gl_real", "enumerate_selfdual", "gl_cascade_parameters",
         "enumerate_complex_cohomological", "gl_coefficient_weight",
         "tempered_companion", "route_selfdual", "RouteResult",
         "transfer_weight", "transfer_cohom", "TransferResult",
         "TRANSFER_KINDS", "central_value_report", "CentralReport",
-        "unitary_relevance",
     ],
     "cohoparam.packets": [
         "PacketDescriptor", "PacketMember", "UnitaryMember", "packet",
@@ -99,5 +95,25 @@ def test_test_only_routes_are_not_in_the_library():
         assert not hasattr(weyl, attr), attr
     assert not hasattr(rootdata.RootDatum, "cartan_matrix")
     assert not hasattr(rootdata.StandardParabolic, "levi_positive")
-    assert not hasattr(rootdata.EpsilonElement, "is_trivial")
     assert not hasattr(halfint, "solve_rational")
+    # no command ran these; the tests check the same facts inline, and
+    # tests/oracles.py keeps the complex-parameter parser
+    for attr in ("unitary_relevance", "parse_complex_parameter", "_C_ATOM_RE"):
+        assert not hasattr(params, attr), attr
+    for attr in (
+        "opposition_involution", "EpsilonElement", "epsilon_element",
+        "expand_in_basis",
+    ):
+        assert not hasattr(rootdata, attr), attr
+    for cls, attrs in (
+        (params.GLParameter, ("is_multiplicity_free", "is_regular")),
+        (params.ComplexParameter, (
+            "is_multiplicity_free", "is_regular", "is_conjugate_symmetric",
+        )),
+        (params.CohomParameter, ("chi_exponent", "sl2_cochar")),
+        (rootdata.WeylElement, ("is_identity",)),
+        (cohomology.PoincarePolynomial, ("degree", "text")),
+        (halfint.HalfIntVector, ("entries", "is_integral")),
+    ):
+        for attr in attrs:
+            assert not hasattr(cls, attr), (cls.__name__, attr)

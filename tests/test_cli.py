@@ -18,7 +18,8 @@ import pytest
 
 from cohoparam.cli import EMBEDDINGS, SUITES, build_parser, main
 from cohoparam.errors import MathCheckError
-from cohoparam.params import parse_complex_parameter, parse_gl_parameter
+from cohoparam.params import parse_gl_parameter
+from oracles import parse_complex_parameter
 
 
 def run(capsys, *argv):

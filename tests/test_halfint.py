@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cohoparam.errors import InvalidWeightError
 from cohoparam.halfint import HalfIntVector, _fmt_half, _parse_half
-from cohoparam.rootdata import expand_in_basis
+from cohoparam.rootdata import _expand_each_in_basis
 
 
 def test_parse_and_str_roundtrip():
@@ -35,11 +35,6 @@ def test_scale_guards_half_integrality():
     assert v.scale(2).twice == (2, 4)
     with pytest.raises(ValueError):
         v.scale(1, 3)
-
-
-def test_integrality_flag():
-    assert HalfIntVector.from_ints(3, 0).is_integral
-    assert not HalfIntVector.parse("1/2,0").is_integral
 
 
 halfints = st.integers(min_value=-20, max_value=20)
@@ -86,17 +81,17 @@ def test_parse_half_rejects(text):
 
 
 # The exact rational solve of half-integer systems lives in
-# `rootdata.expand_in_basis`; these are its two textbook cases.
+# `rootdata._expand_each_in_basis`; these are its two textbook cases.
 
 
 def test_solve_rational_exact():
     # 2x - y = 2 ; -x + 2y = 2  =>  x = y = 2
     columns = [HalfIntVector.from_ints(2, -1), HalfIntVector.from_ints(-1, 2)]
-    sol = expand_in_basis(columns, HalfIntVector.from_ints(2, 2))
+    (sol,) = _expand_each_in_basis(columns, [HalfIntVector.from_ints(2, 2)])
     assert sol == [Fraction(2), Fraction(2)]
 
 
 def test_solve_rational_singular():
     # x + y = 1 ; 2x + 2y = 2: the columns are equal, no unique solution
     columns = [HalfIntVector.from_ints(1, 2)] * 2
-    assert expand_in_basis(columns, HalfIntVector.from_ints(1, 2)) is None
+    assert _expand_each_in_basis(columns, [HalfIntVector.from_ints(1, 2)]) == [None]

@@ -17,16 +17,13 @@ from cohoparam.rootdata import (
     WeylElement,
     build_classical_dual,
     dominant_orbit_rep,
-    epsilon_element,
-    expand_in_basis,
     is_regular_orbit,
     is_self_associate,
-    opposition_involution,
     parse_group,
     principal_sl2_coefficients,
 )
 
-from oracles import cartan_matrix, is_trivial, levi_positive
+from oracles import cartan_matrix, levi_positive
 
 # a spread of supported descriptors reused across tests
 DESCRIPTORS = [
@@ -132,7 +129,7 @@ def test_cartan_matrix_B2_C2():
 
 def test_opposition_GL4():
     d = build_classical_dual("GL(4,R)")
-    idx, lin = opposition_involution(d)
+    idx, lin = d.iota_index, d.iota_linear
     assert idx == (3, 2, 1)
     assert lin.apply(HalfIntVector.from_ints(1, 2, 3, 4)) == HalfIntVector.from_ints(
         -4, -3, -2, -1
@@ -142,7 +139,7 @@ def test_opposition_GL4():
 def test_opposition_is_identity_for_BC_and_even_D():
     for desc in ["Sp(4,R)", "SO(2,3)", "SO(4,4)", "SO(2,2)"]:
         d = build_classical_dual(desc)
-        assert d.iota_linear.is_identity
+        assert d.iota_linear == WeylElement.identity(d.ambient_dim)
 
 
 def test_opposition_swaps_fork_for_odd_D():
@@ -288,7 +285,7 @@ def test_positive_roots_expand_with_nonnegative_integer_coefficients(desc):
         for alpha, c in zip(simples, coeffs):
             total = total + alpha.scale(int(c))
         assert total == root
-        assert expand_in_basis(simples, root) == coeffs
+        assert _expand_each_in_basis(simples, [root])[0] == coeffs
 
 
 def test_expand_each_in_basis_flags_only_targets_outside_the_span():
@@ -307,7 +304,7 @@ def test_expand_each_in_basis_flags_only_targets_outside_the_span():
     equal = [HalfIntVector.from_ints(1, 2)] * 2
     assert _expand_each_in_basis(equal, [HalfIntVector.from_ints(1, 2)]) == [None]
     with pytest.raises(ValueError):
-        expand_in_basis([alpha_1], HalfIntVector.from_ints(1, -1, 0))
+        _expand_each_in_basis([alpha_1], [HalfIntVector.from_ints(1, -1, 0)])
 
 
 def test_expand_in_basis():
@@ -315,9 +312,9 @@ def test_expand_in_basis():
     simples = list(d.simple_roots)
     # e_1 + e_2 = alpha_1 + 2 alpha_2 in B_2
     target = HalfIntVector.from_ints(1, 1)
-    assert expand_in_basis(simples, target) == [Fraction(1), Fraction(2)]
+    assert _expand_each_in_basis(simples, [target])[0] == [Fraction(1), Fraction(2)]
     # inconsistent target: e_1 + e_2 is not a multiple of e_1 - e_2
-    assert expand_in_basis(simples[:1], target) is None
+    assert _expand_each_in_basis(simples[:1], [target])[0] is None
 
 
 def expand_each_in_basis_oracle(basis, targets):
@@ -500,47 +497,6 @@ def test_principal_sl2_residual_always_zero(desc, raw):
     # in-op residual and 2*rho_check_L expansion checks did not raise
     assert set(out.coeffs) == set(s)
     assert all(a > 0 for a in out.coeffs.values())
-
-
-# -- epsilon ------------------------------------------------------------------
-
-
-def test_epsilon_GL():
-    e2 = epsilon_element(build_classical_dual("GL(2,R)"))
-    assert e2.sign(HalfIntVector.from_ints(1, 0)) == -1
-    assert not is_trivial(e2)
-    e3 = epsilon_element(build_classical_dual("GL(3,R)"))
-    assert is_trivial(e3)
-
-
-def test_epsilon_sp_so():
-    # dual SO_5: 2 rho-check = (4,2), trivial on Z^2
-    assert is_trivial(epsilon_element(build_classical_dual("Sp(4,R)")))
-    # dual Sp_4: 2 rho-check = (3,1): -I, nontrivial
-    eps = epsilon_element(build_classical_dual("SO(2,3)"))
-    assert not is_trivial(eps)
-    assert eps.sign(HalfIntVector.from_ints(1, 0)) == -1
-    assert eps.sign(HalfIntVector.from_ints(1, 1)) == 1
-
-
-def test_epsilon_adjoint_always_trivial():
-    for n in (2, 3, 4, 5):
-        assert is_trivial(epsilon_element(build_classical_dual(f"SL({n},R)")))
-
-
-def test_epsilon_rejects_fractional_pairing():
-    eps = epsilon_element(build_classical_dual("GL(2,R)"))
-    with pytest.raises(Exception):
-        eps.sign(HalfIntVector.parse("1/2,0"))
-
-
-@pytest.mark.parametrize("desc", DESCRIPTORS)
-def test_epsilon_multiplicative(desc):
-    eps = epsilon_element(build_classical_dual(desc))
-    n = build_classical_dual(desc).ambient_dim
-    u = HalfIntVector.from_ints(*range(n))
-    v = HalfIntVector.from_ints(*([1] * n))
-    assert eps.sign(u) * eps.sign(v) == eps.sign(u + v)
 
 
 # -- orbit normal forms -------------------------------------------------------
