@@ -153,12 +153,13 @@ def _locate_cohomological(descriptor: str, text: str):
     the parameter, its image and the note on how it matched.
     """
     target = parse_gl_parameter(text)
+    target_text, target_orbit = target.text(), target.orbit_key()
     fallback = None
     for c in enumerate_cohomological(descriptor):
         img = standard_rep_parameter(c)
-        if img.text() == target.text():
+        if img.text() == target_text:
             return c, img, ""
-        if img.orbit_key() == target.orbit_key():
+        if img.orbit_key() == target_orbit:
             fallback = c, img
     if fallback is not None:
         return *fallback, "matched up to the order-two twist"

@@ -38,7 +38,8 @@ import itertools
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import attrgetter, mul
 
 from ._record import record
 from .errors import (
@@ -119,6 +120,10 @@ class TwoDimAtom:
     def text(self) -> str:
         return f"s{self.d}[{self.m}]"
 
+    # kept on the instance; the memoized atoms of images sort and print often
+    _key = cached_property(lambda self: (0, -self.d, -self.m, 0))
+    _text = cached_property(text)
+
 
 @record(order=True)
 class QuadAtom:
@@ -149,14 +154,15 @@ class QuadAtom:
     def text(self) -> str:
         return f"w{self.eps}[{self.a}]"
 
+    _key = cached_property(lambda self: (1, -self.a, self.eps, 0))
+    _text = cached_property(text)
+
 
 Atom = TwoDimAtom | QuadAtom
 
 
-def _atom_sort_key(atom: Atom) -> tuple:
-    if isinstance(atom, TwoDimAtom):
-        return (0, -atom.d, -atom.m, 0)
-    return (1, -atom.a, atom.eps, 0)
+_atom_sort_key = attrgetter("_key")
+_atom_text = attrgetter("_text")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +228,7 @@ class GLParameter:
         return all(per), per
 
     def text(self) -> str:
-        body = "+".join(a.text() for a in self.atoms) if self.atoms else "0"
+        body = "+".join(map(_atom_text, self.atoms)) if self.atoms else "0"
         if self.twist2:
             body += f"*nu^{_fmt_half(self.twist2)}"
         return body
@@ -285,7 +291,7 @@ class ComplexParameter:
         object.__setattr__(
             self,
             "entries",
-            tuple(sorted(self.entries, key=lambda e: (-e[0], -e[1]))),
+            tuple(sorted(self.entries, reverse=True)),
         )
 
     @property
@@ -323,10 +329,11 @@ def _at_weight(datum: RootDatum, lam: HalfIntVector) -> tuple:
     """What a parameter reads off (datum, lam) alone, once per pair.
 
     Raises on a wrong length, a non-integral or a non-theta-fixed weight;
-    returns <lam, alpha_i-check> for i = 1..rank, the first i where it is
-    negative (None for a dominant weight), the infinitesimal character
-    (the dominant representative of W.(lam + rho-check)), and the dict of
-    `_split_cell` pieces of the Levi blocks met so far at this weight.
+    returns 4 <lam, alpha_i-check> for i = 1..rank (both vectors are stored
+    doubled), the first i where it is negative (None for a dominant weight),
+    the infinitesimal character (the dominant representative of
+    W.(lam + rho-check)), the dict of `_split_cell` pieces of the Levi
+    blocks met so far at this weight, and the set of i where it is zero.
     """
     if len(lam) != datum.ambient_dim:
         raise InvalidWeightError(
@@ -336,10 +343,11 @@ def _at_weight(datum: RootDatum, lam: HalfIntVector) -> tuple:
         raise InvalidWeightError(f"{lam} is not integral for {datum.descriptor}")
     if datum.theta_linear.apply(lam) != lam:
         raise InvalidWeightError(f"{lam} is not theta-fixed")
-    pairings = tuple(lam.dot(coroot) for coroot in datum.simple_coroots)
+    pairings = tuple(sum(map(mul, lam.twice, c.twice)) for c in datum.simple_coroots)
     first_negative = next((i for i, p in enumerate(pairings, 1) if p < 0), None)
     inf_char = dominant_orbit_rep(datum, lam + datum.rho_check)
-    return pairings, first_negative, inf_char, {}
+    zero = frozenset(i for i, p in enumerate(pairings, 1) if not p)
+    return pairings, first_negative, inf_char, {}, zero
 
 
 @record
@@ -347,7 +355,8 @@ class CohomParameter:
     """A self-associate subset of simple roots plus a compatible weight.
 
     Validity (checked eagerly; the checks of `lam` alone run once per
-    (datum, lam) in `_at_weight`, those of S for every parameter):
+    (datum, lam) in `_at_weight`, those of S for every parameter, as set
+    operations on what `_at_weight` keeps):
 
     * `lam` is an integral dominant weight fixed by theta;
     * S is stable under theta;
@@ -363,10 +372,16 @@ class CohomParameter:
     lam: HalfIntVector
 
     def __post_init__(self) -> None:
-        d = self.datum
+        d, S = self.datum, self.S
+        object.__setattr__(self, "_weight", weight := _at_weight(d, self.lam))
+        # valid exactly when lam is dominant, S lies in its zero set and S is
+        # theta-stable; only an invalid parameter pays for the wording scan
+        if weight[1] is None and weight[4].issuperset(S) and (
+            d._theta_moved.isdisjoint(S) or d.theta_subset(S) == S
+        ):
+            return
         rank = d.rank
-        object.__setattr__(self, "_weight", _at_weight(d, self.lam))
-        pairings, first_negative, _, _ = self._weight
+        pairings, first_negative = weight[:2]
         # dominance and S-singularity are one scan over alpha_1..alpha_rank:
         # the lowest failing index decides which of the two is reported
         first_in_s = min(
@@ -380,8 +395,8 @@ class CohomParameter:
             )
         if first_in_s is not None:
             raise InvalidWeightError(
-                f"weight pairs to {pairings[first_in_s - 1]} with alpha_{first_in_s}, "
-                "which lies in S"
+                f"weight pairs to {Fraction(pairings[first_in_s - 1], 4)} with "
+                f"alpha_{first_in_s}, which lies in S"
             )
         if not all(1 <= i <= rank for i in self.S):
             raise InvalidWeightError(f"S = {sorted(self.S)} out of range")
@@ -435,8 +450,7 @@ def enumerate_cohomological(
     if lam is None:
         lam = HalfIntVector((0,) * datum.ambient_dim)
     # validate the weight once through the parameter with S = {}
-    pairings = CohomParameter(datum, frozenset(), lam)._weight[0]
-    singular = [i for i, p in enumerate(pairings, 1) if p == 0]
+    singular = sorted(CohomParameter(datum, frozenset(), lam)._weight[4])
     # lam is theta-fixed, so the involution theta maps the singular set to
     # itself, and its theta-stable subsets are the unions of the orbits
     # {i, theta(i)}: 2**len(orbits) of them, each built once
@@ -507,6 +521,7 @@ def _extract_strings_greedy(work: Counter) -> list[tuple[int, int]]:
 
 # the atoms of images repeat across parameters; each is immutable
 _two_dim_atom = lru_cache(maxsize=1024)(TwoDimAtom)
+_quad_atom = lru_cache(maxsize=256)(QuadAtom)
 
 
 def _assign_quad_eps(
@@ -524,16 +539,16 @@ def _assign_quad_eps(
                   absorbs the rest.
     """
     if delta is None:
-        return [QuadAtom(0, a) for a in quadlens], bool(quadlens)
+        return [_quad_atom(0, a) for a in quadlens], bool(quadlens)
     counts = Counter(quadlens)
     if any(c > 2 for c in counts.values()):
         raise MathCheckError(f"zero string repeated 3+ times: {quadlens}")
-    doubles = sorted((a for a, c in counts.items() if c == 2), reverse=True)
-    singles = sorted((a for a, c in counts.items() if c == 1), reverse=True)
-    if any(a % 2 == 0 for a in doubles + singles):
+    if any(a % 2 == 0 for a in counts):
         raise MathCheckError(
             f"even zero string in a determinant-constrained parameter: {quadlens}"
         )
+    doubles = sorted((a for a, c in counts.items() if c == 2), reverse=True)
+    singles = sorted((a for a, c in counts.items() if c == 1), reverse=True)
     atoms: list[QuadAtom] = []
     flag = False
     need = (delta - twodim_det) % 2
@@ -541,12 +556,10 @@ def _assign_quad_eps(
     # only if no single can absorb it
     for a in doubles:
         if need and not singles:
-            atoms.append(QuadAtom(0, a))
-            atoms.append(QuadAtom(1, a))
+            atoms += _quad_atom(0, a), _quad_atom(1, a)
             need = (need - a) % 2
         else:
-            atoms.append(QuadAtom(0, a))
-            atoms.append(QuadAtom(0, a))
+            atoms += _quad_atom(0, a), _quad_atom(0, a)
             flag = True
     eps_map = {a: 0 for a in singles}
     if need:
@@ -555,7 +568,7 @@ def _assign_quad_eps(
                 f"determinant class {delta} unreachable with zero strings {quadlens}"
             )
         eps_map[singles[-1]] = 1
-    atoms.extend(QuadAtom(eps_map[a], a) for a in singles)
+    atoms.extend(_quad_atom(eps_map[a], a) for a in singles)
     return atoms, flag
 
 
@@ -597,29 +610,28 @@ def _selfdual_strings(
 
 def _split_cell(datum: RootDatum, lam: HalfIntVector, cell: tuple) -> tuple:
     """The strings of one block of `RootDatum._levi_blocks` (for GL_R and
-    SL_R, the block and its mirror), in two parts: for U all (x2, m) and ();
-    for GL_C those of each factor; for the self-dual families the two-dim
-    atoms and the zero-string lengths.  Coordinate k gives the pair
+    SL_R, the block and its mirror), in two parts, and the determinant
+    parity of the first: for U all (x2, m) and (); for GL_C those of each
+    factor (parity 0); for the self-dual families the two-dim atoms and the
+    zero-string lengths.  Coordinate k gives the pair
     (lam2 + rho-check2 - h, h), h its entry of the block's 2 rho-check_L.
     """
     roots, first, last = cell
     fam, n = datum.family, datum.ambient_dim
-    coords = list(range(first, last + 1))
+    coords = [*range(first, last + 1)]
     if fam in ("GL_R", "SL_R") and first + last < n - 1:
         roots += tuple(datum.theta_subset(roots))
         coords += range(n - 1 - last, n - first)
     sums = datum.levi_coroot_sum(roots) if roots else [0] * n
-    lam2, rho2, pairs = lam.twice, datum.rho_check.twice, []
-    for k in coords:
-        if sums[k] % 2:
-            raise MathCheckError("sl2 weights must be integers")
-        h = sums[k] // 2
-        pairs.append((lam2[k] + rho2[k] - h, h))
+    if any(sums[k] % 2 for k in coords):
+        raise MathCheckError("sl2 weights must be integers")
+    lam2, rho2 = lam.twice, datum.rho_check.twice
+    pairs = [(lam2[k] + rho2[k] - sums[k] // 2, sums[k] // 2) for k in coords]
     if fam in ("U", "GL_C"):
         j = len(pairs) if fam == "U" else max(0, n // 2 - first)
-        return tuple(_extract_strings(pairs[:j])), tuple(_extract_strings(pairs[j:]))
+        return tuple(_extract_strings(pairs[:j])), tuple(_extract_strings(pairs[j:])), 0
     twodims, quadlens = _selfdual_strings(fam, pairs, fam == "Sp_R" and datum.rank in roots)
-    return tuple(twodims), tuple(quadlens)
+    return tuple(twodims), tuple(quadlens), sum(t.det_exponent for t in twodims)
 
 
 def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParameter:
@@ -631,18 +643,20 @@ def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParame
     blocks' strings together, each block split once per (datum, lam) and
     kept in the parameter's `_at_weight` record.
     """
-    datum, fam, lam = cohom.datum, cohom.datum.family, cohom.lam
+    datum, lam = cohom.datum, cohom.lam
+    fam, n = datum.family, datum.ambient_dim
     memo = cohom._weight[3]
-    one, two = [], []
+    one, two, det = [], [], 0
     mirrored = fam in ("GL_R", "SL_R")  # theta: k -> n-1-k; a block stands for its mirror
     for cell in datum._levi_blocks(cohom.S):
-        if mirrored and cell[1] + cell[2] >= datum.ambient_dim:
+        if mirrored and cell[1] + cell[2] >= n:
             continue
         piece = memo.get(cell)
         if piece is None:
             piece = memo[cell] = _split_cell(datum, lam, cell)
         one += piece[0]
         two += piece[1]
+        det += piece[2]
     if fam in ("U", "GL_C"):
         if fam == "GL_C" and Counter((-x, m) for x, m in one) != Counter(two):
             raise MathCheckError("second factor is not the conjugate of the first")
@@ -652,12 +666,11 @@ def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParame
         raise UnsupportedGroupError(f"no standard-representation rule for {fam}")
     delta = 0 if fam == "Sp_R" else None
     if fam == "SO_even":
-        delta = (datum.signature[1] - datum.ambient_dim) % 2
+        delta = (datum.signature[1] - n) % 2
     if fam == "Sp_R" and datum.rank not in cohom.S:
         two.append(1)  # the extra (0, 0) of Sp_R, alone: w[1]
     two.sort(reverse=True)
-    twodim_det = sum(t.det_exponent for t in one) % 2
-    quads, flag = _assign_quad_eps(two, twodim_det, delta)
+    quads, flag = _assign_quad_eps(two, det % 2, delta)
     return GLParameter(tuple(one + quads), 0, flag)
 
 

@@ -231,9 +231,15 @@ def _local_simple_roots(f: Factor) -> list[tuple[list[int], list[int]]]:
     return out
 
 
-def _local_positive_roots(f: Factor) -> list[tuple[list[int], list[int]]]:
+def _local_positive_roots(f: Factor) -> list[tuple[list[int], list[int], Iterable[int]]]:
+    """(root, coroot, support) of each positive root: coordinate lists, and
+    the simple roots (local, 0-based) the root is a positive sum of.  e_i - e_j
+    needs i..j-1; e_i + e_j, e_i and 2e_i need i..n-1, but in type D
+    e_i + e_{n-1} skips root n-2."""
+    if f.cartan not in ("A", "B", "C", "D"):
+        raise ValueError(f"unknown Cartan type {f.cartan!r}")
     n = f.dim
-    out: list[tuple[list[int], list[int]]] = []
+    out: list[tuple[list[int], list[int], Iterable[int]]] = []
 
     def vec(items: dict[int, int]) -> list[int]:
         v = [0] * n
@@ -241,26 +247,19 @@ def _local_positive_roots(f: Factor) -> list[tuple[list[int], list[int]]]:
             v[i] = c
         return v
 
-    if f.cartan == "A":
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = vec({i: 1, j: -1})
-                out.append((r, r))
-    elif f.cartan in ("B", "C", "D"):
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = vec({i: 1, j: -1})
-                out.append((r, r))
-                r = vec({i: 1, j: 1})
-                out.append((r, r))
-        if f.cartan == "B":
-            for i in range(n):
-                out.append((vec({i: 1}), vec({i: 2})))
-        elif f.cartan == "C":
-            for i in range(n):
-                out.append((vec({i: 2}), vec({i: 1})))
-    else:
-        raise ValueError(f"unknown Cartan type {f.cartan!r}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = vec({i: 1, j: -1})
+            out.append((r, r, range(i, j)))
+            if f.cartan == "A":
+                continue
+            r = vec({i: 1, j: 1})
+            tail = (*range(i, n - 2), n - 1) if f.cartan == "D" and j == n - 1 else range(i, n)
+            out.append((r, r, tail))
+    for i in range(n) if f.cartan in ("B", "C") else ():
+        unit, double = vec({i: 1}), vec({i: 2})
+        root, coroot = (unit, double) if f.cartan == "B" else (double, unit)
+        out.append((root, coroot, range(i, n)))
     return out
 
 
@@ -289,7 +288,7 @@ class RootDatum:
 
     # -- coordinates -------------------------------------------------------
 
-    @property
+    @cached_property
     def ambient_dim(self) -> int:
         return sum(f.dim for f in self.factors)
 
@@ -311,7 +310,7 @@ class RootDatum:
                 out.append(_embed(coroot, f.offset, total))
         return tuple(out)
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return len(self.simple_roots)
 
@@ -327,8 +326,9 @@ class RootDatum:
         total = self.ambient_dim
         out = []
         for f in self.factors:
-            for root, coroot in _local_positive_roots(f):
-                out.append((_embed(root, f.offset, total), _embed(coroot, f.offset, total)))
+            for root, coroot, _ in _local_positive_roots(f):
+                r = _embed(root, f.offset, total)
+                out.append((r, r if coroot is root else _embed(coroot, f.offset, total)))
         return tuple(out)
 
     @cached_property
@@ -340,10 +340,9 @@ class RootDatum:
 
     @cached_property
     def rho_check(self) -> HalfIntVector:
-        acc = HalfIntVector((0,) * self.ambient_dim)
-        for _, coroot in self.positive_roots:
-            acc = acc + coroot
-        return acc.scale(1, 2)
+        coroots = (coroot.twice for _, coroot in self.positive_roots)
+        sums = map(sum, zip((0,) * self.ambient_dim, *coroots))
+        return HalfIntVector(tuple(sums)).scale(1, 2)
 
     def pairing(self, i: int, j: int) -> Fraction:
         """<alpha_i, alpha_j-check> for 1-based indices."""
@@ -392,18 +391,17 @@ class RootDatum:
 
     @cached_property
     def _positive_root_supports(self) -> tuple[frozenset[int], ...]:
-        """Simple-root support of each positive root, in enumeration order.
+        """Simple-root support of each positive root, in enumeration order,
+        read off each root's indices factor by factor (`_local_positive_roots`).
 
-        The expansion does not depend on any Levi subset, so it is computed
-        once per datum; per-subset filtering stays uncached.
+        It does not depend on any Levi subset, so it is built once per
+        datum; per-subset filtering stays uncached.
         """
-        roots = [root for root, _ in self.positive_roots]
-        supports = []
-        for coeffs in _expand_each_in_basis(list(self.simple_roots), roots):
-            if coeffs is None:
-                raise MathCheckError("positive root outside simple-root span")
-            supports.append(frozenset(i + 1 for i, c in enumerate(coeffs) if c != 0))
-        return tuple(supports)
+        out, first = [], 1
+        for f in self.factors:
+            out += (frozenset(k + first for k in s) for *_, s in _local_positive_roots(f))
+            first += len(_local_simple_roots(f))
+        return tuple(out)
 
     def _coroot_sum_on(self, block: frozenset[int]) -> tuple[tuple[int, int], ...]:
         supports = self._positive_root_supports
@@ -490,6 +488,12 @@ class RootDatum:
 
     def theta(self, i: int) -> int:
         return self.theta_index[i - 1]
+
+    @cached_property
+    def _theta_moved(self) -> frozenset[int]:
+        """The simple roots theta does not fix: a subset that misses them
+        is theta-stable.  Empty for Sp, U and every SO but SO(odd,odd)."""
+        return frozenset(i for i, j in enumerate(self.theta_index, 1) if i != j)
 
     def theta_subset(self, s: Iterable[int]) -> frozenset[int]:
         table = self.theta_index

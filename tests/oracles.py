@@ -13,8 +13,12 @@ the route it checks:
   right coset out of the ambient elements still uncovered, against
   `double_cosets`, which walks the orbits of the right group on a table
   of left cosets;
-* `cartan_matrix` and `levi_positive`, read straight off a datum or a
-  standard parabolic;
+* `cartan_matrix`, read straight off a datum, and `positive_root_supports`
+  and `levi_positive`, with each root's simple-root coefficients solved
+  for, against the datum's supports read off the roots' indices;
+* `cohom_parameter_check`, the weight and subset checks of a
+  `CohomParameter` as one scan over Fraction pairings, against the
+  constructor's set operations on the per-weight record;
 * the mirror-symmetric compositions grown by recursion or filtered from
   all compositions, and `gl_cascade_parameters` over the filtered ones,
   against the library's one walker (a half, a middle, the half reversed);
@@ -46,7 +50,12 @@ from cohoparam.params import (
     _extract_strings,
     _selfdual_strings,
 )
-from cohoparam.rootdata import RootDatum, StandardParabolic, WeylElement
+from cohoparam.rootdata import (
+    RootDatum,
+    StandardParabolic,
+    WeylElement,
+    _expand_each_in_basis,
+)
 from cohoparam.weyl import DoubleCoset, _cap, subgroup_closure, weyl_order
 
 # ---------------------------------------------------------------------------
@@ -199,16 +208,65 @@ def cartan_matrix(datum: RootDatum, subset=None) -> list[list[Fraction]]:
     return [[datum.pairing(i, j) for j in idx] for i in idx]
 
 
+def positive_root_supports(datum: RootDatum) -> tuple[frozenset[int], ...]:
+    """The simple roots with a nonzero coefficient in each positive root, in
+    the datum's order, from one exact elimination over all of them."""
+    roots = [root for root, _ in datum.positive_roots]
+    supports = []
+    for coeffs in _expand_each_in_basis(list(datum.simple_roots), roots):
+        if coeffs is None:
+            raise MathCheckError("positive root outside simple-root span")
+        supports.append(frozenset(i + 1 for i, c in enumerate(coeffs) if c != 0))
+    return tuple(supports)
+
+
 def levi_positive(
     parabolic: StandardParabolic,
 ) -> list[tuple[HalfIntVector, HalfIntVector]]:
     """Positive (root, coroot) pairs of the Levi: those supported on S."""
-    supports = parabolic.datum._positive_root_supports
+    supports = positive_root_supports(parabolic.datum)
     return [
         pair
         for pair, support in zip(parabolic.datum.positive_roots, supports)
         if support <= parabolic.S
     ]
+
+
+def cohom_parameter_check(datum: RootDatum, S, lam: HalfIntVector) -> None:
+    """Raise the error `CohomParameter(datum, S, lam)` raises, or return.
+
+    The weight checks, then one scan over alpha_1..alpha_rank with the
+    pairings as Fractions: the lowest failing index decides whether a
+    non-dominant weight or a nonzero pairing on S is reported, then S's
+    range and its theta-stability are checked.
+    """
+    if len(lam) != datum.ambient_dim:
+        raise InvalidWeightError(
+            f"weight has {len(lam)} coordinates, expected {datum.ambient_dim}"
+        )
+    if not datum.weight_is_integral(lam):
+        raise InvalidWeightError(f"{lam} is not integral for {datum.descriptor}")
+    if datum.theta_linear.apply(lam) != lam:
+        raise InvalidWeightError(f"{lam} is not theta-fixed")
+    pairings = tuple(lam.dot(coroot) for coroot in datum.simple_coroots)
+    first_negative = next((i for i, p in enumerate(pairings, 1) if p < 0), None)
+    rank = datum.rank
+    first_in_s = min(
+        (i for i in S if 1 <= i <= rank and pairings[i - 1]), default=None
+    )
+    if first_negative is not None and (
+        first_in_s is None or first_negative <= first_in_s
+    ):
+        raise InvalidWeightError(f"{lam} is not dominant (alpha_{first_negative})")
+    if first_in_s is not None:
+        raise InvalidWeightError(
+            f"weight pairs to {pairings[first_in_s - 1]} with alpha_{first_in_s}, "
+            "which lies in S"
+        )
+    if not all(1 <= i <= rank for i in S):
+        raise InvalidWeightError(f"S = {sorted(S)} out of range")
+    if datum.theta_subset(S) != S:
+        raise InvalidWeightError(f"S = {sorted(S)} is not self-associate")
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from cohoparam.rootdata import (
 )
 
 from oracles import (
+    cohom_parameter_check,
     coordinate_pairs,
     gl_cascade_by_filter,
     parse_complex_parameter,
@@ -427,6 +428,49 @@ def group_and_weight(draw, groups=ORACLE_GROUPS):
 def test_enumeration_matches_subset_scan(case):
     datum, lam = case
     assert enumerate_cohomological(datum, lam) == subset_scan_oracle(datum, lam)
+
+
+CHECK_GROUPS = tuple(g for g in golden.GROUPS if build_classical_dual(g).rank <= 6)
+
+
+@st.composite
+def subset_and_weight(draw):
+    """A group of rank <= 6 from the golden list, S drawn from
+    {0, ..., rank + 1}, and a small weight: integer entries (theta-fixed or
+    dominant as they fall), the dominant representative of v + theta(v)
+    (which passes every weight check), or doubled entries, some odd."""
+    datum = build_classical_dual(draw(st.sampled_from(CHECK_GROUPS)))
+    n = datum.ambient_dim
+    S = frozenset(draw(st.sets(st.integers(0, datum.rank + 1))))
+    kind = draw(st.sampled_from(("integers", "dominant", "doubled")))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    if kind == "doubled":
+        return datum, S, HalfIntVector(tuple(entries))
+    v = HalfIntVector.from_ints(*entries)
+    if kind == "integers":
+        return datum, S, v
+    return datum, S, dominant_orbit_rep(datum, v + datum.theta_linear.apply(v))
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(subset_and_weight())
+@example((build_classical_dual("GL(4,R)"), frozenset({1, 3}), zero(4)))
+@example((build_classical_dual("SO(3,3)"), frozenset({2}), zero(3)))
+def test_parameter_checks_match_the_scan(case):
+    # the constructor's set operations against the scan they replaced:
+    # the same success, or the same exception type and message
+    datum, S, lam = case
+    assert _outcome(CohomParameter, datum, S, lam) == _outcome(
+        cohom_parameter_check, datum, S, lam
+    )
 
 
 # ---------------------------------------------------------------------------

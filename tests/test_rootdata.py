@@ -23,7 +23,7 @@ from cohoparam.rootdata import (
     principal_sl2_coefficients,
 )
 
-from oracles import cartan_matrix, levi_positive
+from oracles import cartan_matrix, levi_positive, positive_root_supports
 
 # a spread of supported descriptors reused across tests
 DESCRIPTORS = [
@@ -407,6 +407,30 @@ def test_component_sums_match_the_whole_root_filter(desc):
         expected = levi_coroot_sum_oracle(p)
         assert d.levi_coroot_sum(S) == expected, S
         assert p.rho_check_levi == HalfIntVector(tuple(expected)).scale(1, 2)
+
+
+@pytest.mark.parametrize("desc", golden.GROUPS)
+def test_datum_tables_match_the_solver_routes(desc):
+    # a fresh datum, so every table is built here
+    d0 = build_classical_dual(desc)
+    d = RootDatum(d0.descriptor, d0.family, d0.factors, d0.galois_linear, d0.signature)
+    tables = ("_positive_root_supports", "_theta_moved", "rho_check", "rank", "ambient_dim")
+    assert not set(tables) & set(vars(d))
+    first = {name: getattr(d, name) for name in tables}
+    assert all(getattr(d, name) is value for name, value in first.items())  # built once
+    assert d == d0 and hash(d) == hash(d0) and repr(d) == repr(d0)
+    # supports from one exact elimination over the positive roots
+    assert d._positive_root_supports == positive_root_supports(d)
+    # the simple roots the linear theta does not fix
+    alphas = enumerate(d.simple_roots, 1)
+    assert d._theta_moved == {i for i, a in alphas if d.theta_linear.apply(a) != a}
+    # half the sum of the positive coroots, which pairs to 1 with each simple root
+    acc = HalfIntVector.zero(sum(f.dim for f in d.factors))
+    for _, coroot in d.positive_roots:
+        acc = acc + coroot
+    assert d.rho_check == acc.scale(1, 2)
+    assert all(d.rho_check.dot(alpha) == 1 for alpha in d.simple_roots)
+    assert d.rank == len(d.simple_coroots) and d.ambient_dim == len(acc)
 
 
 def test_fork_nodes_are_separate_components():
