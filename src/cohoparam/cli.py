@@ -41,7 +41,7 @@ from .params import (
     transfer_cohom,
 )
 from .rootdata import build_classical_dual
-from .weyl import compact_weyl_catalog
+from .weyl import compact_weyl_catalog, max_weyl_size
 
 # embeddings are named by their parameter-side (dual) picture; the values
 # are the transfer kinds, which are named by the real source group
@@ -189,6 +189,15 @@ def cmd_transfer(args) -> int:
     if args.n is not None and datum.ambient_dim != args.n:
         raise InvalidWeightError(
             f"--n {args.n} does not match {source} (rank {datum.ambient_dim})"
+        )
+    # the search walks the weight-zero enumeration, one parameter per
+    # theta-stable subset: 2**(theta-orbits on the simple roots) of them
+    size = 2 ** len({frozenset({i, datum.theta(i)}) for i in range(1, datum.rank + 1)})
+    cap = max_weyl_size()
+    if size > cap:
+        raise WeylSizeError(
+            f"the weight-zero enumeration of {source} has {size} parameters, "
+            f"over the cap of {cap}"
         )
     cohom, image, twist_note = _locate_cohomological(source, args.param)
     result = transfer_cohom(cohom, kind)

@@ -37,7 +37,7 @@ from math import comb
 from ._record import field, record
 from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
 from .halfint import HalfIntVector
-from .packets import _levi_blocks, packet, unitary_packet_members
+from .packets import packet, unitary_packet_members
 from .params import CohomParameter, GLParameter, QuadAtom, standard_rep_parameter
 from .params import _self_dual_compositions  # the one composition walker
 from .rootdata import build_classical_dual
@@ -316,7 +316,7 @@ def packet_cohomology_sum(descriptor: str, param: CohomParameter) -> PacketSumRe
     notes = []
     fam = cat.datum.family
     n = cat.ambient_dim
-    blocks = tuple(len(block) for block in _levi_blocks(n, param.S))
+    blocks = tuple(last + 1 - first for _, first, last in cat.datum._gl_blocks(param.S))
     if fam in ("GL_R", "SL_R"):
         flavor = "SO" if (fam == "SL_R" and n % 2 == 0) else "O"
         routes["levi_product"] = levi_cohomology(blocks, flavor).total * (
@@ -324,11 +324,11 @@ def packet_cohomology_sum(descriptor: str, param: CohomParameter) -> PacketSumRe
         )
         routes["exponent_form"] = _gl_exponent_form(n, flavor)
     elif fam == "GL_C":
-        half = n // 2
-        first_factor = frozenset(i for i in param.S if i < half)
+        # S is theta-stable and no block crosses the factor boundary, so
+        # the first half of the blocks are the first factor's
         prod = PoincarePolynomial.one()
-        for block in _levi_blocks(half, first_factor):
-            prod = prod * symmetric_space_poincare("U_n", len(block))
+        for size in blocks[: len(blocks) // 2]:
+            prod = prod * symmetric_space_poincare("U_n", size)
         routes["levi_product"] = prod.total
     elif fam == "U":
         A, B = cat.datum.signature

@@ -116,27 +116,13 @@ class PacketDescriptor:
 # double-coset route
 
 
-def _levi_blocks(n: int, S: frozenset[int]) -> list[list[int]]:
-    """Consecutive coordinate blocks cut by the simple roots outside S."""
-    blocks: list[list[int]] = []
-    cur = [0]
-    for j in range(1, n):
-        if j in S:
-            cur.append(j)
-        else:
-            blocks.append(cur)
-            cur = [j]
-    blocks.append(cur)
-    return blocks
-
-
 def _unitary_label(
-    rep: WeylElement, blocks: list[list[int]], first_part: int
+    rep: WeylElement, blocks: list[tuple[tuple[int, ...], int, int]], first_part: int
 ) -> str:
     pieces = []
-    for block in blocks:
-        r = sum(1 for i in block if rep.perm[i] < first_part)
-        pieces.append(f"U({r},{len(block) - r})")
+    for _, first, last in blocks:
+        r = sum(1 for i in range(first, last + 1) if rep.perm[i] < first_part)
+        pieces.append(f"U({r},{last + 1 - first - r})")
     return "x".join(pieces)
 
 
@@ -210,7 +196,7 @@ def packet(
 
     unitary_blocks = None
     if cat.datum.family == "U":
-        unitary_blocks = _levi_blocks(cat.ambient_dim, param.S)
+        unitary_blocks = cat.datum._gl_blocks(param.S)
         first_part = cat.datum.signature[0]
 
     levi_times = [_table_getter(l) for l in levi_theta]

@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter, mul
@@ -1002,63 +1003,55 @@ def route_selfdual(param: GLParameter) -> RouteResult:
 # transfers
 
 
-TRANSFER_KINDS = ("so-odd-to-gl", "sp-to-gl", "sp-to-so-even", "gl-to-complex")
+# kind -> (the source families, the noun its error names them by, the
+# target datum's descriptor as a function of the source's n, the map on
+# doubled weights).  The even orthogonal target is SO(n+1, n+1) or
+# SO(n+2, n): rho-check and dominance do not depend on the signature, and
+# these forms always have an unambiguous diagram action.
+_TRANSFERS = {
+    "so-odd-to-gl": (("SO_odd",), "an odd orthogonal", lambda n: f"GL({2 * n},R)",
+                     lambda t: t + tuple(-x for x in reversed(t))),
+    "sp-to-gl": (("Sp_R",), "a symplectic", lambda n: f"GL({2 * n + 1},R)",
+                 lambda t: t + (0,) + tuple(-x for x in reversed(t))),
+    "sp-to-so-even": (("Sp_R",), "a symplectic", lambda n: f"SO({n + 2 - n % 2},{n + n % 2})",
+                      lambda t: t + (0,)),
+    "gl-to-complex": (("GL_R", "SL_R"), "a general linear", lambda n: f"GL({n},C)",
+                      lambda t: t + t),
+}
+
+TRANSFER_KINDS = tuple(_TRANSFERS)
 
 
-def _transfer_weight_map(kind: str, v: HalfIntVector) -> HalfIntVector:
-    t = v.twice
-    n = len(t)
-    if kind == "so-odd-to-gl":
-        return HalfIntVector(t + tuple(-x for x in reversed(t)))
-    if kind == "sp-to-gl":
-        return HalfIntVector(t + (0,) + tuple(-x for x in reversed(t)))
-    if kind == "sp-to-so-even":
-        return HalfIntVector(t + (0,))
-    if kind == "gl-to-complex":
-        return HalfIntVector(t + t)
-    raise UnsupportedGroupError(f"unknown transfer kind {kind!r}")
+def _transfer(
+    kind: str, source: RootDatum
+) -> tuple[RootDatum, Callable[[HalfIntVector], HalfIntVector]]:
+    """The target datum of `kind` from `source`, and the kind's weight map.
 
-
-def _transfer_check_datum(kind: str, source: RootDatum) -> RootDatum:
-    """A representative target datum used for root-system-level checks.
-
-    For the even orthogonal target the signature is taken even-even:
-    rho-check and dominance do not depend on it, and the even-even form
-    always has an unambiguous diagram action.
+    Checks once that the kind is known, that the source is of a family the
+    kind starts from, and that rho-check of the source maps onto rho-check
+    of the target.
     """
-    n = source.ambient_dim
-    if kind == "so-odd-to-gl":
-        if source.family != "SO_odd":
-            raise UnsupportedGroupError(f"{kind} needs an odd orthogonal source")
-        return build_classical_dual(f"GL({2 * n},R)")
-    if kind == "sp-to-gl":
-        if source.family != "Sp_R":
-            raise UnsupportedGroupError(f"{kind} needs a symplectic source")
-        return build_classical_dual(f"GL({2 * n + 1},R)")
-    if kind == "sp-to-so-even":
-        if source.family != "Sp_R":
-            raise UnsupportedGroupError(f"{kind} needs a symplectic source")
-        m = n + 1
-        p, q = (m, m) if m % 2 == 0 else (m + 1, m - 1)
-        return build_classical_dual(f"SO({p},{q})")
-    if kind == "gl-to-complex":
-        if source.family not in ("GL_R", "SL_R"):
-            raise UnsupportedGroupError(f"{kind} needs a general linear source")
-        return build_classical_dual(f"GL({n},C)")
-    raise UnsupportedGroupError(f"unknown transfer kind {kind!r}")
+    if kind not in _TRANSFERS:
+        raise UnsupportedGroupError(f"unknown transfer kind {kind!r}")
+    families, noun, target, doubled = _TRANSFERS[kind]
+    if source.family not in families:
+        raise UnsupportedGroupError(f"{kind} needs {noun} source")
+    check = build_classical_dual(target(source.ambient_dim))
 
+    def weight_map(v: HalfIntVector) -> HalfIntVector:
+        return HalfIntVector(doubled(v.twice))
 
-def transfer_weight(kind: str, source: RootDatum, v: HalfIntVector) -> HalfIntVector:
-    """Transport a weight; hard-checks that rho-check maps to rho-check."""
-    check = _transfer_check_datum(kind, source)
-    image = _transfer_weight_map(kind, v)
-    rho_image = _transfer_weight_map(kind, source.rho_check)
-    if dominant_orbit_rep(check, rho_image) != check.rho_check:
+    if dominant_orbit_rep(check, weight_map(source.rho_check)) != check.rho_check:
         raise MathCheckError(
             f"{kind}: rho-check of the source does not map onto rho-check "
             f"of the target"
         )
-    return image
+    return check, weight_map
+
+
+def transfer_weight(kind: str, source: RootDatum, v: HalfIntVector) -> HalfIntVector:
+    """Transport a weight; hard-checks that rho-check maps to rho-check."""
+    return _transfer(kind, source)[1](v)
 
 
 @record
@@ -1088,9 +1081,9 @@ class TransferResult:
 def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
     """Functorial image of a subset-side parameter along one embedding."""
     source = cohom.datum
-    check = _transfer_check_datum(kind, source)
+    check, weight_map = _transfer(kind, source)
     base = standard_rep_parameter(cohom)
-    image_inf = transfer_weight(kind, source, cohom.lam + source.rho_check)
+    image_inf = weight_map(cohom.lam + source.rho_check)
     notes = []
     coh: bool | None = None
     target_name = check.descriptor
@@ -1125,7 +1118,7 @@ def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
         else:
             coh = False
         notes.append(f"appended {extra.text()}; discriminant class {delta}")
-    elif kind == "gl-to-complex":
+    else:  # gl-to-complex
         assert isinstance(base, GLParameter)
         entries = []
         for a in base.atoms:
@@ -1140,8 +1133,6 @@ def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
             p.text() for p in enumerate_complex_cohomological(half, cohom.lam)
         }
         notes.append("restriction of scalars")
-    else:
-        raise UnsupportedGroupError(f"unknown transfer kind {kind!r}")
 
     image_inf_dom = dominant_orbit_rep(check, image_inf)
     return TransferResult(

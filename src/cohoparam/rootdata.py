@@ -6,8 +6,9 @@ Supported groups (descriptor grammar, ASCII, case-insensitive):
 
 `build_classical_dual` returns the based root datum of the complex dual
 group in epsilon-coordinates, together with the Galois action on the
-Dynkin diagram determined by the real form.  Simple roots are numbered
-1..rank in the usual (Bourbaki) order, factor by factor.
+Dynkin diagram determined by the real form.  Simple roots are read off
+each factor's positive-root table, as the roots whose support is one simple
+root, and numbered 1..rank in the usual (Bourbaki) order, factor by factor.
 
 Three diagram involutions matter downstream:
 
@@ -190,47 +191,6 @@ class Factor:
     flavor: str
 
 
-def _local_simple_roots(f: Factor) -> list[tuple[list[int], list[int]]]:
-    """(root, coroot) pairs for the simple roots, as integer coordinate lists."""
-    n = f.dim
-    out: list[tuple[list[int], list[int]]] = []
-
-    def e(i: int, c: int = 1) -> list[int]:
-        v = [0] * n
-        v[i] = c
-        return v
-
-    def diff(i: int) -> list[int]:
-        v = [0] * n
-        v[i] = 1
-        v[i + 1] = -1
-        return v
-
-    if f.cartan == "A":
-        for i in range(f.rank):
-            out.append((diff(i), diff(i)))
-    elif f.cartan == "B":
-        for i in range(f.rank - 1):
-            out.append((diff(i), diff(i)))
-        out.append((e(n - 1, 1), e(n - 1, 2)))
-    elif f.cartan == "C":
-        for i in range(f.rank - 1):
-            out.append((diff(i), diff(i)))
-        out.append((e(n - 1, 2), e(n - 1, 1)))
-    elif f.cartan == "D":
-        if f.rank >= 2:
-            for i in range(f.rank - 1):
-                out.append((diff(i), diff(i)))
-            v = [0] * n
-            v[n - 2] = 1
-            v[n - 1] = 1
-            out.append((v, v))
-        # rank <= 1 in type D means SO(2): a torus, no roots.
-    else:
-        raise ValueError(f"unknown Cartan type {f.cartan!r}")
-    return out
-
-
 def _local_positive_roots(f: Factor) -> list[tuple[list[int], list[int], Iterable[int]]]:
     """(root, coroot, support) of each positive root: coordinate lists, and
     the simple roots (local, 0-based) the root is a positive sum of.  e_i - e_j
@@ -293,22 +253,21 @@ class RootDatum:
         return sum(f.dim for f in self.factors)
 
     @cached_property
+    def _simple_root_pairs(self) -> tuple[tuple[HalfIntVector, HalfIntVector], ...]:
+        """(root, coroot) of each simple root, read off the positive-root
+        table: the positive roots whose support is one simple root, in the
+        order of that root's index."""
+        supports = self._positive_root_supports
+        simple = {min(s): pair for pair, s in zip(self.positive_roots, supports) if len(s) == 1}
+        return tuple(simple[i] for i in sorted(simple))
+
+    @cached_property
     def simple_roots(self) -> tuple[HalfIntVector, ...]:
-        total = self.ambient_dim
-        out = []
-        for f in self.factors:
-            for root, _ in _local_simple_roots(f):
-                out.append(_embed(root, f.offset, total))
-        return tuple(out)
+        return tuple(root for root, _ in self._simple_root_pairs)
 
     @cached_property
     def simple_coroots(self) -> tuple[HalfIntVector, ...]:
-        total = self.ambient_dim
-        out = []
-        for f in self.factors:
-            for _, coroot in _local_simple_roots(f):
-                out.append(_embed(coroot, f.offset, total))
-        return tuple(out)
+        return tuple(coroot for _, coroot in self._simple_root_pairs)
 
     @cached_property
     def rank(self) -> int:
@@ -379,6 +338,14 @@ class RootDatum:
             last = b
         return out
 
+    def _gl_blocks(self, S: Iterable[int]) -> list[tuple[tuple[int, ...], int, int]]:
+        """The blocks of `_levi_blocks`, except that each coordinate no root
+        of S touches is a block of its own: the GL factors of a type-A Levi."""
+        out = []
+        for roots, first, last in self._levi_blocks(S):
+            out += [(roots, first, last)] if roots else [((), k, k) for k in range(first, last + 1)]
+        return out
+
     @cached_property
     def _block_coroot_sums(self) -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
         """Memo of `levi_coroot_sum`: the roots of a block map to the nonzero
@@ -399,8 +366,9 @@ class RootDatum:
         """
         out, first = [], 1
         for f in self.factors:
-            out += (frozenset(k + first for k in s) for *_, s in _local_positive_roots(f))
-            first += len(_local_simple_roots(f))
+            supports = [s for *_, s in _local_positive_roots(f)]
+            out += (frozenset(k + first for k in s) for s in supports)
+            first += sum(len(s) == 1 for s in supports)  # the factor's simple roots
         return tuple(out)
 
     def _coroot_sum_on(self, block: frozenset[int]) -> tuple[tuple[int, int], ...]:

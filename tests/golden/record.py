@@ -17,10 +17,10 @@ W^theta has at most 720 elements.  The corpora:
   and on the compact forms of `COMPACT_FAMILIES` up to size 8, and
   `verify` for every suite, each in table and JSON;
 * `limits_cli.json`: `verify` at non-default `--max-n` and `--max-rank`
-  caps (table and JSON), the error paths of `tests/test_cli.py`'s
-  `TestExitCodes`, and the `COHOPARAM_MAX_WEYL` cases.  A case that begins
-  with `COHOPARAM_MAX_WEYL=value` runs with the variable set to that value,
-  as in a shell; it is restored afterwards.
+  caps (table and JSON), the error paths of `ERROR_PATHS`, and the
+  `COHOPARAM_MAX_WEYL` cases.  A case that begins with
+  `COHOPARAM_MAX_WEYL=value` runs with the variable set to that value, as
+  in a shell; it is restored afterwards.
 
 `tests/test_golden.py` recomputes every digest against its file.
 Re-record only when an output is meant to change:
@@ -165,23 +165,26 @@ def cohomology_cases() -> list[list[str]]:
     return out
 
 
-# the argv of TestExitCodes.test_error_paths in tests/test_cli.py
+# (argv, exit code) of each CLI error path; `tests/test_cli.py`'s
+# `TestExitCodes.test_error_paths` checks the codes
 ERROR_PATHS = (
-    ["enumerate", "--group", "GL(2,R)", "--weight", "0,0,1"],
-    ["enumerate", "--group", "GL(2,R)", "--weight", "x,0"],
-    ["enumerate", "--group", "GL(2,R)", "--weight", "1/3,0"],
-    ["enumerate", "--group", "GL(2,R)", "--weight", "1/2,-1/2"],
-    ["enumerate", "--group", "E8"],
-    ["packet", "--group", "Sp(4,R)", "--subset", "a"],
-    ["packet", "--group", "Sp(40,R)"],
-    ["enumerate", "--group", "GL(2,R)", "--weight", ",0"],
-    ["enumerate", "--group", "GL(2,R)", "--weight", "1/0,0"],
-    ["enumerate", "--group", "GL(2,R)", "--weight", "1e5000,0"],
-    ["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1/3"],
-    ["transfer", "--embedding", "diag", "--param", "s1[1]*nu^1e5000"],
-    ["transfer", "--embedding", "sp-gl", "--param", "s1[1]+w0[1]"],
-    ["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1"],
-    ["transfer", "--embedding", "sp-gl", "--param", "w0[1]+w0[1]+w0[1]"],
+    (["enumerate", "--group", "GL(2,R)", "--weight", "0,0,1"], 2),
+    (["enumerate", "--group", "GL(2,R)", "--weight", "x,0"], 2),
+    (["enumerate", "--group", "GL(2,R)", "--weight", "1/3,0"], 2),
+    (["enumerate", "--group", "GL(2,R)", "--weight", "1/2,-1/2"], 2),
+    (["enumerate", "--group", "E8"], 3),
+    (["packet", "--group", "Sp(4,R)", "--subset", "a"], 2),
+    (["packet", "--group", "Sp(40,R)"], 3),
+    (["enumerate", "--group", "GL(2,R)", "--weight", ",0"], 2),
+    (["enumerate", "--group", "GL(2,R)", "--weight", "1/0,0"], 2),
+    (["enumerate", "--group", "GL(2,R)", "--weight", "1e5000,0"], 2),
+    (["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1/3"], 2),
+    (["transfer", "--embedding", "diag", "--param", "s1[1]*nu^1e5000"], 2),
+    (["transfer", "--embedding", "sp-gl", "--param", "s1[1]+w0[1]"], 3),
+    (["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1"], 3),
+    (["transfer", "--embedding", "sp-gl", "--param", "w0[1]+w0[1]+w0[1]"], 2),
+    # SO(20,21): 2**20 weight-zero parameters, over the default cap
+    (["transfer", "--embedding", "sp-gl", "--param", "s2[20]"], 3),
 )
 
 _ENV_CAP = "COHOPARAM_MAX_WEYL"
@@ -197,7 +200,7 @@ def limits_cases() -> list[list[str]]:
         argv = ["verify", "--suite", *extra]
         out.append(argv)
         out.append(argv + ["--format", "json"])
-    out.extend(list(argv) for argv in ERROR_PATHS)
+    out.extend(list(argv) for argv, _ in ERROR_PATHS)
     for command in ("enumerate", "packet", "cohomology-sum", "innerforms", "dump-weyl"):
         for group in ("SO(1,0)", "SO(0,1)"):
             out.append([command, "--group", group])

@@ -7,6 +7,7 @@ checked by hand against the enumeration tables in test_params and frozen
 here byte for byte.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,6 +21,12 @@ from cohoparam.cli import EMBEDDINGS, SUITES, build_parser, main
 from cohoparam.errors import MathCheckError
 from cohoparam.params import parse_gl_parameter
 from oracles import parse_complex_parameter
+
+# the CLI error paths are listed once, with the golden corpus that digests them
+_RECORD = Path(__file__).parent / "golden" / "record.py"
+_spec = importlib.util.spec_from_file_location("golden_record", _RECORD)
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
 
 
 def run(capsys, *argv):
@@ -391,26 +398,7 @@ class TestVerify:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize(
-        "argv,code",
-        [
-            (["enumerate", "--group", "GL(2,R)", "--weight", "0,0,1"], 2),
-            (["enumerate", "--group", "GL(2,R)", "--weight", "x,0"], 2),
-            (["enumerate", "--group", "GL(2,R)", "--weight", "1/3,0"], 2),
-            (["enumerate", "--group", "GL(2,R)", "--weight", "1/2,-1/2"], 2),
-            (["enumerate", "--group", "E8"], 3),
-            (["packet", "--group", "Sp(4,R)", "--subset", "a"], 2),
-            (["packet", "--group", "Sp(40,R)"], 3),
-            (["enumerate", "--group", "GL(2,R)", "--weight", ",0"], 2),
-            (["enumerate", "--group", "GL(2,R)", "--weight", "1/0,0"], 2),
-            (["enumerate", "--group", "GL(2,R)", "--weight", "1e5000,0"], 2),
-            (["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1/3"], 2),
-            (["transfer", "--embedding", "diag", "--param", "s1[1]*nu^1e5000"], 2),
-            (["transfer", "--embedding", "sp-gl", "--param", "s1[1]+w0[1]"], 3),
-            (["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1"], 3),
-            (["transfer", "--embedding", "sp-gl", "--param", "w0[1]+w0[1]+w0[1]"], 2),
-        ],
-    )
+    @pytest.mark.parametrize("argv,code", record.ERROR_PATHS)
     def test_error_paths(self, argv, code, capsys):
         assert main(argv) == code
         capsys.readouterr()

@@ -122,6 +122,19 @@ def test_cartan_matrix_B2_C2():
     assert b2 == [[2, -2], [-1, 2]]
     c2 = cartan_matrix(build_classical_dual("SO(2,3)"))
     assert c2 == [[2, -1], [-2, 2]]
+    # the simple roots in Bourbaki order, <alpha_i, alpha_j-check> as literals
+    pinned = {
+        "GL(4,R)": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],  # A3
+        "Sp(6,R)": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],  # B3: alpha_3 = e3
+        "SO(3,4)": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],  # C3: alpha_3 = 2e3
+        # D4: e3 - e4 and e3 + e4 are the fork, both joined to the centre
+        "SO(4,4)": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+        "SO(2,2)": [[2, 0], [0, 2]],  # D2: e1 - e2 and e1 + e2
+        "GL(2,C)": [[2, 0], [0, 2]],  # one A1 per factor
+        "SO(1,1)": [],  # D1 is a torus: no roots
+    }
+    for group, matrix in pinned.items():
+        assert cartan_matrix(build_classical_dual(group)) == matrix, group
 
 
 # -- involutions -------------------------------------------------------------
@@ -441,6 +454,47 @@ def test_fork_nodes_are_separate_components():
     # they share both coordinates, so the Levi has them in one block
     assert d.levi_coroot_sum({3, 4}) == [0, 0, 4, 0]
     assert d._levi_blocks({3, 4}) == [((), 0, 1), ((3, 4), 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "group,S,blocks",
+    [
+        ("GL(1,R)", (), [((), 0, 0)]),
+        ("GL(4,R)", (), [((), 0, 0), ((), 1, 1), ((), 2, 2), ((), 3, 3)]),
+        ("GL(5,R)", (2, 3), [((), 0, 0), ((2, 3), 1, 3), ((), 4, 4)]),
+        ("GL(6,R)", (1, 5), [((1,), 0, 1), ((), 2, 2), ((), 3, 3), ((5,), 4, 5)]),
+        ("U(2,1)", (1, 2), [((1, 2), 0, 2)]),
+        # GL_C: the rootless run of `_levi_blocks` crosses the factor boundary
+        ("GL(2,C)", (), [((), 0, 0), ((), 1, 1), ((), 2, 2), ((), 3, 3)]),
+        ("GL(3,C)", (1, 4), [((1,), 0, 1), ((), 2, 2), ((), 3, 3), ((4,), 4, 5)]),
+        ("GL(3,C)", (1, 2, 3, 4), [((1, 2), 0, 2), ((3, 4), 3, 5)]),
+    ],
+)
+def test_gl_blocks(group, S, blocks):
+    assert build_classical_dual(group)._gl_blocks(S) == blocks
+
+
+@pytest.mark.parametrize("group", ["GL(5,R)", "SL(4,R)", "U(3,2)", "GL(3,C)"])
+def test_gl_blocks_are_the_runs_the_roots_of_S_join(group):
+    # type A: each simple coroot joins two neighbouring coordinates, and the
+    # GL blocks are the runs of coordinates that the coroots of S join
+    d = build_classical_dual(group)
+    joins = {
+        i: tuple(k for k, t in enumerate(d.alpha_check(i).twice) if t)
+        for i in range(1, d.rank + 1)
+    }
+    for size in range(d.rank + 1):
+        for S in itertools.combinations(range(1, d.rank + 1), size):
+            runs = [[0]]
+            for k in range(1, d.ambient_dim):
+                if (k - 1, k) in {joins[i] for i in S}:
+                    runs[-1].append(k)
+                else:
+                    runs.append([k])
+            expected = [
+                (tuple(i for i in S if joins[i][0] in run), run[0], run[-1]) for run in runs
+            ]
+            assert d._gl_blocks(S) == expected, S
 
 
 # -- principal SL2 -----------------------------------------------------------
