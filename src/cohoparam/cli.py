@@ -192,7 +192,7 @@ def cmd_transfer(args) -> int:
         )
     # the search walks the weight-zero enumeration, one parameter per
     # theta-stable subset: 2**(theta-orbits on the simple roots) of them
-    size = 2 ** len({frozenset({i, datum.theta(i)}) for i in range(1, datum.rank + 1)})
+    size = 2 ** len(datum._theta_orbits)
     cap = max_weyl_size()
     if size > cap:
         raise WeylSizeError(

@@ -474,8 +474,6 @@ def _orthogonal_compact_weyl_order(p: int, q: int) -> int:
     with both sides even only patterns with even total survive, except
     that a missing side leaves the connected special orthogonal group.
     """
-    if p < 0 or q < 0:
-        raise InvalidWeightError(f"bad signature ({p},{q})")
     a, b = p // 2, q // 2
     base = _simple_weyl_order("B", a) * _simple_weyl_order("B", b)
     if p % 2 == 1 or q % 2 == 1:
@@ -494,7 +492,9 @@ def innerform_sum_quasisplit(descriptor: str) -> InnerFormReport:
     Galois cohomology is trivial — every symplectic or linear form over
     the reals is unique).  Each index is |W^theta| divided by the order
     of the Weyl group of the *full* maximal compact; the sum is 2**e with
-    e the circle rank of the fundamental torus.
+    e the circle rank of the fundamental torus.  Both orders are read off
+    the catalog's `_CATALOG_TABLE`, except for the orthogonal forms: their
+    row holds the identity component of S(O(p) x O(q)), not the full group.
 
     The connected-flavor rows (descriptor ``SL(n,R)``, n even) cannot
     satisfy the identity — their compact side is missing the reflection
@@ -507,59 +507,44 @@ def innerform_sum_quasisplit(descriptor: str) -> InnerFormReport:
     a_rank, b_rank, e = _torus_shape(datum)
     rhs = 2**e
     betti = 2 ** (a_rank + b_rank + e)
-    classes: list[dict] = []
     notes: list[str] = []
     status = "ok"
 
-    if fam in ("GL_R", "GL_C"):
-        classes.append({"label": datum.descriptor, "index": 1})
-        lhs = 1
-    elif fam == "SL_R":
-        if n % 2 == 0:
-            lhs = 2
-            classes.append({"label": datum.descriptor, "index": 2})
-            status = "discrepancy"
-            notes.append(
-                "connected-flavor row: the compact side is the special "
-                "orthogonal group, whose missing reflection halves the "
-                "denominator; the identity holds for the full orthogonal "
-                "compact (see the GL row), and for the literal special "
-                "linear group a circle factor moves the right side to 2"
-            )
-        else:
-            lhs = 1
-            classes.append({"label": datum.descriptor, "index": 1})
-    elif fam == "Sp_R":
-        half = n
-        lhs = 2**half
-        classes.append({"label": datum.descriptor, "index": lhs})
-        notes.append("the symplectic family has a single pure inner form")
-    elif fam == "U":
-        p, q = datum.signature
-        total_n = p + q
-        lhs = 0
-        for k in range(total_n + 1):
-            idx = comb(total_n, k)
-            classes.append({"label": f"U({total_n - k},{k})", "index": idx})
-            lhs += idx
+    # the family's pure inner forms, each with the order of its compact side
+    (_, w_theta_order), (_, k_order) = _catalog_row(datum)
+    forms = [(datum.descriptor, k_order)]
+    if fam == "U":
+        forms = [
+            (f"U({n - k},{k})", _catalog_row(datum, (n - k, k))[1][1])
+            for k in range(n + 1)
+        ]
     elif fam in ("SO_odd", "SO_even"):
+        # the catalog's K is the identity component of the compact side
         p, q = datum.signature
-        N = p + q
-        (_, w_theta_order), _ = _catalog_row(datum)
-        lhs = 0
-        for q2 in range(q % 2, N + 1, 2):
-            p2 = N - q2
-            k_order = _orthogonal_compact_weyl_order(p2, q2)
-            if w_theta_order % k_order:
-                raise MathCheckError(
-                    f"|W^theta| = {w_theta_order} not divisible by the "
-                    f"compact-side order {k_order} for SO({p2},{q2})"
-                )
-            idx = w_theta_order // k_order
-            classes.append({"label": f"SO({p2},{q2})", "index": idx})
-            lhs += idx
-    else:  # pragma: no cover
-        raise UnsupportedGroupError(f"no inner-form family for {descriptor}")
+        forms = [
+            (f"SO({p + q - q2},{q2})", _orthogonal_compact_weyl_order(p + q - q2, q2))
+            for q2 in range(q % 2, p + q + 1, 2)
+        ]
+    elif fam == "SL_R" and n % 2 == 0:
+        status = "discrepancy"
+        notes.append(
+            "connected-flavor row: the compact side is the special "
+            "orthogonal group, whose missing reflection halves the "
+            "denominator; the identity holds for the full orthogonal "
+            "compact (see the GL row), and for the literal special "
+            "linear group a circle factor moves the right side to 2"
+        )
+    elif fam == "Sp_R":
+        notes.append("the symplectic family has a single pure inner form")
+    classes: list[dict] = []
+    for label, order in forms:
+        if w_theta_order % order:
+            raise MathCheckError(
+                f"|W^theta| = {w_theta_order} not divisible by the "
+                f"compact-side order {order} for {label}"
+            )
+        classes.append({"label": label, "index": w_theta_order // order})
+    lhs = sum(c["index"] for c in classes)
 
     if status == "ok" and lhs != rhs:
         raise MathCheckError(

@@ -51,7 +51,6 @@ from .errors import (
 from .halfint import HalfIntVector, _fmt_half, _parse_half
 from .rootdata import (
     RootDatum,
-    StandardParabolic,
     build_classical_dual,
     dominant_orbit_rep,
     is_regular_orbit,
@@ -405,34 +404,18 @@ class CohomParameter:
             raise InvalidWeightError(f"S = {sorted(self.S)} is not self-associate")
 
     @property
-    def parabolic(self) -> StandardParabolic:
-        return StandardParabolic(self.datum, self.S)
-
-    def _chi_and_sl2(self) -> tuple[HalfIntVector, HalfIntVector]:
-        """(chi, sl2) from one computation of rho-check of the Levi.
-
-        Nothing of its own is kept on the parameter, only its reference to
-        the shared per-weight record: an enumeration holds all of its
-        parameters at once, and a cached value on each raised its peak memory.
-        """
-        rho_levi = self.parabolic.rho_check_levi
-        return self.lam + self.datum.rho_check - rho_levi, rho_levi.scale(2)
-
-    @property
     def inf_char(self) -> HalfIntVector:
         return self._weight[2]
 
     @property
     def central_ok(self) -> bool:
-        """(-1)^(2 chi + sl2) equals (-1)^(2 rho-check), coordinatewise."""
-        chi, sl2 = self._chi_and_sl2()
-        two_chi = chi.scale(2)
-        target = self.datum.rho_check.scale(2)
-        for a, b, c in zip(two_chi.twice, sl2.twice, target.twice):
-            # a, b, c are doubled integers of integral vectors: values a/2 etc.
-            if ((a + b) // 2) % 2 != (c // 2) % 2:
-                return False
-        return True
+        """(-1)^(2 chi + sl2) equals (-1)^(2 rho-check), coordinatewise.
+
+        With rho-check_L the Levi's, chi = lam + rho-check - rho-check_L and
+        sl2 = 2 rho-check_L, so 2 chi + sl2 = 2 (lam + rho-check) whatever S
+        is: the check holds exactly when every entry of lam is an integer.
+        """
+        return not any(t % 2 for t in self.lam.twice)
 
 
 def enumerate_cohomological(
@@ -451,11 +434,11 @@ def enumerate_cohomological(
     if lam is None:
         lam = HalfIntVector((0,) * datum.ambient_dim)
     # validate the weight once through the parameter with S = {}
-    singular = sorted(CohomParameter(datum, frozenset(), lam)._weight[4])
+    singular = CohomParameter(datum, frozenset(), lam)._weight[4]
     # lam is theta-fixed, so the involution theta maps the singular set to
     # itself, and its theta-stable subsets are the unions of the orbits
-    # {i, theta(i)}: 2**len(orbits) of them, each built once
-    orbits = list(dict.fromkeys(frozenset({i, datum.theta(i)}) for i in singular))
+    # {i, theta(i)} inside it: 2**len(orbits) of them, each built once
+    orbits = [o for o in datum._theta_orbits if o <= singular]
     subsets = [
         tuple(sorted(itertools.chain.from_iterable(combo)))
         for r in range(len(orbits) + 1)
@@ -663,8 +646,6 @@ def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParame
             raise MathCheckError("second factor is not the conjugate of the first")
         return ComplexParameter(tuple(one))
     # self-dual families: the determinant class constrains the quad signs
-    if fam not in ("GL_R", "SL_R", "SO_odd", "Sp_R", "SO_even"):  # pragma: no cover
-        raise UnsupportedGroupError(f"no standard-representation rule for {fam}")
     delta = 0 if fam == "Sp_R" else None
     if fam == "SO_even":
         delta = (datum.signature[1] - n) % 2

@@ -463,6 +463,14 @@ class RootDatum:
         is theta-stable.  Empty for Sp, U and every SO but SO(odd,odd)."""
         return frozenset(i for i, j in enumerate(self.theta_index, 1) if i != j)
 
+    @cached_property
+    def _theta_orbits(self) -> tuple[frozenset[int], ...]:
+        """The orbits {i, theta(i)} on the simple roots, ordered by least
+        root: a subset is theta-stable exactly when it is a union of them."""
+        return tuple(dict.fromkeys(
+            frozenset({i, j}) for i, j in enumerate(self.theta_index, 1)
+        ))
+
     def theta_subset(self, s: Iterable[int]) -> frozenset[int]:
         table = self.theta_index
         return frozenset(table[i - 1] for i in s)
@@ -558,85 +566,52 @@ def build_classical_dual(descriptor: str) -> RootDatum:
 
 @lru_cache(maxsize=64)
 def _build_classical_dual(kind: str, first: int, second: int | str) -> RootDatum:
-    canon = _canonical(kind, first, second)
-
+    signature = (first, second) if kind in ("U", "SO") else None
     if kind in ("GL", "SL") and second == "R":
         n = first
-        flavor = "GL" if kind == "GL" else "Adjoint"
-        f = Factor("A", n - 1, n, 0, flavor)
-        return RootDatum(
-            descriptor=canon,
-            family="GL_R" if kind == "GL" else "SL_R",
-            factors=(f,),
-            galois_linear=WeylElement.identity(n),
-        )
-
-    if kind == "GL" and second == "C":
+        family = "GL_R" if kind == "GL" else "SL_R"
+        factors = (Factor("A", n - 1, n, 0, "GL" if kind == "GL" else "Adjoint"),)
+        galois = WeylElement.identity(n)
+    elif kind == "GL" and second == "C":
         n = first
-        f1 = Factor("A", n - 1, n, 0, "GL")
-        f2 = Factor("A", n - 1, n, n, "GL")
-        swap = WeylElement(
-            tuple(list(range(n, 2 * n)) + list(range(n))), (1,) * (2 * n)
-        )
-        return RootDatum(
-            descriptor=canon,
-            family="GL_C",
-            factors=(f1, f2),
-            galois_linear=swap,
-        )
-
-    if kind == "U":
-        p, q = first, second
-        n = p + q
-        f = Factor("A", n - 1, n, 0, "GL")
-        flip = WeylElement(tuple(range(n - 1, -1, -1)), (-1,) * n)
-        return RootDatum(
-            descriptor=canon,
-            family="U",
-            factors=(f,),
-            galois_linear=flip,
-            signature=(p, q),
-        )
-
-    if kind == "SP":
+        family = "GL_C"
+        factors = (Factor("A", n - 1, n, 0, "GL"), Factor("A", n - 1, n, n, "GL"))
+        galois = WeylElement((*range(n, 2 * n), *range(n)), (1,) * (2 * n))
+    elif kind == "U":
+        n = first + second
+        family = "U"
+        factors = (Factor("A", n - 1, n, 0, "GL"),)
+        galois = WeylElement(tuple(range(n - 1, -1, -1)), (-1,) * n)
+    elif kind == "SP":
         n = first // 2
-        f = Factor("B", n, n, 0, "SO")
-        return RootDatum(
-            descriptor=canon,
-            family="Sp_R",
-            factors=(f,),
-            galois_linear=WeylElement.identity(n),
-        )
-
-    # SO(p,q)
-    p, q = first, second
-    total = p + q
-    if total % 2 == 1:
-        n = total // 2
-        f = Factor("C", n, n, 0, "Sp")
-        return RootDatum(
-            descriptor=canon,
-            family="SO_odd",
-            factors=(f,),
-            galois_linear=WeylElement.identity(n),
-            signature=(p, q),
-        )
-    n = total // 2
-    if total == 8 and p % 2 == 1:
-        raise UnsupportedGroupError(
-            "SO(p,q) with p+q=8 and p,q odd: the outer diagram action is "
-            "triality-ambiguous and not supported"
-        )
-    # the identity on inner forms of the split form (q = n mod 2), else the
-    # last sign flip, which swaps the fork nodes e_{n-1}-e_n <-> e_{n-1}+e_n
-    signs = (1,) * n if q % 2 == n % 2 else (1,) * (n - 1) + (-1,)
-    f = Factor("D", n, n, 0, "SO")
+        family = "Sp_R"
+        factors = (Factor("B", n, n, 0, "SO"),)
+        galois = WeylElement.identity(n)
+    elif (first + second) % 2 == 1:
+        n = (first + second) // 2
+        family = "SO_odd"
+        factors = (Factor("C", n, n, 0, "Sp"),)
+        galois = WeylElement.identity(n)
+    else:
+        p, q = signature
+        n = (p + q) // 2
+        if p + q == 8 and p % 2 == 1:
+            raise UnsupportedGroupError(
+                "SO(p,q) with p+q=8 and p,q odd: the outer diagram action is "
+                "triality-ambiguous and not supported"
+            )
+        family = "SO_even"
+        factors = (Factor("D", n, n, 0, "SO"),)
+        # the identity on inner forms of the split form (q = n mod 2), else the
+        # last sign flip, which swaps the fork nodes e_{n-1}-e_n <-> e_{n-1}+e_n
+        signs = (1,) * n if q % 2 == n % 2 else (1,) * (n - 1) + (-1,)
+        galois = WeylElement(tuple(range(n)), signs)
     return RootDatum(
-        descriptor=canon,
-        family="SO_even",
-        factors=(f,),
-        galois_linear=WeylElement(tuple(range(n)), signs),
-        signature=(p, q),
+        descriptor=_canonical(kind, first, second),
+        family=family,
+        factors=factors,
+        galois_linear=galois,
+        signature=signature,
     )
 
 

@@ -432,10 +432,11 @@ def _block(n: int, kind: str, slots, also=()) -> tuple[list[WeylElement], int]:
     return gens, _simple_weyl_order(kind, r - 1 if kind == "A" else r)
 
 
-def _catalog_row(datum: RootDatum) -> tuple[tuple[list[WeylElement], int], ...]:
-    """(generators, order) of W^theta and of K, read off the datum's row."""
-    n = datum.ambient_dim
-    w_theta, k = _CATALOG_TABLE[datum.family](n, *(datum.signature or (0, 0)))
+def _catalog_row(datum: RootDatum, signature=None) -> tuple[tuple[list[WeylElement], int], ...]:
+    """(generators, order) of W^theta and of K, read off the datum's row, or
+    off the row of the form of the same family and size at `signature`."""
+    n, signature = datum.ambient_dim, signature or datum.signature or (0, 0)
+    w_theta, k = _CATALOG_TABLE[datum.family](n, *signature)
     out = []
     for blocks in (w_theta, k or w_theta):
         parts = [_block(n, *b) for b in blocks]

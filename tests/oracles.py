@@ -27,7 +27,10 @@ the route it checks:
   which puts together the strings of each Levi block, split once per weight;
 * `parse_complex_parameter`, which reads `e1[1]+e-1/2[2]` text back into a
   `ComplexParameter`, against the text the CLI prints for the complex
-  families.
+  families;
+* `innerform_indices_by_formula`, the index |W^theta| / |K| of each pure
+  inner form of a GL, SL, Sp or U family in closed form, against
+  `innerform_sum_quasisplit`, which reads both orders off the catalog table.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from operator import itemgetter
 
 from cohoparam.errors import InvalidWeightError, MathCheckError, WeylSizeError
@@ -395,3 +399,20 @@ def parse_complex_parameter(text: str) -> ComplexParameter:
             d_text, bracket = m.groups()
             entries.append((_parse_half(d_text), int(bracket or 1)))
     return ComplexParameter(tuple(entries))
+
+
+def innerform_indices_by_formula(descriptor: str) -> list[tuple[str, int]]:
+    """(label, index) of each pure inner form in the family of `descriptor`:
+    C(n, k) for U(n-k,k), 2**n for Sp(2n,R), 2 for SL(n,R) with n even, and
+    1 for the other SL(n,R), GL(n,R) and GL(n,C)."""
+    kind, first, second = re.fullmatch(
+        r"(GL|SL|Sp|U)\((\d+),(\d+|R|C)\)", descriptor
+    ).groups()
+    if kind == "U":
+        n = int(first) + int(second)
+        return [(f"U({n - k},{k})", comb(n, k)) for k in range(n + 1)]
+    if kind == "Sp":
+        return [(descriptor, 2 ** (int(first) // 2))]
+    if kind == "SL" and int(first) % 2 == 0:
+        return [(descriptor, 2)]
+    return [(descriptor, 1)]

@@ -35,7 +35,11 @@ from cohoparam import (
 )
 from cohoparam.weyl import compact_weyl_catalog
 
-from oracles import self_dual_compositions_by_filter, self_dual_compositions_by_recursion
+from oracles import (
+    innerform_indices_by_formula,
+    self_dual_compositions_by_filter,
+    self_dual_compositions_by_recursion,
+)
 
 
 def zero(n):
@@ -527,7 +531,23 @@ QUASISPLIT_TABLE = {
 }
 
 
+# the families whose indices have a closed form in `oracles`
+FORMULA_GROUPS = (
+    *(f"U({N - q},{q})" for N in range(1, 11) for q in range(N + 1)),
+    *(f"Sp({2 * n},R)" for n in range(1, 7)),
+    *(f"{kind}({n},R)" for kind in ("GL", "SL") for n in range(1, 9)),
+    *(f"GL({n},C)" for n in range(1, 6)),
+)
+
+
 class TestQuasisplitInnerForms:
+    @pytest.mark.parametrize("desc", FORMULA_GROUPS)
+    def test_indices_match_the_closed_forms(self, desc):
+        r = innerform_sum_quasisplit(desc)
+        want = innerform_indices_by_formula(desc)
+        assert [(c["label"], c["index"]) for c in r.classes] == want
+        assert r.lhs == sum(index for _, index in want)
+
     @pytest.mark.parametrize("desc", sorted(QUASISPLIT_TABLE))
     def test_frozen_table(self, desc):
         lhs, rhs, betti, classes = QUASISPLIT_TABLE[desc]

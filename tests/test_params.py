@@ -48,6 +48,7 @@ from cohoparam.params import (
 )
 from cohoparam.rootdata import (
     RootDatum,
+    StandardParabolic,
     WeylElement,
     build_classical_dual,
     dominant_orbit_rep,
@@ -214,7 +215,8 @@ class TestCohomParameter:
     def test_chi_and_sl2(self):
         d = build_classical_dual("Sp(4,R)")
         c = CohomParameter(d, frozenset({2}), zero(2))
-        chi, sl2 = c._chi_and_sl2()
+        rho_levi = StandardParabolic(d, c.S).rho_check_levi
+        chi, sl2 = c.lam + d.rho_check - rho_levi, rho_levi.scale(2)
         assert (str(chi), str(sl2)) == ("2,0", "0,2")
         assert str(c.inf_char) == "2,1"
 
@@ -1161,6 +1163,38 @@ class TestCentralValue:
             rep = central_value_report(standard_rep_parameter(c), c)
             assert rep.overall and rep.subset_side
 
+    HALF_INTEGRAL = [("SL(2,R)", "1/2,-1/2"), ("SL(4,R)", "3/2,1/2,-1/2,-3/2")]
+
+    @pytest.mark.parametrize(
+        "group, weight",
+        [
+            *((g, w) for g in golden.GROUPS for w in [None, *golden.nonzero_weights(g)]),
+            *HALF_INTEGRAL,
+        ],
+    )
+    def test_subset_side_reads_integrality(self, group, weight):
+        d = build_classical_dual(group)
+        lam = zero(d.ambient_dim) if weight is None else HalfIntVector.parse(weight)
+        try:
+            cs = enumerate_cohomological(d, lam)
+        except InvalidWeightError:
+            # the golden corpus records this weight's error exit
+            assert (group, weight) not in self.HALF_INTEGRAL
+            return
+        integral = all(x.denominator == 1 for x in lam)
+        for c in cs:
+            assert c.central_ok == integral, (group, weight, sorted(c.S))
+            img = standard_rep_parameter(c)
+            if d.family == "SO_even":
+                # the even orthogonal image sits uniformly on the other side
+                # of the GL parity table (see verify's central-values suite)
+                assert set(central_value_report(img).per_atom) == {False}
+                with pytest.raises(MathCheckError):
+                    central_value_report(img, c)
+            else:
+                rep = central_value_report(img, c)
+                assert rep.subset_side == rep.overall == integral
+
     def test_halfintegral_weight_fails_parity(self):
         # s2 alone corresponds to the weight (1/2,-1/2): not integral
         rep = central_value_report(parse_gl_parameter("s2[1]"))
@@ -1236,8 +1270,10 @@ class TestProperties:
         assert img.dimension == expected
         # exponent multiset of the image is the family embedding of the
         # infinitesimal character lam + rho-check = chi + half the sl2 part
-        chi, sl2 = c._chi_and_sl2()
+        rho_levi = StandardParabolic(datum, c.S).rho_check_levi
+        chi, sl2 = c.lam + datum.rho_check - rho_levi, rho_levi.scale(2)
         inf = [x + Fraction(h, 2) for x, h in zip(chi, sl2)]
+        assert inf == list(c.lam + datum.rho_check)
         if fam in ("GL_R", "SL_R", "U"):
             want = inf
         elif fam == "GL_C":

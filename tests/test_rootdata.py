@@ -427,7 +427,10 @@ def test_datum_tables_match_the_solver_routes(desc):
     # a fresh datum, so every table is built here
     d0 = build_classical_dual(desc)
     d = RootDatum(d0.descriptor, d0.family, d0.factors, d0.galois_linear, d0.signature)
-    tables = ("_positive_root_supports", "_theta_moved", "rho_check", "rank", "ambient_dim")
+    tables = (
+        "_positive_root_supports", "_theta_moved", "_theta_orbits", "rho_check", "rank",
+        "ambient_dim",
+    )
     assert not set(tables) & set(vars(d))
     first = {name: getattr(d, name) for name in tables}
     assert all(getattr(d, name) is value for name, value in first.items())  # built once
@@ -437,6 +440,10 @@ def test_datum_tables_match_the_solver_routes(desc):
     # the simple roots the linear theta does not fix
     alphas = enumerate(d.simple_roots, 1)
     assert d._theta_moved == {i for i, a in alphas if d.theta_linear.apply(a) != a}
+    # the orbits {i, theta(i)} of the linear theta on the simple roots, by least root
+    index = {a: i for i, a in enumerate(d.simple_roots, 1)}
+    orbits = {frozenset({i, index[d.theta_linear.apply(a)]}) for a, i in index.items()}
+    assert d._theta_orbits == tuple(sorted(orbits, key=min))
     # half the sum of the positive coroots, which pairs to 1 with each simple root
     acc = HalfIntVector.zero(sum(f.dim for f in d.factors))
     for _, coroot in d.positive_roots:
