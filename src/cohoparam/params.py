@@ -9,8 +9,8 @@ Two coordinate systems meet here:
   coefficient field R) or `ComplexParameter` (pairs (d, m) over C).
 
 `standard_rep_parameter` maps the first to the second by pushing the
-(exponent, sl2-weight) data of each coordinate through the standard
-representation of the dual group and splitting the result into strings.
+principal sl2 of each Levi block through the standard representation of
+the dual group, whose strings it reads off in closed form.
 Independent direct enumerations (`enumerate_gl_real`,
 `enumerate_selfdual`, `enumerate_complex_cohomological`) recover the same
 sets from the infinitesimal character alone, which is what the test suite
@@ -449,58 +449,9 @@ def enumerate_cohomological(
 
 
 # ---------------------------------------------------------------------------
-# strings: (exponent, sl2-eigenvalue) data -> atoms
+# images: the strings of each Levi block -> atoms
 #
 # exponents are doubled ints throughout, as in `halfint`
-
-
-def _extract_strings(pairs: Counter | list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Split a table of (doubled exponent, sl2 weight) pairs into sl2-strings.
-
-    The table is a dict of pair counts or a list of pairs, and is not used
-    up.  Each returned (x2, m) certifies the presence of the m pairs
-    (x2, m-1), (x2, m-3), ..., (x2, -(m-1)); the strings come longest first,
-    in (m, x2)-descending order.
-
-    By the sl2 character formula, the pairs at one exponent x are a union
-    of strings exactly when mult(h) = mult(-h) and mult(h-2) >= mult(h) >=
-    mult(h+2) for h >= 0, and then mult(h) - mult(h+2) strings have top h.
-    That count is read off the multiplicities in one pass.  Any other input
-    goes to the greedy walk, which names the first missing or unmatched
-    pair in its error.
-    """
-    work = pairs if isinstance(pairs, dict) else Counter(pairs)
-    tops = []
-    for (x, h), c in work.items():
-        if work.get((x, -h)) != c or (h >= 2 and work.get((x, h - 2), 0) < c):
-            return _extract_strings_greedy(Counter(work))
-        if h >= 0:
-            k = c - work.get((x, h + 2), 0)
-            if k > 0:
-                tops.append((h + 1, x, k))
-    tops.sort(reverse=True)
-    return [(x, m) for m, x, k in tops for _ in range(k)]
-
-
-def _extract_strings_greedy(work: Counter) -> list[tuple[int, int]]:
-    """`_extract_strings` by walking the keys, each string from its top."""
-    out = []
-    # a string only uses up keys below its top, so visiting the keys from
-    # the top down, each until it runs out, always takes the highest one left
-    for x, h in sorted(work, key=lambda p: (p[1], p[0]), reverse=True):
-        while work[(x, h)]:
-            if h < 0:
-                raise MathCheckError(f"unmatched sl2 weight ({_fmt_half(x)}, {h})")
-            m = h + 1
-            for k in range(m):
-                key = (x, h - 2 * k)
-                if work[key] <= 0:
-                    raise MathCheckError(
-                        f"broken string: missing ({_fmt_half(x)}, {key[1]})"
-                    )
-                work[key] -= 1
-            out.append((x, m))
-    return out
 
 
 # the atoms of images repeat across parameters; each is immutable
@@ -556,65 +507,83 @@ def _assign_quad_eps(
     return atoms, flag
 
 
-def _selfdual_strings(
-    fam: str, coords: list[tuple[int, int]], zero: bool = False
-) -> tuple[list[TwoDimAtom], list[int]]:
-    """Two-dimensional atoms and zero-string lengths of a self-dual image.
+# the zero strings of images repeat across parameters; callers only read the shared result
+_image_quad_eps = lru_cache(maxsize=256)(_assign_quad_eps)
 
-    The image's pairs at exponent -x mirror those at +x, so only its pairs
-    with x >= 0 are split: a string at x > 0 stands for itself and its
-    mirror, one at x = 0 is a quad.  Sp_R and SO images are the coordinates
-    and their mirrors (and, with `zero`, Sp_R's one (0, 0)); GL_R and SL_R
-    images are the coordinates alone, which must be their own mirror image.
-    """
-    if fam in ("GL_R", "SL_R"):
-        full = Counter(coords)
-        for (x, h), c in full.items():
-            mirror = full.get((-x, -h), 0)
-            if mirror != c:
-                raise MathCheckError(
-                    f"image is not self-dual: {c} of ({_fmt_half(x)}, {h}) "
-                    f"against {mirror} of ({_fmt_half(-x)}, {-h})"
-                )
-        table = {p: c for p, c in full.items() if p[0] >= 0}
-    else:
-        # a zero coordinate's mirror (0, -h) is counted first, (0, h) second
-        table = Counter([(x, h) if x > 0 else (-x, -h) for x, h in coords]
-                        + [(0, h) for x, h in coords if not x])
-        if zero:
-            table[(0, 0)] += 1
-    twodims, quadlens = [], []
-    for x, m in _extract_strings(table):
-        if x:
-            twodims.append(_two_dim_atom(x, m))
-        else:
-            quadlens.append(m)
-    return twodims, quadlens
+# the zero strings of a block that holds the last simple root (for SO_even,
+# both fork roots), by its number m of coordinates: the standard
+# representation of SO(2m+1), Sp(2m) or SO(2m) under its principal sl2
+_TAIL_STRINGS = {
+    "Sp_R": lambda m: (2 * m + 1,),
+    "SO_odd": lambda m: (2 * m,),
+    "SO_even": lambda m: (2 * m - 1, 1),
+}
 
 
 def _split_cell(datum: RootDatum, lam: HalfIntVector, cell: tuple) -> tuple:
-    """The strings of one block of `RootDatum._levi_blocks` (for GL_R and
-    SL_R, the block and its mirror), in two parts, and the determinant
-    parity of the first: for U all (x2, m) and (); for GL_C those of each
-    factor (parity 0); for the self-dual families the two-dim atoms and the
-    zero-string lengths.  Coordinate k gives the pair
-    (lam2 + rho-check2 - h, h), h its entry of the block's 2 rho-check_L.
+    """The strings of one block of `RootDatum._levi_blocks` in closed form,
+    in two parts, and the determinant parity of the first: for U all
+    (x2, m) and (); for GL_C those of each factor (parity 0); for the
+    self-dual families the two-dim atoms and the zero-string lengths.
+
+    Coordinate k carries the pair (lam2 + rho-check2 - h, h), h its entry of
+    2 rho-check_L; a block of m coordinates without a tail holds one string:
+
+    * a block with roots gives (lam2 + rho-check2 - (m - 1), m), read at its
+      first coordinate: the roots lie in the zero set of lam, so lam is
+      constant on the block (up to the sign of the last coordinate for a D
+      block with one fork root), rho-check drops by one per coordinate, and
+      h runs m - 1, m - 3, ..., -(m - 1) (the principal sl2 of GL(m));
+    * a block without roots gives (lam2 + rho-check2, 1) per coordinate.
+
+    A tail block has lam = 0 and rho-check_L = rho-check on it, so all its
+    pairs sit at exponent 0, and its image is `_TAIL_STRINGS`; Sp_R's
+    extra (0, 0) is the centre of its string 2m + 1:
+
+    >>> zero = HalfIntVector((0,) * 4)
+    >>> _split_cell(build_classical_dual("Sp(8,R)"), zero, ((3, 4), 2, 3))
+    ((), (5,), 0)
+    >>> _split_cell(build_classical_dual("SO(5,4)"), zero, ((3, 4), 2, 3))
+    ((), (4,), 0)
+    >>> _split_cell(build_classical_dual("SO(4,4)"), zero, ((3, 4), 2, 3))
+    ((), (3, 1), 0)
+
+    In a self-dual image every string (x2, m) comes with its mirror
+    (-x2, m): the pair is s|x2|[m] when x2 is not 0 and two zero strings of
+    length m when it is.  For GL_R and SL_R the mirror is the string at
+    theta's image of the block, k -> n-1-k, which must read -x2; a string
+    that is its own mirror is one zero string, and a string after its
+    mirror is left to the mirror's block.
     """
     roots, first, last = cell
-    fam, n = datum.family, datum.ambient_dim
-    coords = [*range(first, last + 1)]
-    if fam in ("GL_R", "SL_R") and first + last < n - 1:
-        roots += tuple(datum.theta_subset(roots))
-        coords += range(n - 1 - last, n - first)
-    sums = datum.levi_coroot_sum(roots) if roots else [0] * n
-    if any(sums[k] % 2 for k in coords):
-        raise MathCheckError("sl2 weights must be integers")
+    fam, n, rank = datum.family, datum.ambient_dim, datum.rank
+    m = last - first + 1
+    if fam in _TAIL_STRINGS and rank in roots and (fam != "SO_even" or rank - 1 in roots):
+        return (), _TAIL_STRINGS[fam](m), 0
     lam2, rho2 = lam.twice, datum.rho_check.twice
-    pairs = [(lam2[k] + rho2[k] - sums[k] // 2, sums[k] // 2) for k in coords]
+    # (first coordinate, length) of each string
+    units = [(first, m)] if roots else [(k, 1) for k in range(first, last + 1)]
+    strings = [(lam2[a] + rho2[a] - (k - 1), k) for a, k in units]
     if fam in ("U", "GL_C"):
-        j = len(pairs) if fam == "U" else max(0, n // 2 - first)
-        return tuple(_extract_strings(pairs[:j])), tuple(_extract_strings(pairs[j:])), 0
-    twodims, quadlens = _selfdual_strings(fam, pairs, fam == "Sp_R" and datum.rank in roots)
+        j = len(units) if fam == "U" else sum(a < n // 2 for a, _ in units)
+        return tuple(strings[:j]), tuple(strings[j:]), 0
+    mirrored = fam in ("GL_R", "SL_R")
+    twodims, quadlens = [], []
+    for (a, k), (x, _) in zip(units, strings):
+        b = n - k - a  # theta's image of coordinates a..a+k-1 starts at b
+        if mirrored:
+            if a > b:
+                continue
+            mirror = lam2[b] + rho2[b] - (k - 1)
+            if mirror != -x:
+                raise MathCheckError(
+                    f"image is not self-dual: string ({_fmt_half(x)}, {k}) "
+                    f"against its mirror ({_fmt_half(mirror)}, {k})"
+                )
+        if x:
+            twodims.append(_two_dim_atom(abs(x), k))
+        else:
+            quadlens += (k,) if mirrored and a == b else (k, k)
     return tuple(twodims), tuple(quadlens), sum(t.det_exponent for t in twodims)
 
 
@@ -622,19 +591,18 @@ def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParame
     """Push a subset-side parameter through the dual standard representation.
 
     Restricted to the dual Levi, the standard representation is the direct
-    sum of the blocks' (Vogan-Zuckerman; Adams-Johnson), and the string
-    counts mult(h) - mult(h+2) add over a direct sum: the image puts its
-    blocks' strings together, each block split once per (datum, lam) and
-    kept in the parameter's `_at_weight` record.
+    sum of the blocks' (Vogan-Zuckerman; Adams-Johnson), and the principal
+    sl2 of each block goes through it with a known Jordan type: m for a
+    type-A block of m coordinates, and 2m + 1, 2m or (2m - 1, 1) for a B_m,
+    C_m or D_m tail.  So the image is the blocks' strings put together,
+    each block's read off in closed form (`_split_cell`) once per
+    (datum, lam) and kept in the parameter's `_at_weight` record.
     """
     datum, lam = cohom.datum, cohom.lam
     fam, n = datum.family, datum.ambient_dim
     memo = cohom._weight[3]
     one, two, det = [], [], 0
-    mirrored = fam in ("GL_R", "SL_R")  # theta: k -> n-1-k; a block stands for its mirror
     for cell in datum._levi_blocks(cohom.S):
-        if mirrored and cell[1] + cell[2] >= n:
-            continue
         piece = memo.get(cell)
         if piece is None:
             piece = memo[cell] = _split_cell(datum, lam, cell)
@@ -652,7 +620,7 @@ def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParame
     if fam == "Sp_R" and datum.rank not in cohom.S:
         two.append(1)  # the extra (0, 0) of Sp_R, alone: w[1]
     two.sort(reverse=True)
-    quads, flag = _assign_quad_eps(two, det % 2, delta)
+    quads, flag = _image_quad_eps(tuple(two), det % 2, delta)
     return GLParameter(tuple(one + quads), 0, flag)
 
 

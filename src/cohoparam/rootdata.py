@@ -246,6 +246,14 @@ class RootDatum:
     galois_linear: WeylElement
     signature: tuple[int, int] | None = None
 
+    def __post_init__(self) -> None:
+        # memos keyed on a datum hash it on every lookup: hash its fields once
+        fields = (self.descriptor, self.family, self.factors, self.galois_linear, self.signature)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     # -- coordinates -------------------------------------------------------
 
     @cached_property

@@ -22,9 +22,11 @@ the route it checks:
 * the mirror-symmetric compositions grown by recursion or filtered from
   all compositions, and `gl_cascade_parameters` over the filtered ones,
   against the library's one walker (a half, a middle, the half reversed);
-* `standard_rep_by_whole_table`, which splits the (exponent, sl2 weight)
-  pairs of all coordinates at once, against `standard_rep_parameter`,
-  which puts together the strings of each Levi block, split once per weight;
+* `standard_rep_by_whole_table`, which sums 2 rho-check_L over the Levi's
+  positive coroots and splits the (exponent, sl2 weight) pairs of all
+  coordinates at once into strings (`extract_strings`, `selfdual_strings`),
+  against `standard_rep_parameter`, which reads one string per Levi block
+  in closed form and shares no string code with it;
 * `parse_complex_parameter`, which reads `e1[1]+e-1/2[2]` text back into a
   `ComplexParameter`, against the text the CLI prints for the complex
   families;
@@ -42,7 +44,7 @@ from math import comb
 from operator import itemgetter
 
 from cohoparam.errors import InvalidWeightError, MathCheckError, WeylSizeError
-from cohoparam.halfint import HalfIntVector, _parse_half
+from cohoparam.halfint import HalfIntVector, _fmt_half, _parse_half
 from cohoparam.params import (
     CohomParameter,
     ComplexParameter,
@@ -51,8 +53,6 @@ from cohoparam.params import (
     _assign_quad_eps,
     _block_compositions,
     _compositions,
-    _extract_strings,
-    _selfdual_strings,
 )
 from cohoparam.rootdata import (
     RootDatum,
@@ -335,6 +335,91 @@ def gl_cascade_by_filter(n: int, lam: HalfIntVector | None = None):
 # standard-representation images from the whole table
 
 
+def extract_strings(pairs: Counter | list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Split a table of (doubled exponent, sl2 weight) pairs into sl2-strings.
+
+    The table is a dict of pair counts or a list of pairs, and is not used
+    up.  Each returned (x2, m) certifies the presence of the m pairs
+    (x2, m-1), (x2, m-3), ..., (x2, -(m-1)); the strings come longest first,
+    in (m, x2)-descending order.
+
+    By the sl2 character formula, the pairs at one exponent x are a union
+    of strings exactly when mult(h) = mult(-h) and mult(h-2) >= mult(h) >=
+    mult(h+2) for h >= 0, and then mult(h) - mult(h+2) strings have top h.
+    That count is read off the multiplicities in one pass.  Any other input
+    goes to the greedy walk, which names the first missing or unmatched
+    pair in its error.
+    """
+    work = pairs if isinstance(pairs, dict) else Counter(pairs)
+    tops = []
+    for (x, h), c in work.items():
+        if work.get((x, -h)) != c or (h >= 2 and work.get((x, h - 2), 0) < c):
+            return _extract_strings_greedy(Counter(work))
+        if h >= 0:
+            k = c - work.get((x, h + 2), 0)
+            if k > 0:
+                tops.append((h + 1, x, k))
+    tops.sort(reverse=True)
+    return [(x, m) for m, x, k in tops for _ in range(k)]
+
+
+def _extract_strings_greedy(work: Counter) -> list[tuple[int, int]]:
+    """`extract_strings` by walking the keys, each string from its top."""
+    out = []
+    # a string only uses up keys below its top, so visiting the keys from
+    # the top down, each until it runs out, always takes the highest one left
+    for x, h in sorted(work, key=lambda p: (p[1], p[0]), reverse=True):
+        while work[(x, h)]:
+            if h < 0:
+                raise MathCheckError(f"unmatched sl2 weight ({_fmt_half(x)}, {h})")
+            m = h + 1
+            for k in range(m):
+                key = (x, h - 2 * k)
+                if work[key] <= 0:
+                    raise MathCheckError(
+                        f"broken string: missing ({_fmt_half(x)}, {key[1]})"
+                    )
+                work[key] -= 1
+            out.append((x, m))
+    return out
+
+
+def selfdual_strings(
+    fam: str, coords: list[tuple[int, int]], zero: bool = False
+) -> tuple[list[TwoDimAtom], list[int]]:
+    """Two-dimensional atoms and zero-string lengths of a self-dual image.
+
+    The image's pairs at exponent -x mirror those at +x, so only its pairs
+    with x >= 0 are split: a string at x > 0 stands for itself and its
+    mirror, one at x = 0 is a quad.  Sp_R and SO images are the coordinates
+    and their mirrors (and, with `zero`, Sp_R's one (0, 0)); GL_R and SL_R
+    images are the coordinates alone, which must be their own mirror image.
+    """
+    if fam in ("GL_R", "SL_R"):
+        full = Counter(coords)
+        for (x, h), c in full.items():
+            mirror = full.get((-x, -h), 0)
+            if mirror != c:
+                raise MathCheckError(
+                    f"image is not self-dual: {c} of ({_fmt_half(x)}, {h}) "
+                    f"against {mirror} of ({_fmt_half(-x)}, {-h})"
+                )
+        table = {p: c for p, c in full.items() if p[0] >= 0}
+    else:
+        # a zero coordinate's mirror (0, -h) is counted first, (0, h) second
+        table = Counter([(x, h) if x > 0 else (-x, -h) for x, h in coords]
+                        + [(0, h) for x, h in coords if not x])
+        if zero:
+            table[(0, 0)] += 1
+    twodims, quadlens = [], []
+    for x, m in extract_strings(table):
+        if x:
+            twodims.append(TwoDimAtom(x, m))
+        else:
+            quadlens.append(m)
+    return twodims, quadlens
+
+
 def coordinate_pairs(cohom: CohomParameter) -> list[tuple[int, int]]:
     """(doubled chi exponent, sl2 weight) of each coordinate.
 
@@ -359,11 +444,11 @@ def standard_rep_by_whole_table(cohom: CohomParameter):
     coords = coordinate_pairs(cohom)
     n = cohom.datum.ambient_dim
     if fam == "U":
-        return ComplexParameter(tuple(_extract_strings(coords)))
+        return ComplexParameter(tuple(extract_strings(coords)))
     if fam == "GL_C":
         half = n // 2
-        s1 = _extract_strings(coords[:half])
-        s2 = _extract_strings(coords[half:])
+        s1 = extract_strings(coords[:half])
+        s2 = extract_strings(coords[half:])
         if Counter((-x, m) for x, m in s1) != Counter(s2):
             raise MathCheckError("second factor is not the conjugate of the first")
         return ComplexParameter(tuple(s1))
@@ -374,7 +459,7 @@ def standard_rep_by_whole_table(cohom: CohomParameter):
     else:
         p, q = cohom.datum.signature
         delta = (q - n) % 2
-    twodims, quadlens = _selfdual_strings(fam, coords, fam == "Sp_R")
+    twodims, quadlens = selfdual_strings(fam, coords, fam == "Sp_R")
     twodim_det = sum(t.det_exponent for t in twodims) % 2
     quads, flag = _assign_quad_eps(quadlens, twodim_det, delta)
     return GLParameter(tuple(twodims + quads), 0, flag)

@@ -54,6 +54,7 @@ from cohoparam.rootdata import (
     dominant_orbit_rep,
 )
 
+import oracles
 from oracles import (
     cohom_parameter_check,
     coordinate_pairs,
@@ -332,32 +333,41 @@ class TestCohomParameter:
                 CohomParameter(d, frozenset(S), HalfIntVector.from_ints(*weight))
             assert str(exc.value) == message
 
-    def test_levi_coroot_sum_called_once_per_block_per_weight(self, monkeypatch):
-        seen = []
-        original = RootDatum.levi_coroot_sum
+    def test_image_route_splits_each_block_once_per_weight_without_coroot_sums(
+        self, monkeypatch
+    ):
+        sums, splits = [], []
+        original_sum, original_split = RootDatum.levi_coroot_sum, params._split_cell
 
-        def counted(self, S):
-            seen.append(frozenset(S))
-            return original(self, S)
+        def counted_sum(self, S):
+            sums.append(frozenset(S))
+            return original_sum(self, S)
 
-        monkeypatch.setattr(RootDatum, "levi_coroot_sum", counted)
+        def counted_split(datum, lam, cell):
+            splits.append((datum, lam, cell))
+            return original_split(datum, lam, cell)
+
+        monkeypatch.setattr(RootDatum, "levi_coroot_sum", counted_sum)
+        monkeypatch.setattr(params, "_split_cell", counted_split)
         params._at_weight.cache_clear()
-        for group in ("Sp(10,R)", "GL(9,R)", "U(4,4)", "SO(5,5)", "GL(4,C)"):
+        for group in ("Sp(10,R)", "GL(9,R)", "U(4,4)", "SO(5,5)", "SO(4,5)", "GL(4,C)"):
             d = build_classical_dual(group)
             lam = HalfIntVector.parse(golden.nonzero_weights(group)[0])
             for weight in (zero(d.ambient_dim), lam, zero(d.ambient_dim)):
-                before = len(seen)
+                before = len(splits)
                 for c in enumerate_cohomological(d, weight):
                     standard_rep_parameter(c)
-                calls = seen[before:]
-                # no block is summed twice at one weight, and each call is
-                # one block (for GL_R, a block and its mirror), never all of S
+                calls = splits[before:]
+                # no block is split twice at one weight, and a split with roots
+                # is one block of the walk, never all of S
                 assert len(calls) == len(set(calls)), group
-                for S in calls:
-                    blocks = [b for b in d._levi_blocks(S) if b[0]]
-                    assert len(blocks) == 1 or (d.family == "GL_R" and len(blocks) == 2)
+                for *_, (roots, first, last) in calls:
+                    rooted = [b for b in d._levi_blocks(roots) if b[0]]
+                    assert not roots or rooted == [(roots, first, last)], group
             # the third pass repeats the first weight: every block is memoized
             assert calls == [], group
+        # the blocks' strings are read in closed form: no coroot is summed
+        assert sums == []
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +546,7 @@ def sl2_pair_multisets(draw):
 @example([(1, -1)])  # unmatched, negative weight
 @example([(2, 1), (2, -1), (2, -1)])  # one string, then a negative leftover
 def test_extract_strings_matches_oracle(pairs):
-    assert _strings_or_error(params._extract_strings, pairs) == _strings_or_error(
+    assert _strings_or_error(oracles.extract_strings, pairs) == _strings_or_error(
         extract_strings_oracle, pairs
     )
 
@@ -551,7 +561,7 @@ def test_extract_strings_matches_oracle(pairs):
 )
 def test_extract_strings_errors(pairs, message):
     with pytest.raises(MathCheckError) as exc:
-        params._extract_strings(pairs)
+        oracles.extract_strings(pairs)
     assert str(exc.value) == message
 
 
@@ -606,7 +616,7 @@ def test_selfdual_strings_match_oracle(case):
         if datum.family == "Sp_R":
             sym.append((0, 0))
         zero_pair = datum.family == "Sp_R"
-        twodims, quadlens = params._selfdual_strings(datum.family, coords, zero_pair)
+        twodims, quadlens = oracles.selfdual_strings(datum.family, coords, zero_pair)
         expected = pair_strings_oracle(extract_strings_oracle(sym))
         assert (sorted(twodims, reverse=True), quadlens) == expected
 
@@ -625,7 +635,7 @@ def test_selfdual_strings_match_oracle(case):
 )
 def test_gl_image_that_is_not_selfdual_is_rejected(family, coords, message):
     with pytest.raises(MathCheckError) as exc:
-        params._selfdual_strings(family, coords)
+        oracles.selfdual_strings(family, coords)
     assert str(exc.value) == message
 
 
@@ -659,6 +669,23 @@ def test_block_images_match_the_whole_table(group):
     assert compared >= 1
 
 
+# one group of each family, rank 6; SO(5,7) is the even SO whose theta swaps the fork
+IMAGE_GROUPS = (
+    "GL(7,R)", "SL(7,R)", "GL(4,C)", "U(4,3)", "Sp(12,R)", "SO(6,7)", "SO(6,6)", "SO(5,7)",
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(group_and_weight(IMAGE_GROUPS))
+def test_block_images_match_the_whole_table_at_random_weights(case):
+    """Every theta-stable S in the zero set of a random weight."""
+    datum, lam = case
+    for c in enumerate_cohomological(datum, lam):
+        assert _image_or_error(standard_rep_parameter, c) == _image_or_error(
+            standard_rep_by_whole_table, c
+        ), sorted(c.S)
+
+
 @pytest.mark.parametrize(
     "group,S,blocks,text",
     [
@@ -681,6 +708,15 @@ def test_block_images_match_the_whole_table(group):
         ("GL(3,C)", (), [((), 0, 5)], "e1[1]+e0[1]+e-1[1]"),
         ("GL(3,C)", (1, 4), [((1,), 0, 1), ((), 2, 3), ((4,), 4, 5)], "e1/2[2]+e-1[1]"),
         ("GL(3,C)", (1, 2, 3, 4), [((1, 2), 0, 2), ((3, 4), 3, 5)], "e0[3]"),
+        # a D block with one fork root: type A once the last sign flips
+        ("SO(4,4)", (4,), [((), 0, 1), ((4,), 2, 3)], "s6[1]+s4[1]+s1[2]"),
+        ("SO(4,4)", (2, 4), [((), 0, 0), ((2, 4), 1, 3)], "s6[1]+s2[3]"),
+        # the SO_odd tail: Sp(2m) gives one zero string 2m
+        ("SO(5,4)", (3, 4), [((), 0, 1), ((3, 4), 2, 3)], "s7[1]+s5[1]+w0[4]"),
+        ("SO(5,4)", (1, 3, 4), [((1,), 0, 1), ((3, 4), 2, 3)], "s6[2]+w0[4]"),
+        # SO(odd,odd): theta swaps the fork, so a tail holds both fork roots
+        ("SO(3,3)", (2, 3), [((), 0, 0), ((2, 3), 1, 2)], "s4[1]+w0[3]+w1[1]"),
+        ("SO(3,3)", (1, 2, 3), [((1, 2, 3), 0, 2)], "w0[5]+w0[1]"),
     ],
 )
 def test_levi_blocks_and_their_images(group, S, blocks, text):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohoparam.errors import MathCheckError, UnsupportedGroupError
+from cohoparam import rootdata
 from cohoparam.halfint import HalfIntVector
 from cohoparam.rootdata import (
     RootDatum,
@@ -266,6 +267,18 @@ def test_build_classical_dual_is_memoized():
     assert build_classical_dual("GL(3,R)") is d
     assert build_classical_dual(" gl( 3 , r ) ") is d  # one datum per group
     assert build_classical_dual("SL(3,R)") is not d
+
+
+@pytest.mark.parametrize("group", ["GL(3,R)", "U(2,1)", "Sp(8,R)", "SO(3,3)", "GL(2,C)"])
+def test_datum_hash_is_the_hash_of_its_fields_across_a_rebuild(group):
+    d = build_classical_dual(group)
+    rootdata._build_classical_dual.cache_clear()
+    rebuilt = build_classical_dual(group)
+    assert rebuilt is not d
+    assert rebuilt == d and hash(rebuilt) == hash(d)
+    fields = tuple(getattr(d, name) for name in RootDatum.__record_fields__)
+    assert hash(d) == hash(fields)
+    assert {d: 1}[rebuilt] == 1
 
 
 @pytest.mark.parametrize("bad", ["E8", "GL(0,R)", "SO(1,0)", "SO(3,5)"])
