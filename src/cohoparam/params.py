@@ -218,14 +218,7 @@ class GLParameter:
 
     def central_parity_ok(self) -> tuple[bool, list[bool]]:
         """Per-atom sign of the central element against the parity of N."""
-        n = self.dimension
-        per = []
-        for a in self.atoms:
-            if isinstance(a, TwoDimAtom):
-                per.append((a.d + a.m) % 2 == n % 2)
-            else:
-                per.append(a.a % 2 == n % 2)
-        return all(per), per
+        return _central_parity(self, (self.dimension - 1) % 2)
 
     def text(self) -> str:
         body = "+".join(map(_atom_text, self.atoms)) if self.atoms else "0"
@@ -306,9 +299,7 @@ class ComplexParameter:
         return sorted(out, reverse=True)
 
     def central_parity_ok(self) -> tuple[bool, list[bool]]:
-        n = self.dimension
-        per = [(two_d + m) % 2 == n % 2 for two_d, m in self.entries]
-        return all(per), per
+        return _central_parity(self, (self.dimension - 1) % 2)
 
     def text(self) -> str:
         if not self.entries:
@@ -536,9 +527,9 @@ def _split_cell(datum: RootDatum, lam: HalfIntVector, cell: tuple) -> tuple:
       h runs m - 1, m - 3, ..., -(m - 1) (the principal sl2 of GL(m));
     * a block without roots gives (lam2 + rho-check2, 1) per coordinate.
 
-    A tail block has lam = 0 and rho-check_L = rho-check on it, so all its
-    pairs sit at exponent 0, and its image is `_TAIL_STRINGS`; Sp_R's
-    extra (0, 0) is the centre of its string 2m + 1:
+    A tail block (`RootDatum._holds_tail`) has lam = 0 and rho-check_L =
+    rho-check on it, so all its pairs sit at exponent 0, and its image is
+    `_TAIL_STRINGS`; Sp_R's extra (0, 0) is the centre of its string 2m + 1:
 
     >>> zero = HalfIntVector((0,) * 4)
     >>> _split_cell(build_classical_dual("Sp(8,R)"), zero, ((3, 4), 2, 3))
@@ -556,9 +547,9 @@ def _split_cell(datum: RootDatum, lam: HalfIntVector, cell: tuple) -> tuple:
     mirror is left to the mirror's block.
     """
     roots, first, last = cell
-    fam, n, rank = datum.family, datum.ambient_dim, datum.rank
+    fam, n = datum.family, datum.ambient_dim
     m = last - first + 1
-    if fam in _TAIL_STRINGS and rank in roots and (fam != "SO_even" or rank - 1 in roots):
+    if datum._holds_tail(roots):
         return (), _TAIL_STRINGS[fam](m), 0
     lam2, rho2 = lam.twice, datum.rho_check.twice
     # (first coordinate, length) of each string
@@ -1107,12 +1098,40 @@ class CentralReport:
     subset_side: bool | None
 
 
+def _central_parity(
+    param: GLParameter | ComplexParameter, parity: int
+) -> tuple[bool, list[bool]]:
+    """The one central-character rule: a string (x2, m) of `param` -- (d, m)
+    for s{d}[m], (0, a) for w{eps}[a], an entry of a `ComplexParameter` --
+    sits on the lattice of a rho-check whose doubled entries have this
+    parity when x2 + m - 1 has it."""
+    if isinstance(param, ComplexParameter):
+        strings = param.entries
+    else:
+        strings = [(a.d, a.m) if isinstance(a, TwoDimAtom) else (0, a.a) for a in param.atoms]
+    per = [(x2 + m - 1) % 2 == parity for x2, m in strings]
+    return all(per), per
+
+
 def central_value_report(
     param: GLParameter | ComplexParameter, cohom: CohomParameter | None = None
 ) -> CentralReport:
-    """Atom-by-atom central-element parity, with the subset-side check."""
-    overall, per = param.central_parity_ok()
-    side = cohom.central_ok if cohom is not None else None
+    """String-by-string central-element parity, with the subset-side check.
+
+    A cohomological parameter has infinitesimal character lam + rho-check
+    with lam integral, so the central element's sign on its image is read
+    off the lattice of rho-check of the group it lands in: a string (x2, m)
+    sits on it when x2 + m - 1 has the parity of rho-check's doubled
+    entries (`_central_parity`).  With `cohom` that parity is read off
+    ``cohom.datum.rho_check``, and ``cohom.central_ok``, which reads lam
+    alone, must agree or `MathCheckError` is raised; without it the parity
+    is GL(N)'s, (N - 1) mod 2 for N = ``param.dimension``.
+    """
+    if cohom is None:
+        overall, per = param.central_parity_ok()
+    else:
+        overall, per = _central_parity(param, cohom.datum.rho_check.twice[0] % 2)
+    side = None if cohom is None else cohom.central_ok
     if side is not None and side != overall:
         raise MathCheckError(
             "central parity differs between the subset side and the atom side"

@@ -261,6 +261,17 @@ class RootDatum:
         return sum(f.dim for f in self.factors)
 
     @cached_property
+    def _positive_root_supports(self) -> tuple[frozenset[int], ...]:
+        """Simple-root support of each positive root, in enumeration order,
+        read off each root's indices factor by factor (`_local_positive_roots`)."""
+        out, first = [], 1
+        for f in self.factors:
+            supports = [s for *_, s in _local_positive_roots(f)]
+            out += (frozenset(k + first for k in s) for s in supports)
+            first += sum(len(s) == 1 for s in supports)  # the factor's simple roots
+        return tuple(out)
+
+    @cached_property
     def _simple_root_pairs(self) -> tuple[tuple[HalfIntVector, HalfIntVector], ...]:
         """(root, coroot) of each simple root, read off the positive-root
         table: the positive roots whose support is one simple root, in the
@@ -354,55 +365,36 @@ class RootDatum:
             out += [(roots, first, last)] if roots else [((), k, k) for k in range(first, last + 1)]
         return out
 
-    @cached_property
-    def _block_coroot_sums(self) -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """Memo of `levi_coroot_sum`: the roots of a block map to the nonzero
-        (coordinate, doubled entry) pairs of its coroot sum.
-
-        A classical Dynkin diagram has O(rank^2) blocks, so the memo stays
-        small however many Levi subsets are asked for.
-        """
-        return {}
-
-    @cached_property
-    def _positive_root_supports(self) -> tuple[frozenset[int], ...]:
-        """Simple-root support of each positive root, in enumeration order,
-        read off each root's indices factor by factor (`_local_positive_roots`).
-
-        It does not depend on any Levi subset, so it is built once per
-        datum; per-subset filtering stays uncached.
-        """
-        out, first = [], 1
-        for f in self.factors:
-            supports = [s for *_, s in _local_positive_roots(f)]
-            out += (frozenset(k + first for k in s) for s in supports)
-            first += sum(len(s) == 1 for s in supports)  # the factor's simple roots
-        return tuple(out)
-
-    def _coroot_sum_on(self, block: frozenset[int]) -> tuple[tuple[int, int], ...]:
-        supports = self._positive_root_supports
-        coroots = [
-            coroot.twice
-            for (_, coroot), support in zip(self.positive_roots, supports)
-            if support <= block
-        ]
-        sums = [sum(col) for col in zip(*coroots)]
-        return tuple((k, t) for k, t in enumerate(sums) if t)
+    def _holds_tail(self, roots: tuple[int, ...]) -> bool:
+        """Does a block with these roots hold the B, C or D tail: for Sp_R
+        and SO_odd the last simple root, for SO_even both fork roots?"""
+        rank, fam = self.rank, self.family
+        return rank in roots and (
+            fam in ("Sp_R", "SO_odd") or fam == "SO_even" and rank - 1 in roots
+        )
 
     def levi_coroot_sum(self, S: Iterable[int]) -> list[int]:
         """Doubled entries of the sum of the Levi S's positive coroots (2 rho-check_L).
 
         The support of a root is connected, so the Levi's positive roots are
-        those of its blocks, and the sum is the sum of the blocks' memoized
-        sums.  S must lie in 1..rank.
+        those of its blocks (`_levi_blocks`), and each block's sum is read in
+        closed form: a type-A block of m coordinates with roots gives
+        2(m - 1), 2(m - 3), ..., -2(m - 1), with the last sign flipped when
+        it holds SO_even's fork root `rank` but not `rank - 1`; a tail block
+        (`_holds_tail`) gives 2 rho-check on its coordinates, as the tail's
+        rho-check is the datum's there; a block without roots gives 0.  S must
+        lie in 1..rank.
         """
-        memo = self._block_coroot_sums
         acc = [0] * self.ambient_dim
-        for roots, _, _ in self._levi_blocks(S):
-            if roots not in memo:
-                memo[roots] = self._coroot_sum_on(frozenset(roots))
-            for k, t in memo[roots]:
-                acc[k] += t
+        rho2 = self.rho_check.twice
+        for roots, first, last in self._levi_blocks(S):
+            if self._holds_tail(roots):
+                acc[first : last + 1] = [2 * t for t in rho2[first : last + 1]]
+            elif roots:
+                m = last - first + 1
+                acc[first : last + 1] = range(2 * (m - 1), -2 * m, -4)
+                if self.family == "SO_even" and self.rank in roots:
+                    acc[last] *= -1
         return acc
 
     # -- diagram involutions -------------------------------------------------
@@ -631,9 +623,9 @@ def _build_classical_dual(kind: str, first: int, second: int | str) -> RootDatum
 class StandardParabolic:
     """A standard parabolic of the dual group, named by its Levi subset S.
 
-    S contains 1-based simple-root indices.  The Levi's rho-check is
-    summed on every access from the datum's per-block memo
-    (`RootDatum.levi_coroot_sum`) and never stored per S; a caller that
+    S contains 1-based simple-root indices.  The Levi's rho-check is read
+    on every access, block by block in closed form
+    (`RootDatum.levi_coroot_sum`), and never stored per S; a caller that
     needs it twice keeps the value.
     """
 

@@ -34,7 +34,6 @@ from .params import (
     standard_rep_parameter,
     tempered_companion,
 )
-from .rootdata import build_classical_dual
 from .weyl import compact_weyl_catalog
 
 Checks = Iterator[tuple[str, Callable[[], None]]]
@@ -147,25 +146,13 @@ def _paper_tables(max_n: int, max_rank: int) -> Checks:
 
     def central() -> None:
         for desc in SWEEP_GROUPS:
-            so_even = build_classical_dual(desc).family == "SO_even"
             for c in enumerate_cohomological(desc):
                 _check_equal(
                     c.central_ok, True, f"central value for {desc} S={sorted(c.S)}"
                 )
                 img = standard_rep_parameter(c)
-                if so_even:
-                    # The even orthogonal dual has 2*rho-check with all-even
-                    # coordinates, so its central element acts by +1 on the
-                    # standard representation.  That image is not a GL(2n,R)
-                    # cohomological parameter (its exponents repeat 0), so the
-                    # GL parity table reads uniformly "wrong side" here: every
-                    # atom must sit on the opposite parity from the GL rule.
-                    what = f"uniform central sign for {desc} {img.text()}"
-                    per_atom = set(central_value_report(img).per_atom)
-                    _check_equal(per_atom, {False}, what)
-                else:
-                    what = f"central value for {desc} {img.text()}"
-                    _check_equal(central_value_report(img, c).overall, True, what)
+                what = f"central value for {desc} {img.text()}"
+                _check_equal(central_value_report(img, c).overall, True, what)
 
     yield "central-values", central
 

@@ -15,7 +15,9 @@ the route it checks:
   of left cosets;
 * `cartan_matrix`, read straight off a datum, and `positive_root_supports`
   and `levi_positive`, with each root's simple-root coefficients solved
-  for, against the datum's supports read off the roots' indices;
+  for, against the datum's supports read off the roots' indices, and
+  `levi_coroot_sum_oracle`, the Levi's coroot sum over that filter,
+  against `RootDatum.levi_coroot_sum`, which reads each block in closed form;
 * `cohom_parameter_check`, the weight and subset checks of a
   `CohomParameter` as one scan over Fraction pairings, against the
   constructor's set operations on the per-weight record;
@@ -236,6 +238,14 @@ def levi_positive(
     ]
 
 
+def levi_coroot_sum_oracle(parabolic: StandardParabolic) -> list[int]:
+    """Doubled entries of the Levi's coroot sum over the whole-root filter."""
+    acc = [0] * parabolic.datum.ambient_dim
+    for _, coroot in levi_positive(parabolic):
+        acc = [a + t for a, t in zip(acc, coroot.twice)]
+    return acc
+
+
 def cohom_parameter_check(datum: RootDatum, S, lam: HalfIntVector) -> None:
     """Raise the error `CohomParameter(datum, S, lam)` raises, or return.
 
@@ -424,12 +434,13 @@ def coordinate_pairs(cohom: CohomParameter) -> list[tuple[int, int]]:
     """(doubled chi exponent, sl2 weight) of each coordinate.
 
     The sl2 weight h is the coordinate of 2 rho-check_L, the Levi's coroot
-    sum, and chi = lam + rho-check - h/2, so in doubled ints the pair is
+    sum over the whole positive-root filter (`levi_coroot_sum_oracle`),
+    and chi = lam + rho-check - h/2, so in doubled ints the pair is
     (lam2 + rho-check2 - h, h).
     """
     d = cohom.datum
     out = []
-    sums = d.levi_coroot_sum(cohom.S)
+    sums = levi_coroot_sum_oracle(StandardParabolic(d, cohom.S))
     for lam2, rho2, t in zip(cohom.lam.twice, d.rho_check.twice, sums):
         if t % 2:
             raise MathCheckError("sl2 weights must be integers")

@@ -1220,16 +1220,10 @@ class TestCentralValue:
         integral = all(x.denominator == 1 for x in lam)
         for c in cs:
             assert c.central_ok == integral, (group, weight, sorted(c.S))
-            img = standard_rep_parameter(c)
-            if d.family == "SO_even":
-                # the even orthogonal image sits uniformly on the other side
-                # of the GL parity table (see verify's central-values suite)
-                assert set(central_value_report(img).per_atom) == {False}
-                with pytest.raises(MathCheckError):
-                    central_value_report(img, c)
-            else:
-                rep = central_value_report(img, c)
-                assert rep.subset_side == rep.overall == integral
+            # the atom side reads the image's strings against the datum's
+            # rho-check, every family alike
+            rep = central_value_report(standard_rep_parameter(c), c)
+            assert rep.subset_side == rep.overall == integral
 
     def test_halfintegral_weight_fails_parity(self):
         # s2 alone corresponds to the weight (1/2,-1/2): not integral

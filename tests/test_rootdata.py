@@ -24,7 +24,12 @@ from cohoparam.rootdata import (
     principal_sl2_coefficients,
 )
 
-from oracles import cartan_matrix, levi_positive, positive_root_supports
+from oracles import (
+    cartan_matrix,
+    levi_coroot_sum_oracle,
+    levi_positive,
+    positive_root_supports,
+)
 
 # a spread of supported descriptors reused across tests
 DESCRIPTORS = [
@@ -412,23 +417,15 @@ golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
 
-def levi_coroot_sum_oracle(parabolic):
-    """Doubled entries of the coroot sum over the whole-root filter."""
-    acc = [0] * parabolic.datum.ambient_dim
-    for _, coroot in levi_positive(parabolic):
-        acc = [a + t for a, t in zip(acc, coroot.twice)]
-    return acc
-
-
 @pytest.mark.parametrize("desc", golden.GROUPS)
 def test_component_sums_match_the_whole_root_filter(desc):
     d = build_classical_dual(desc)
-    subsets = golden.theta_stable_subsets(desc)
-    if d.family == "SO_even" and d.rank >= 2:
-        # the two fork nodes are not joined; theta may swap them
-        n = d.rank
-        subsets += [(n - 1,), (n,), (n - 1, n)]
-    for S in subsets:
+    # every subset, theta-stable or not: the SO_even fork roots apart,
+    # together, or with their neighbours
+    roots = range(1, d.rank + 1)
+    for S in itertools.chain.from_iterable(
+        itertools.combinations(roots, k) for k in range(d.rank + 1)
+    ):
         p = StandardParabolic(d, frozenset(S))
         expected = levi_coroot_sum_oracle(p)
         assert d.levi_coroot_sum(S) == expected, S
