@@ -120,8 +120,9 @@ def _unitary_label(
     rep: WeylElement, blocks: list[tuple[tuple[int, ...], int, int]], first_part: int
 ) -> str:
     pieces = []
+    perm = rep.perm  # decoded once: each read decodes the whole window
     for _, first, last in blocks:
-        r = sum(1 for i in range(first, last + 1) if rep.perm[i] < first_part)
+        r = sum(1 for i in range(first, last + 1) if perm[i] < first_part)
         pieces.append(f"U({r},{last + 1 - first - r})")
     return "x".join(pieces)
 

@@ -27,6 +27,12 @@ lower but never raise.  Requests past the cap raise
 `WeylSizeError` *before* enumeration starts whenever the order is known in
 closed form.
 
+`subgroup_closure` batches by cosets (Dimino): it lists the group as
+right cosets of the group the earlier generators make, one C-level pass
+over that subgroup per coset, and sorts once by a flat key that orders
+like `sort_key`.  It raises `WeylSizeError` exactly when the group has
+more elements than the cap, before the coset that would pass it is built.
+
 `compact_weyl_catalog` packages, per supported real form, the data the
 packet layer consumes: the twisted Weyl group W^theta, the compact-side
 subgroup inside it, the rank split (split, complex, compact) of the
@@ -65,7 +71,8 @@ from __future__ import annotations
 import math
 import os
 from functools import cached_property, lru_cache
-from operator import attrgetter, itemgetter
+from itertools import repeat
+from operator import itemgetter
 
 from ._record import record
 from .errors import (
@@ -77,6 +84,7 @@ from .errors import (
 from .rootdata import (
     RootDatum,
     WeylElement,
+    _NEGATIVE,
     _new_tuple,
     _table_getter,
     build_classical_dual,
@@ -95,8 +103,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_WEYL = 10**6
-
-_SORT_KEY = attrgetter("sort_key")
 
 
 def max_weyl_size() -> int:
@@ -155,7 +161,18 @@ def subgroup_closure(
     n: int | None = None,
     max_size: int | None = None,
 ) -> tuple[WeylElement, ...]:
-    """Close a generating set under multiplication; sorted, capped."""
+    """Close a generating set under multiplication; sorted, capped.
+
+    Dimino's closure: the group H = <g_1..g_i> is listed as right cosets
+    H'x of H' = <g_1..g_{i-1}>, starting from H' itself and H'g_i.  A
+    list of whole cosets is closed under right multiplication by g_j
+    exactly when r*g_j lies in it for each coset's first element r, so
+    the set is probed only at those products, and a new coset H'x is
+    one C-level pass over H'.  A generator already in H' is skipped.
+
+    `WeylSizeError` is raised exactly when the group has more elements
+    than the cap, before the coset that would pass it is built.
+    """
     cap = _cap(max_size)
     if not gens:
         if n is None:
@@ -164,27 +181,50 @@ def subgroup_closure(
     dim = gens[0].n
     if any(g.n != dim for g in gens):
         raise ValueError("generators act on spaces of different dimensions")
-    ident = WeylElement.identity(dim)
-    seen = {ident}
-    frontier = [ident]
-    # w * g is the plain tuple itemgetter(*g)(w), which hashes and compares
-    # like the element; only a new one is made a `WeylElement`
-    times = [_table_getter(g) for g in gens]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in times:
-                x = g(w)
+    group = [WeylElement.identity(dim)]
+    seen = set(group)
+    times = []  # the getters of the generators not skipped so far
+    for g in gens:
+        if g in seen:
+            continue
+        times.append(_table_getter(g))
+        sub, start = group[:], 0
+        # at the identity only g itself is new, which adds the coset H'g
+        while start < len(group):
+            r = group[start]
+            for t in times:
+                x = t(r)
                 if x not in seen:
-                    if len(seen) >= cap:
+                    if len(group) + len(sub) > cap:
                         raise WeylSizeError(
                             f"group closure exceeds the cap of {cap} elements"
                         )
-                    x = _new_tuple(WeylElement, x)
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return tuple(sorted(seen, key=_SORT_KEY))
+                    # h * x is the plain tuple itemgetter(*x)(h), made an
+                    # element here; sub[0] is the identity, so the coset
+                    # starts at x
+                    products = map(_table_getter(x), sub)
+                    coset = list(map(_new_tuple, repeat(WeylElement), products))
+                    group += coset
+                    seen.update(coset)
+            start += len(sub)
+    return _sorted(group)
+
+
+def _flat_keys(elements) -> list[tuple[int, ...]]:
+    """(*sign bits, *|w_k|) of each element, built column by column over
+    the windows with C-level maps: the same order as `sort_key`, whose
+    two halves have the same length on elements of one dimension."""
+    if not elements or elements[0].n == 0:
+        return [()] * len(elements)
+    columns = list(zip(*elements))[1 : elements[0].n + 1]
+    return list(zip(*[map(_NEGATIVE, c) for c in columns], *[map(abs, c) for c in columns]))
+
+
+def _sorted(elements) -> tuple[WeylElement, ...]:
+    """`elements`, distinct and of one dimension, in sort_key order."""
+    keys = _flat_keys(elements)
+    by_key = dict(zip(keys, elements))
+    return tuple(map(by_key.__getitem__, sorted(keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +242,12 @@ def theta_fixed_subgroup(
     group this module returns) gives a sorted subgroup without a re-sort.
     """
     pool = set(elements)
-    # theta * w * theta^-1 has entry j theta[w[theta^-1[j]]]
+    # theta * w * theta^-1 is the table of (theta * w) * theta^-1, two
+    # C-level passes; the plain tuple hashes and compares like the element
     after_inverse = _table_getter(theta.inverse())
     fixed = []
     for w in elements:
-        cw = tuple(map(theta.__getitem__, after_inverse(w)))
+        cw = after_inverse(_table_getter(w)(theta))
         if cw not in pool:
             raise MathCheckError(
                 "conjugation does not preserve the given group; element "
@@ -434,15 +475,18 @@ def _block(n: int, kind: str, slots, also=()) -> tuple[list[WeylElement], int]:
 
 def _catalog_row(datum: RootDatum, signature=None) -> tuple[tuple[list[WeylElement], int], ...]:
     """(generators, order) of W^theta and of K, read off the datum's row, or
-    off the row of the form of the same family and size at `signature`."""
+    off the row of the form of the same family and size at `signature`.
+    A row that gives no K returns its W^theta entry twice, the same object."""
     n, signature = datum.ambient_dim, signature or datum.signature or (0, 0)
     w_theta, k = _CATALOG_TABLE[datum.family](n, *signature)
-    out = []
-    for blocks in (w_theta, k or w_theta):
+
+    def group(blocks):
         parts = [_block(n, *b) for b in blocks]
         gens = [g for block_gens, _ in parts for g in block_gens]
-        out.append((gens, math.prod(order for _, order in parts)))
-    return tuple(out)
+        return gens, math.prod(order for _, order in parts)
+
+    w_theta_row = group(w_theta)
+    return w_theta_row, w_theta_row if k is None else group(k)
 
 
 def _checked_row(datum: RootDatum, descriptor: str, cap: int):
@@ -488,7 +532,9 @@ def compact_weyl_catalog(
 
     Both groups are closures of their row of `_CATALOG_TABLE` (see the
     module docstring), in the coordinates of the dual root datum, with
-    theta the conjugation by its `theta_linear`.  The table's |W^theta| is
+    theta the conjugation by its `theta_linear`.  A row that gives no K
+    (GL(n,R), GL(n,C), SL(n,R) with n odd) closes its generators once:
+    `k_weyl` is the `w_theta` tuple itself.  The table's |W^theta| is
     checked against the cap before any closure; after it, each closure's
     size against its closed form, W^theta for theta-fixedness and for the
     sort_key order `double_cosets` relies on, and K for lying in W^theta.
@@ -516,7 +562,8 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
         raise UnsupportedGroupError(
             f"{descriptor}: packets for SO(odd,odd) are only provided through rank 3"
         )
-    (w_theta_gens, expected_theta), (k_gens, expected_k) = _checked_row(datum, descriptor, cap)
+    row = _checked_row(datum, descriptor, cap)
+    (w_theta_gens, expected_theta), (k_gens, expected_k) = row
     w_theta = subgroup_closure(w_theta_gens, n=n, max_size=cap)
     if len(w_theta) != expected_theta:
         raise MathCheckError(
@@ -530,7 +577,8 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
             f"twisted Weyl group of {descriptor} is not fixed by theta"
         )
 
-    k_weyl = subgroup_closure(k_gens, n=n, max_size=cap)
+    # a row without K hands back its W^theta entry (`_catalog_row`)
+    k_weyl = w_theta if row[1] is row[0] else subgroup_closure(k_gens, n=n, max_size=cap)
     if len(k_weyl) != expected_k:
         raise MathCheckError(
             f"compact-side subgroup of {descriptor}: got {len(k_weyl)}, "
@@ -541,7 +589,7 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
             f"compact-side subgroup of {descriptor} is not inside W^theta"
         )
     # double_cosets takes W^theta as it comes, so its order is checked here
-    keys = [w.sort_key for w in w_theta]
+    keys = _flat_keys(w_theta)
     if keys != sorted(keys):
         raise MathCheckError(
             f"twisted Weyl group of {descriptor} is not in sort_key order"

@@ -4,9 +4,13 @@ Each one is an independent way to compute something the library computes
 another way, so the tests compare the two.  None of them is merged into
 the route it checks:
 
+* `closure_by_bfs`, a breadth-first closure with one set probe per
+  element and generator, sorted by `WeylElement.sort_key`, against
+  `subgroup_closure`, which lists right cosets and sorts by a flat key;
 * Weyl groups from the simple reflections read off the root datum
-  (`simple_reflection`, `full_weyl_group`, `levi_weyl_group`), against
-  the catalog's block table and the packet layer's stabilizers;
+  (`simple_reflection`, `full_weyl_group`, `levi_weyl_group`, all closed
+  by `closure_by_bfs`), against the catalog's block table and the packet
+  layer's stabilizers;
 * `longest_element`, assembled factor by factor, against the datum's
   opposition involution;
 * `double_cosets_by_expansion`, each double coset grown right coset by
@@ -43,7 +47,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from math import comb
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from cohoparam.errors import InvalidWeightError, MathCheckError, WeylSizeError
 from cohoparam.halfint import HalfIntVector, _fmt_half, _parse_half
@@ -61,8 +65,54 @@ from cohoparam.rootdata import (
     StandardParabolic,
     WeylElement,
     _expand_each_in_basis,
+    _new_tuple,
+    _table_getter,
 )
-from cohoparam.weyl import DoubleCoset, _cap, subgroup_closure, weyl_order
+from cohoparam.weyl import DoubleCoset, _cap, weyl_order
+
+# ---------------------------------------------------------------------------
+# closure of a generating set, breadth first
+
+_SORT_KEY = attrgetter("sort_key")
+
+
+def closure_by_bfs(
+    gens: list[WeylElement] | tuple[WeylElement, ...],
+    *,
+    n: int | None = None,
+    max_size: int | None = None,
+) -> tuple[WeylElement, ...]:
+    """Close a generating set under multiplication; sorted, capped."""
+    cap = _cap(max_size)
+    if not gens:
+        if n is None:
+            raise ValueError("empty generating set needs an explicit dimension n")
+        return (WeylElement.identity(n),)
+    dim = gens[0].n
+    if any(g.n != dim for g in gens):
+        raise ValueError("generators act on spaces of different dimensions")
+    ident = WeylElement.identity(dim)
+    seen = {ident}
+    frontier = [ident]
+    # w * g is the plain tuple itemgetter(*g)(w), which hashes and compares
+    # like the element; only a new one is made a `WeylElement`
+    times = [_table_getter(g) for g in gens]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in times:
+                x = g(w)
+                if x not in seen:
+                    if len(seen) >= cap:
+                        raise WeylSizeError(
+                            f"group closure exceeds the cap of {cap} elements"
+                        )
+                    x = _new_tuple(WeylElement, x)
+                    seen.add(x)
+                    nxt.append(x)
+        frontier = nxt
+    return tuple(sorted(seen, key=_SORT_KEY))
+
 
 # ---------------------------------------------------------------------------
 # Weyl groups from simple reflections
@@ -108,7 +158,7 @@ def full_weyl_group(
         raise WeylSizeError(
             f"|W({datum.descriptor})| = {expected} exceeds the cap of {cap}"
         )
-    elems = subgroup_closure(
+    elems = closure_by_bfs(
         list(all_simple_reflections(datum)), n=datum.ambient_dim, max_size=cap
     )
     if len(elems) != expected:
@@ -158,7 +208,7 @@ def levi_weyl_group(
     closure, with `theta_fixed_subgroup`, is that route's check.
     """
     gens = [simple_reflection(parabolic.datum, i) for i in sorted(parabolic.S)]
-    return subgroup_closure(
+    return closure_by_bfs(
         gens, n=parabolic.datum.ambient_dim, max_size=max_size
     )
 

@@ -36,12 +36,16 @@ from cohoparam.weyl import (
     WeylElement,
     compact_weyl_catalog,
     double_cosets,
-    subgroup_closure,
     theta_fixed_subgroup,
     weyl_order,
 )
 
-from oracles import double_cosets_by_expansion, full_weyl_group, levi_weyl_group
+from oracles import (
+    closure_by_bfs,
+    double_cosets_by_expansion,
+    full_weyl_group,
+    levi_weyl_group,
+)
 
 
 def zero(n: int) -> HalfIntVector:
@@ -61,7 +65,7 @@ def block_group(n: int, cuts: tuple[int, ...]) -> tuple[WeylElement, ...]:
         for i in range(start, start + size - 1):
             gens.append(transposition(n, i, i + 1))
         start += size
-    return subgroup_closure(gens, n=n)
+    return closure_by_bfs(gens, n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from cohoparam.weyl import (
 )
 
 from oracles import (
+    closure_by_bfs,
     conjugate_element,
     double_cosets_by_expansion,
     full_weyl_group,
@@ -458,3 +459,63 @@ def test_catalog_table_gives_all_of_w_where_theta_fixes_it(desc):
 def test_subgroup_closure_trivial():
     (only,) = subgroup_closure([], n=3)
     assert only == WeylElement.identity(3)
+
+
+# -- the coset-batched closure against the breadth-first oracle --------------
+
+
+@pytest.mark.parametrize("desc", golden.GROUPS)
+def test_closure_matches_bfs_on_each_catalog_row(desc):
+    datum = build_classical_dual(desc)
+    for gens, order in weyl._catalog_row(datum):
+        group = subgroup_closure(gens, n=datum.ambient_dim)
+        assert group == closure_by_bfs(gens, n=datum.ambient_dim)
+        assert len(group) == order
+
+
+@st.composite
+def _generating_sets(draw):
+    """1-4 signed permutations of one n <= 6; the identity and repeats of
+    an earlier generator are drawn on purpose."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["new", "identity", "repeat"]))
+        if kind == "identity":
+            gens.append(WeylElement.identity(n))
+        elif kind == "repeat" and gens:
+            gens.append(draw(st.sampled_from(gens)))
+        else:
+            gens.append(_rand_element(draw, n))
+    return n, gens
+
+
+@settings(deadline=None, max_examples=60)
+@given(drawn=_generating_sets())
+def test_closure_matches_bfs_on_random_generators(drawn):
+    n, gens = drawn
+    assert subgroup_closure(gens, n=n) == closure_by_bfs(gens, n=n)
+
+
+def test_closure_edge_cases():
+    e0 = WeylElement.identity(0)
+    assert subgroup_closure([e0, e0]) == closure_by_bfs([e0, e0]) == (e0,)
+    assert subgroup_closure([], n=4) == closure_by_bfs([], n=4)
+    with pytest.raises(ValueError):
+        subgroup_closure([])
+    # Sp(8,R)'s W^theta, B_4 on 0..4: 384 elements
+    (gens, order), _ = weyl._catalog_row(build_classical_dual("Sp(8,R)"))
+    assert len(subgroup_closure(gens, max_size=order)) == order
+    with pytest.raises(WeylSizeError, match=f"exceeds the cap of {order - 1} elements"):
+        subgroup_closure(gens, max_size=order - 1)
+    with pytest.raises(WeylSizeError):
+        closure_by_bfs(gens, max_size=order - 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), n=st.integers(min_value=0, max_value=8))
+def test_flat_key_orders_like_sort_key(data, n):
+    elems = [_rand_element(data.draw, n) for _ in range(data.draw(st.integers(1, 12)))]
+    keys = weyl._flat_keys(elems)
+    by_flat = sorted(range(len(elems)), key=keys.__getitem__)
+    assert by_flat == sorted(range(len(elems)), key=lambda i: elems[i].sort_key)
