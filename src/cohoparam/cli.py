@@ -34,6 +34,8 @@ from .halfint import HalfIntVector
 from .packets import packet
 from .params import (
     CohomParameter,
+    _cohomological_preimage,
+    _transfer,
     enumerate_cohomological,
     parse_gl_parameter,
     route_selfdual,
@@ -146,28 +148,6 @@ def cmd_packet(args) -> int:
     return 0
 
 
-def _locate_cohomological(descriptor: str, text: str):
-    """Find the weight-zero subset parameter whose image is `text`.
-
-    Exact canonical text first, then the order-two twist orbit.  Returns
-    the parameter, its image and the note on how it matched.
-    """
-    target = parse_gl_parameter(text)
-    target_text, target_orbit = target.text(), target.orbit_key()
-    fallback = None
-    for c in enumerate_cohomological(descriptor):
-        img = standard_rep_parameter(c)
-        if img.text() == target_text:
-            return c, img, ""
-        if img.orbit_key() == target_orbit:
-            fallback = c, img
-    if fallback is not None:
-        return *fallback, "matched up to the order-two twist"
-    raise InvalidWeightError(
-        f"{text!r} is not in the weight-zero enumeration of {descriptor}"
-    )
-
-
 def cmd_transfer(args) -> int:
     kind = EMBEDDINGS[args.embedding]  # argparse accepts only these choices
     if args.disc != "trivial":
@@ -190,21 +170,27 @@ def cmd_transfer(args) -> int:
         raise InvalidWeightError(
             f"--n {args.n} does not match {source} (rank {datum.ambient_dim})"
         )
-    # the search walks the weight-zero enumeration, one parameter per
-    # theta-stable subset: 2**(theta-orbits on the simple roots) of them
-    size = 2 ** len(datum._theta_orbits)
-    cap = max_weyl_size()
+    target = _transfer(kind, datum)[0]
+    # the image check walks at most 2**(theta-orbits) target parameters
+    size, cap = 2 ** len(target._theta_orbits), max_weyl_size()
     if size > cap:
         raise WeylSizeError(
-            f"the weight-zero enumeration of {source} has {size} parameters, "
-            f"over the cap of {cap}"
+            f"{kind} checks its image against up to {size} parameters of "
+            f"{target.descriptor}, over the cap of {cap}"
         )
-    cohom, image, twist_note = _locate_cohomological(source, args.param)
+    try:
+        image = standard_rep_parameter(cohom := _cohomological_preimage(datum, param))
+    except InvalidWeightError:
+        image = None
+    if image is None or image.orbit_key() != param.orbit_key():
+        raise InvalidWeightError(
+            f"{args.param!r} is not the image of a cohomological parameter of {source}"
+        )
     result = transfer_cohom(cohom, kind)
     payload = result.to_json()
     payload["source_parameter"] = image.text()
-    if twist_note:
-        payload["twist_note"] = twist_note
+    if image.text() != param.text():
+        payload["twist_note"] = "matched up to the order-two twist"
     lines = [
         f"embedding    {args.embedding} ({kind})",
         f"source       {result.source_group}  {payload['source_parameter']}",

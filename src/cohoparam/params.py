@@ -615,6 +615,38 @@ def standard_rep_parameter(cohom: CohomParameter) -> GLParameter | ComplexParame
     return GLParameter(tuple(one + quads), 0, flag)
 
 
+def _cohomological_preimage(datum: RootDatum, param: GLParameter) -> CohomParameter:
+    """The parameter of an Sp_R, SO_odd or GL_R datum whose image is `param`,
+    at the weight its exponents give: `_split_cell` run backwards.
+
+    lam is the first n = `ambient_dim` entries of `gl_coefficient_weight(param,
+    N)`, N = 2n + 1, 2n or n; the doubled entries e of lam + rho-check are
+    distinct.  An s{d}[m] is the block of m coordinates from the k where
+    e = d + m - 1, its simple roots k+1..k+m-1 in S; a w[a] is the tail of
+    a // 2 coordinates (Sp_R, SO_odd) or the middle a coordinates (GL_R,
+    where S is closed under i -> n - i).  No quad sign is read, and `param`
+    need not be an image: the caller's image comparison makes this safe.
+    """
+    fam, n = datum.family, datum.ambient_dim
+    N = n if fam == "GL_R" else 2 * n + (fam == "Sp_R")
+    lam = HalfIntVector(gl_coefficient_weight(param, N).twice[:n])
+    start = {x + r: k for k, (x, r) in enumerate(zip(lam.twice, datum.rho_check.twice))}
+    S = set()
+    for atom in param.atoms:
+        if isinstance(atom, TwoDimAtom):
+            k, m = start.get(atom.d + atom.m - 1), atom.m
+            if k is None:
+                raise InvalidWeightError(f"no coordinate of lam + rho-check starts {atom.text()}")
+        elif fam == "GL_R":
+            k, m = (n - atom.a) // 2, atom.a
+        else:  # a tail of a // 2 coordinates holds the last simple root too
+            k, m = n - atom.a // 2, atom.a // 2 + 1
+        S.update(range(k + 1, k + m))
+    if fam == "GL_R":
+        S.update([n - i for i in S])
+    return CohomParameter(datum, frozenset(S), lam)
+
+
 # ---------------------------------------------------------------------------
 # direct enumerations from the infinitesimal character
 

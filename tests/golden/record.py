@@ -11,7 +11,8 @@ W^theta has at most 720 elements.  The corpora:
 * `enumerate_cli.json`: `enumerate` (table and JSON) at the zero weight and
   at the two weights of `nonzero_weights`, on every group of `GROUPS` of
   rank at most 6; and `transfer` (table and JSON) along every embedding of
-  each weight-zero image of `TRANSFER_SOURCES`;
+  each image of `TRANSFER_SOURCES` at the zero weight and at the two
+  weights of `nonzero_weights`;
 * `cohomology_cli.json`: `cohomology-sum` at the zero weight for every
   theta-stable subset of every group of `GROUPS`, `innerforms` on `GROUPS`
   and on the compact forms of `COMPACT_FAMILIES` up to size 8, and
@@ -40,6 +41,7 @@ from pathlib import Path
 from unittest import mock
 
 from cohoparam.cli import EMBEDDINGS, SUITES, main
+from cohoparam.halfint import HalfIntVector
 from cohoparam.params import enumerate_cohomological, standard_rep_parameter
 from cohoparam.rootdata import build_classical_dual
 
@@ -90,7 +92,7 @@ def weyl_cases() -> list[list[str]]:
     return out
 
 
-# groups whose weight-zero images are fed back through `transfer`
+# groups whose images are fed back through `transfer`
 TRANSFER_SOURCES = ("Sp(4,R)", "SO(2,3)", "U(2,1)")
 
 # the dual groups of GL(n,R), SL(n,R) and GL(n,C) have theta = -w0 on type-A
@@ -131,12 +133,14 @@ def enumerate_cases() -> list[list[str]]:
             out.append(argv)
             out.append(argv + ["--format", "json"])
     for group in TRANSFER_SOURCES:
-        for c in enumerate_cohomological(group):
-            text = standard_rep_parameter(c).text()
-            for embedding in sorted(EMBEDDINGS):
-                argv = ["transfer", "--embedding", embedding, "--param", text]
-                out.append(argv)
-                out.append(argv + ["--format", "json"])
+        for weight in [None, *nonzero_weights(group)]:
+            lam = None if weight is None else HalfIntVector.parse(weight)
+            for c in enumerate_cohomological(group, lam):
+                text = standard_rep_parameter(c).text()
+                for embedding in sorted(EMBEDDINGS):
+                    argv = ["transfer", "--embedding", embedding, "--param", text]
+                    out.append(argv)
+                    out.append(argv + ["--format", "json"])
     return out
 
 
@@ -182,9 +186,12 @@ ERROR_PATHS = (
     (["transfer", "--embedding", "diag", "--param", "s1[1]*nu^1e5000"], 2),
     (["transfer", "--embedding", "sp-gl", "--param", "s1[1]+w0[1]"], 3),
     (["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1"], 3),
-    (["transfer", "--embedding", "sp-gl", "--param", "w0[1]+w0[1]+w0[1]"], 2),
-    # SO(20,21): 2**20 weight-zero parameters, over the default cap
+    (["transfer", "--embedding", "sp-gl", "--param", "w0[1]+w0[1]+w0[1]"], 3),
+    # GL(40,R): 2**20 parameters to check the image against, over the
+    # default cap
     (["transfer", "--embedding", "sp-gl", "--param", "s2[20]"], 3),
+    # GL(22,C): 2**21 compositions, over the default cap
+    (["transfer", "--embedding", "diag", "--param", "w0[22]"], 3),
 )
 
 _ENV_CAP = "COHOPARAM_MAX_WEYL"

@@ -33,6 +33,9 @@ the route it checks:
   coordinates at once into strings (`extract_strings`, `selfdual_strings`),
   against `standard_rep_parameter`, which reads one string per Levi block
   in closed form and shares no string code with it;
+* `preimage_by_search`, which walks a group's whole enumeration at one
+  weight and compares image texts, against `_cohomological_preimage`,
+  which reads the parameter off the image in closed form;
 * `parse_complex_parameter`, which reads `e1[1]+e-1/2[2]` text back into a
   `ComplexParameter`, against the text the CLI prints for the complex
   families;
@@ -59,6 +62,9 @@ from cohoparam.params import (
     _assign_quad_eps,
     _block_compositions,
     _compositions,
+    enumerate_cohomological,
+    parse_gl_parameter,
+    standard_rep_parameter,
 )
 from cohoparam.rootdata import (
     RootDatum,
@@ -524,6 +530,32 @@ def standard_rep_by_whole_table(cohom: CohomParameter):
     twodim_det = sum(t.det_exponent for t in twodims) % 2
     quads, flag = _assign_quad_eps(quadlens, twodim_det, delta)
     return GLParameter(tuple(twodims + quads), 0, flag)
+
+
+# ---------------------------------------------------------------------------
+# the preimage of an image, by search
+
+
+def preimage_by_search(datum: RootDatum, lam: HalfIntVector, text: str):
+    """Find the subset parameter at weight `lam` whose image is `text`.
+
+    Exact canonical text first, then the order-two twist orbit.  Returns
+    the parameter, its image and the note on how it matched.
+    """
+    target = parse_gl_parameter(text)
+    target_text, target_orbit = target.text(), target.orbit_key()
+    fallback = None
+    for c in enumerate_cohomological(datum, lam):
+        img = standard_rep_parameter(c)
+        if img.text() == target_text:
+            return c, img, ""
+        if img.orbit_key() == target_orbit:
+            fallback = c, img
+    if fallback is not None:
+        return *fallback, "matched up to the order-two twist"
+    raise InvalidWeightError(
+        f"{text!r} is not in the enumeration of {datum.descriptor} at {lam}"
+    )
 
 
 # ---------------------------------------------------------------------------

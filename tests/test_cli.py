@@ -205,6 +205,65 @@ class TestTransfer:
         assert payload["source_parameter"] == "s4[1]+w1[3]"
         assert payload["parameter"] == "s4[1]+w1[3]+w0[1]"
 
+    def test_nonzero_weight_image(self, capsys):
+        # the image of S = {} at the weight (1,0) of Sp(4,R)
+        code, out = run(
+            capsys, "transfer", "--embedding", "so-odd-gl",
+            "--param", "s6[1]+s2[1]+w0[1]", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["source"] == "Sp(4,R)"
+        assert payload["source_parameter"] == "s6[1]+s2[1]+w0[1]"
+        assert payload["inf_char"] == "3,1,0,-1,-3"
+        assert payload["image_regular"] and payload["image_cohomological"]
+        assert "twist_note" not in payload
+
+    def test_source_is_read_without_enumerating(self, capsys, monkeypatch):
+        import cohoparam.cli as cli
+        from cohoparam import params
+
+        def boom(*a, **k):
+            pytest.fail("transfer enumerated its source")
+
+        monkeypatch.setattr(cli, "enumerate_cohomological", boom)
+        monkeypatch.setattr(params, "enumerate_cohomological", boom)
+        for embedding, text in [
+            ("sp-gl", "s2[2]"), ("so-odd-gl", "s6[1]+s2[1]+w0[1]"),
+            ("so-odd-in-so-even", "s4[1]+w0[3]"), ("diag", "s5[1]+s1[1]"),
+        ]:
+            assert main(["transfer", "--embedding", embedding, "--param", text]) == 0
+        capsys.readouterr()
+
+    def test_non_image_exits_2_at_once(self, capsys):
+        # SO(16,17) has 2**16 weight-zero parameters; none is searched
+        start = time.perf_counter()
+        code = main([
+            "transfer", "--embedding", "sp-gl",
+            "--param", "s2[4]+s2[4]+s2[4]+s2[4]",
+        ])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert elapsed < 1
+        assert captured.err == (
+            "invalid input: 's2[4]+s2[4]+s2[4]+s2[4]' is not the image of a "
+            "cohomological parameter of SO(16,17)\n"
+        )
+
+    def test_target_over_the_cap_exits_3_at_once(self, capsys):
+        # the image check would walk GL(22,C)'s 2**21 compositions
+        start = time.perf_counter()
+        code = main(["transfer", "--embedding", "diag", "--param", "w0[22]"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert elapsed < 1
+        assert captured.err == (
+            "unsupported: gl-to-complex checks its image against up to 2097152 "
+            "parameters of GL(22,C), over the cap of 1000000\n"
+        )
+
     def test_every_embedding_has_a_kind(self):
         assert set(EMBEDDINGS) == {"sp-gl", "so-odd-gl", "diag", "so-odd-in-so-even"}
         assert set(EMBEDDINGS.values()) == {

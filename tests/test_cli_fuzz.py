@@ -62,10 +62,13 @@ param_texts = st.one_of(
     .flatmap(lambda a: st.sampled_from(["", "*nu^1/2"]).map(
         lambda twist: "+".join(text for text, _ in a) + twist
     )),
-    # images of the weight-zero enumerations, which the transfer can find
+    # images at the zero weight and at nonzero weights, which the transfer
+    # reads its source parameter off
     st.sampled_from([
         "s2[2]", "s4[1]+s2[1]+w0[1]", "s3[2]+w0[1]", "s4[1]+w1[3]", "w0[5]",
         "s3[1]+s1[1]", "s3[1]+w0[2]", "w0[4]", "s2[1]+w0[1]",
+        "s6[1]+s2[1]+w0[1]", "s6[1]+w1[3]", "s5[2]+w0[1]", "s5[1]+s1[1]",
+        "s4[2]", "s5[1]+w0[2]", "s4[1]+w0[1]",
     ]),
     st.sampled_from(["", "0", "s3[", "x3[1]", "s3[1]+", "s3[1]*nu^1/3"]),
 )

@@ -1187,6 +1187,110 @@ class TestTransfers:
 
 
 # ---------------------------------------------------------------------------
+# the source parameter of a transfer, read off its image
+
+
+# the source families of the CLI's transfers, which the closed form reads
+PREIMAGE_FAMILIES = ("Sp_R", "SO_odd", "GL_R")
+
+
+def golden_images():
+    """(datum, parameter, image) of every parameter of the Sp_R, SO_odd and
+    GL_R groups of the golden corpus, at the zero weight and at the two
+    nonzero weights where those are valid."""
+    out = []
+    for group in golden.GROUPS:
+        d = build_classical_dual(group)
+        if d.family not in PREIMAGE_FAMILIES:
+            continue
+        for weight in (None, *golden.nonzero_weights(group)):
+            lam = None if weight is None else HalfIntVector.parse(weight)
+            try:
+                cs = enumerate_cohomological(d, lam)
+            except InvalidWeightError:
+                continue  # GL(1,R)'s nonzero weights are not theta-fixed
+            out += [(d, c, standard_rep_parameter(c)) for c in cs]
+    return out
+
+
+@st.composite
+def preimage_cases(draw):
+    """A group of rank 6 or 12, a random dominant theta-fixed integral
+    weight on it, and one of its parameters there."""
+    group = draw(st.sampled_from(["Sp(12,R)", "SO(6,7)", "GL(12,R)"]))
+    d = build_classical_dual(group)
+    steps = draw(st.lists(st.integers(0, 2), min_size=6, max_size=6))
+    half = list(itertools.accumulate(reversed(steps)))[::-1]
+    entries = half + [-x for x in reversed(half)] if d.family == "GL_R" else half
+    lam = HalfIntVector.from_ints(*entries)
+    cs = enumerate_cohomological(d, lam)
+    return d, lam, cs, draw(st.integers(0, len(cs) - 1))
+
+
+class TestPreimage:
+    def test_closed_form_matches_the_search_on_every_golden_image(self):
+        images = golden_images()
+        assert len(images) == 437
+        twist = "matched up to the order-two twist"
+        for d, c, img in images:
+            assert params._cohomological_preimage(d, img) == c, img.text()
+            assert oracles.preimage_by_search(d, c.lam, img.text()) == (c, img, "")
+            # a quad sign is never read: the twist partner gives c again
+            twin = img.omega_twist()
+            if twin.text() != img.text():
+                assert params._cohomological_preimage(d, twin) == c
+                assert oracles.preimage_by_search(d, c.lam, twin.text()) == (c, img, twist)
+
+    @settings(max_examples=30, deadline=None)
+    @given(preimage_cases())
+    def test_closed_form_at_random_weights(self, case):
+        d, lam, cs, pick = case
+        for c in cs:
+            assert params._cohomological_preimage(d, standard_rep_parameter(c)) == c
+        img = standard_rep_parameter(cs[pick])
+        assert oracles.preimage_by_search(d, lam, img.text())[0] == cs[pick]
+
+    def test_closed_form_enumerates_nothing(self, monkeypatch):
+        def boom(*a, **k):
+            pytest.fail("the closed form enumerated")
+
+        images = golden_images()
+        for name in (
+            "enumerate_cohomological", "enumerate_gl_real", "enumerate_selfdual",
+            "enumerate_complex_cohomological", "gl_cascade_parameters",
+        ):
+            monkeypatch.setattr(params, name, boom)
+        for d, c, img in images:
+            assert params._cohomological_preimage(d, img) == c
+
+    def test_every_golden_image_transfers_cohomologically(self):
+        results = [
+            transfer_cohom(params._cohomological_preimage(d, img), kind)
+            for d, _, img in golden_images()
+            for kind, (families, *_) in params._TRANSFERS.items()
+            if d.family in families
+        ]
+        assert len(results) == 497
+        assert all(r.image_regular and r.image_cohomological is True for r in results)
+
+    @pytest.mark.parametrize(
+        "group, text",
+        [
+            ("SO(2,3)", "s1[1]+s1[1]"),  # exponents not dominant
+            ("SO(2,3)", "s3[2]"),  # lam = (1/2,1/2) not integral
+            ("Sp(4,R)", "w0[7]"),  # dimension 7, not 5
+            ("GL(2,R)", "s1[1]*nu^1/2"),  # no coordinate starts s1[1]
+            ("GL(2,R)", "s1[1]*nu^1"),  # lam = (1,1) not theta-fixed
+        ],
+    )
+    def test_non_images_raise_invalid_weight(self, group, text):
+        with pytest.raises(InvalidWeightError):
+            params._cohomological_preimage(
+                build_classical_dual(group), parse_gl_parameter(text)
+            )
+
+
+# ---------------------------------------------------------------------------
 # central values
 
 
