@@ -6,13 +6,19 @@ The package computes, in exact arithmetic:
   parabolics (`cohoparam.rootdata`),
 * signed-permutation Weyl groups, fixed subgroups and double cosets,
   and the compact-Weyl catalog (`cohoparam.weyl`),
-* parameter enumeration, atom calculus, routing between classical
-  families, and functorial transfer (`cohoparam.params`),
+* parameters, their atoms and their standard-representation images
+  (`cohoparam.params`),
+* parsing, direct enumerations, routing between classical families,
+  and functorial transfer (`cohoparam.transfer`),
 * packet parametrization by Weyl double cosets (`cohoparam.packets`),
 * closed-form cohomology dimension sums and inner-form sums
   (`cohoparam.cohomology`).
 
 The `cohoparam` console script exposes all of it; see README.md.
+
+`import cohoparam` loads every layer module except `cohoparam.transfer`,
+whose names (`transfer_cohom`, `parse_gl_parameter`, ...) load it on
+first use; only the ``transfer`` and ``verify`` commands need it.
 """
 
 from .cohomology import (
@@ -48,28 +54,13 @@ from .packets import (
     unitary_packet_members,
 )
 from .params import (
-    TRANSFER_KINDS,
-    CentralReport,
     CohomParameter,
     ComplexParameter,
     GLParameter,
     QuadAtom,
-    RouteResult,
-    TransferResult,
     TwoDimAtom,
-    central_value_report,
     enumerate_cohomological,
-    enumerate_complex_cohomological,
-    enumerate_gl_real,
-    enumerate_selfdual,
-    gl_cascade_parameters,
-    gl_coefficient_weight,
-    parse_gl_parameter,
-    route_selfdual,
     standard_rep_parameter,
-    tempered_companion,
-    transfer_cohom,
-    transfer_weight,
 )
 from .rootdata import (
     RootDatum,
@@ -137,3 +128,19 @@ __all__ = [
     "symmetric_space_poincare",
     "__version__",
 ]
+
+# the names of `cohoparam.transfer`, which is compiled only when one of
+# them is first asked for; every other layer module loads eagerly above
+_LAZY = frozenset(__all__) - frozenset(globals())
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from . import transfer
+
+        return getattr(transfer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _LAZY)

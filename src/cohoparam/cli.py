@@ -32,16 +32,7 @@ from .errors import (
 )
 from .halfint import HalfIntVector
 from .packets import packet
-from .params import (
-    CohomParameter,
-    _cohomological_preimage,
-    _transfer,
-    enumerate_cohomological,
-    parse_gl_parameter,
-    route_selfdual,
-    standard_rep_parameter,
-    transfer_cohom,
-)
+from .params import CohomParameter, enumerate_cohomological, standard_rep_parameter
 from .rootdata import build_classical_dual
 from .weyl import compact_weyl_catalog, max_weyl_size
 
@@ -149,6 +140,15 @@ def cmd_packet(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    # the only command besides verify that compiles the transfer layer
+    from .transfer import (
+        _cohomological_preimage,
+        _transfer,
+        parse_gl_parameter,
+        route_selfdual,
+        transfer_cohom,
+    )
+
     kind = EMBEDDINGS[args.embedding]  # argparse accepts only these choices
     if args.disc != "trivial":
         raise UnsupportedGroupError(

@@ -26,12 +26,11 @@ from .cohomology import (
 )
 from .errors import MathCheckError
 from .packets import packet
-from .params import (
+from .params import enumerate_cohomological, standard_rep_parameter
+from .transfer import (
     central_value_report,
-    enumerate_cohomological,
     enumerate_gl_real,
     parse_gl_parameter,
-    standard_rep_parameter,
     tempered_companion,
 )
 from .weyl import compact_weyl_catalog

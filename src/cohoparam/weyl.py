@@ -584,7 +584,7 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
             f"compact-side subgroup of {descriptor}: got {len(k_weyl)}, "
             f"expected {expected_k}"
         )
-    if not set(k_weyl) <= set(w_theta):
+    if not set(w_theta).issuperset(k_weyl):
         raise MathCheckError(
             f"compact-side subgroup of {descriptor} is not inside W^theta"
         )

@@ -60,10 +60,8 @@ from cohoparam.params import (
     GLParameter,
     TwoDimAtom,
     _assign_quad_eps,
-    _block_compositions,
     _compositions,
     enumerate_cohomological,
-    parse_gl_parameter,
     standard_rep_parameter,
 )
 from cohoparam.rootdata import (
@@ -74,6 +72,7 @@ from cohoparam.rootdata import (
     _new_tuple,
     _table_getter,
 )
+from cohoparam.transfer import _block_compositions, parse_gl_parameter
 from cohoparam.weyl import DoubleCoset, _cap, weyl_order
 
 # ---------------------------------------------------------------------------

@@ -30,19 +30,21 @@ from cohoparam.params import (
     GLParameter,
     TwoDimAtom,
     enumerate_cohomological,
-    enumerate_complex_cohomological,
-    enumerate_gl_real,
-    gl_cascade_parameters,
-    route_selfdual,
     standard_rep_parameter,
-    tempered_companion,
-    transfer_weight,
 )
 from cohoparam.rootdata import (
     StandardParabolic,
     build_classical_dual,
     dominant_orbit_rep,
     principal_sl2_coefficients,
+)
+from cohoparam.transfer import (
+    enumerate_complex_cohomological,
+    enumerate_gl_real,
+    gl_cascade_parameters,
+    route_selfdual,
+    tempered_companion,
+    transfer_weight,
 )
 from cohoparam.weyl import compact_weyl_catalog, weyl_order
 

@@ -8,7 +8,8 @@ import importlib
 
 import pytest
 
-from cohoparam import cohomology, halfint, params, rootdata, weyl
+import cohoparam
+from cohoparam import cohomology, halfint, params, rootdata, transfer, weyl
 
 PUBLIC_API = {
     "cohoparam": [
@@ -54,8 +55,10 @@ PUBLIC_API = {
     ],
     "cohoparam.params": [
         "TwoDimAtom", "QuadAtom", "GLParameter", "ComplexParameter",
-        "CohomParameter", "parse_gl_parameter", "enumerate_cohomological",
-        "standard_rep_parameter",
+        "CohomParameter", "enumerate_cohomological", "standard_rep_parameter",
+    ],
+    "cohoparam.transfer": [
+        "parse_gl_parameter",
         "enumerate_gl_real", "enumerate_selfdual", "gl_cascade_parameters",
         "enumerate_complex_cohomological", "gl_coefficient_weight",
         "tempered_companion", "route_selfdual", "RouteResult",
@@ -84,6 +87,22 @@ def test_all_is_pinned(name):
     assert module.__all__ == PUBLIC_API[name]
     for attr in module.__all__:
         assert hasattr(module, attr), attr
+
+
+def test_package_resolves_the_transfer_layer_on_first_use():
+    # the package holds no copy of them: each name is the transfer module's
+    # own object, and `dir` lists every name of `__all__`
+    assert cohoparam._LAZY == set(transfer.__all__)
+    for attr in transfer.__all__:
+        assert getattr(cohoparam, attr) is getattr(transfer, attr), attr
+        assert attr not in vars(cohoparam), attr
+    assert set(cohoparam.__all__) <= set(dir(cohoparam))
+    # the one name `params` still forwards, for the benchmark's layer tracer
+    assert params.transfer_cohom is transfer.transfer_cohom
+    with pytest.raises(AttributeError):
+        params.route_selfdual
+    with pytest.raises(AttributeError):
+        cohoparam.no_such_name
 
 
 def test_test_only_routes_are_not_in_the_library():

@@ -19,7 +19,7 @@ import pytest
 
 from cohoparam.cli import EMBEDDINGS, SUITES, build_parser, main
 from cohoparam.errors import MathCheckError
-from cohoparam.params import parse_gl_parameter
+from cohoparam.transfer import parse_gl_parameter
 from oracles import parse_complex_parameter
 
 # the CLI error paths are listed once, with the golden corpus that digests them
@@ -498,12 +498,12 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_internal_cross_check_exits_4(self, capsys, monkeypatch):
-        import cohoparam.cli as cli
+        from cohoparam import transfer
 
         def boom(*a, **k):
             raise MathCheckError("forced")
 
-        monkeypatch.setattr(cli, "transfer_cohom", boom)
+        monkeypatch.setattr(transfer, "transfer_cohom", boom)
         assert main(["transfer", "--embedding", "sp-gl", "--param", "s2[2]"]) == 4
         capsys.readouterr()
 
@@ -677,8 +677,9 @@ class TestStartup:
     def test_import_loads_no_unused_module(self):
         # a command pays for what `import cohoparam.cli` loads: no
         # dataclasses (and the inspect it pulls in), no json before a JSON
-        # print, no verify before a suite runs; every layer module is loaded
-        # eagerly, as the package promises
+        # print, no verify before a suite runs, no transfer layer before a
+        # transfer; every other layer module is loaded eagerly, as the
+        # package promises
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
             "import sys, cohoparam.cli; "
@@ -692,9 +693,41 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
-        assert not loaded & {"dataclasses", "inspect", "json", "typing", "cohoparam.verify"}
+        assert not loaded & {
+            "dataclasses", "inspect", "json", "typing", "cohoparam.verify",
+            "cohoparam.transfer",
+        }
         layers = ("rootdata", "weyl", "params", "packets", "cohomology")
         assert {f"cohoparam.{m}" for m in layers} <= loaded
+
+    @pytest.mark.parametrize(
+        "argv, loads_transfer",
+        [
+            (["enumerate", "--group", "Sp(4,R)"], False),
+            (["packet", "--group", "U(2,1)", "--subset", "1"], False),
+            (["dump-weyl", "--group", "GL(4,R)"], False),
+            (["cohomology-sum", "--group", "U(2,1)"], False),
+            (["innerforms", "--group", "Sp(4,R)"], False),
+            (["transfer", "--embedding", "sp-gl", "--param", "s2[2]"], True),
+            (["verify", "--suite", "innerforms", "--max-rank", "0"], True),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_only_transfer_and_verify_load_the_transfer_layer(self, argv, loads_transfer):
+        # each command in a fresh process, as a user runs it
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import contextlib, io, sys; from cohoparam.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
+            "print(code, 'cohoparam.transfer' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe, *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", str(loads_transfer)]
 
     def test_suite_names_are_the_verify_suites(self):
         from cohoparam import verify

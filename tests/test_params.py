@@ -24,7 +24,7 @@ from cohoparam.errors import (
     MathCheckError,
     UnsupportedGroupError,
 )
-from cohoparam import params
+from cohoparam import params, transfer
 from cohoparam.halfint import HalfIntVector, _fmt_half
 from cohoparam.params import (
     CohomParameter,
@@ -32,8 +32,11 @@ from cohoparam.params import (
     GLParameter,
     QuadAtom,
     TwoDimAtom,
-    central_value_report,
     enumerate_cohomological,
+    standard_rep_parameter,
+)
+from cohoparam.transfer import (
+    central_value_report,
     enumerate_complex_cohomological,
     enumerate_gl_real,
     enumerate_selfdual,
@@ -41,7 +44,6 @@ from cohoparam.params import (
     gl_coefficient_weight,
     parse_gl_parameter,
     route_selfdual,
-    standard_rep_parameter,
     tempered_companion,
     transfer_cohom,
     transfer_weight,
@@ -1233,12 +1235,12 @@ class TestPreimage:
         assert len(images) == 437
         twist = "matched up to the order-two twist"
         for d, c, img in images:
-            assert params._cohomological_preimage(d, img) == c, img.text()
+            assert transfer._cohomological_preimage(d, img) == c, img.text()
             assert oracles.preimage_by_search(d, c.lam, img.text()) == (c, img, "")
             # a quad sign is never read: the twist partner gives c again
             twin = img.omega_twist()
             if twin.text() != img.text():
-                assert params._cohomological_preimage(d, twin) == c
+                assert transfer._cohomological_preimage(d, twin) == c
                 assert oracles.preimage_by_search(d, c.lam, twin.text()) == (c, img, twist)
 
     @settings(max_examples=30, deadline=None)
@@ -1246,7 +1248,7 @@ class TestPreimage:
     def test_closed_form_at_random_weights(self, case):
         d, lam, cs, pick = case
         for c in cs:
-            assert params._cohomological_preimage(d, standard_rep_parameter(c)) == c
+            assert transfer._cohomological_preimage(d, standard_rep_parameter(c)) == c
         img = standard_rep_parameter(cs[pick])
         assert oracles.preimage_by_search(d, lam, img.text())[0] == cs[pick]
 
@@ -1255,19 +1257,20 @@ class TestPreimage:
             pytest.fail("the closed form enumerated")
 
         images = golden_images()
+        monkeypatch.setattr(params, "enumerate_cohomological", boom)
         for name in (
-            "enumerate_cohomological", "enumerate_gl_real", "enumerate_selfdual",
+            "enumerate_gl_real", "enumerate_selfdual",
             "enumerate_complex_cohomological", "gl_cascade_parameters",
         ):
-            monkeypatch.setattr(params, name, boom)
+            monkeypatch.setattr(transfer, name, boom)
         for d, c, img in images:
-            assert params._cohomological_preimage(d, img) == c
+            assert transfer._cohomological_preimage(d, img) == c
 
     def test_every_golden_image_transfers_cohomologically(self):
         results = [
-            transfer_cohom(params._cohomological_preimage(d, img), kind)
+            transfer_cohom(transfer._cohomological_preimage(d, img), kind)
             for d, _, img in golden_images()
-            for kind, (families, *_) in params._TRANSFERS.items()
+            for kind, (families, *_) in transfer._TRANSFERS.items()
             if d.family in families
         ]
         assert len(results) == 497
@@ -1285,7 +1288,7 @@ class TestPreimage:
     )
     def test_non_images_raise_invalid_weight(self, group, text):
         with pytest.raises(InvalidWeightError):
-            params._cohomological_preimage(
+            transfer._cohomological_preimage(
                 build_classical_dual(group), parse_gl_parameter(text)
             )
 

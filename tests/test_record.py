@@ -20,7 +20,7 @@ from cohoparam import (
 )
 from cohoparam._record import FrozenRecordError
 from cohoparam.cohomology import InnerFormReport, PoincarePolynomial, PureInnerFormClass
-from cohoparam.params import CentralReport, RouteResult
+from cohoparam.transfer import CentralReport, RouteResult
 from cohoparam.rootdata import (
     Factor,
     PrincipalSL2,
