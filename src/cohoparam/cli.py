@@ -34,7 +34,7 @@ from .halfint import HalfIntVector
 from .packets import packet
 from .params import CohomParameter, enumerate_cohomological, standard_rep_parameter
 from .rootdata import build_classical_dual
-from .weyl import compact_weyl_catalog, max_weyl_size
+from .weyl import compact_weyl_catalog
 
 # embeddings are named by their parameter-side (dual) picture; the values
 # are the transfer kinds, which are named by the real source group
@@ -170,14 +170,7 @@ def cmd_transfer(args) -> int:
         raise InvalidWeightError(
             f"--n {args.n} does not match {source} (rank {datum.ambient_dim})"
         )
-    target = _transfer(kind, datum)[0]
-    # the image check walks at most 2**(theta-orbits) target parameters
-    size, cap = 2 ** len(target._theta_orbits), max_weyl_size()
-    if size > cap:
-        raise WeylSizeError(
-            f"{kind} checks its image against up to {size} parameters of "
-            f"{target.descriptor}, over the cap of {cap}"
-        )
+    _transfer(kind, datum)  # the family check, before the source is read
     try:
         image = standard_rep_parameter(cohom := _cohomological_preimage(datum, param))
     except InvalidWeightError:

@@ -3,9 +3,9 @@
 Independent direct enumerations (`enumerate_gl_real`,
 `enumerate_selfdual`, `enumerate_complex_cohomological`) recover the
 images of `cohoparam.params.standard_rep_parameter` from the
-infinitesimal character alone, which is what the test suite and
-`transfer_cohom` lean on.  Only the ``transfer`` and ``verify`` commands
-import this module; the package resolves its names on first use.
+infinitesimal character alone: the second route that the tests check
+`transfer_cohom`'s closed forms against.  Only the ``transfer`` and
+``verify`` commands import it; the package resolves its names on first use.
 """
 
 from __future__ import annotations
@@ -489,7 +489,7 @@ class TransferResult:
     parameter: GLParameter | ComplexParameter
     inf_char: HalfIntVector
     image_regular: bool
-    image_cohomological: bool | None
+    image_cohomological: bool
     notes: str
 
     def to_json(self) -> dict:
@@ -506,28 +506,34 @@ class TransferResult:
 
 
 def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
-    """Functorial image of a subset-side parameter along one embedding."""
+    """Functorial image of a subset-side parameter along one embedding.
+
+    `image_cohomological` is membership in the target's list, which is not
+    built.  GL(N,R): the exponents, +-(lam + rho-check) and 0 for Sp_R, are
+    distinct, as lam is integral dominant and rho-check (of the dual B_n,
+    N = 2n + 1; of C_n, N = 2n) lies in Z or 1/2 + Z with GL(N)'s rho.  So
+    the weight mu they give is integral, dominant and self-dual, and
+    `enumerate_gl_real(N, mu)` lists every splitting of them with sign 0:
+    the image is on it up to the twist iff its zero strings carry one sign.
+    SO_even: `enumerate_selfdual` lists one member per splitting with
+    orthogonal two-dimensional atoms whose zero strings reach the
+    determinant class (`_assign_quad_eps`).  GL(n,C): one member per
+    composition with lam constant on each block, whose strings by falling
+    top exponent run through lam + rho (`enumerate_complex_cohomological`).
+    """
     source = cohom.datum
     check, weight_map = _transfer(kind, source)
     base = standard_rep_parameter(cohom)
+    assert isinstance(base, GLParameter)
     image_inf = weight_map(cohom.lam + source.rho_check)
     notes = []
-    coh: bool | None = None
     target_name = check.descriptor
 
     if kind in ("so-odd-to-gl", "sp-to-gl"):
-        assert isinstance(base, GLParameter)
         image: GLParameter | ComplexParameter = base
-        target_n = check.ambient_dim
-        try:
-            mu = gl_coefficient_weight(base, target_n)
-            orbit_keys = {p.orbit_key() for p in enumerate_gl_real(target_n, mu)}
-            coh = base.orbit_key() in orbit_keys
-        except InvalidWeightError as exc:
-            notes.append(f"image coefficients not checkable: {exc}")
+        coh = len({a.eps for a in base.atoms if isinstance(a, QuadAtom)}) < 2
         notes.append("standard-representation image")
     elif kind == "sp-to-so-even":
-        assert isinstance(base, GLParameter)
         # the extra line is fixed pointwise, so it carries the trivial
         # character -- even when that repeats an atom already present
         extra = QuadAtom(0, 1)
@@ -536,17 +542,19 @@ def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
         if route.target is not None:
             target_name = route.target
         delta = image.det_exponent
-        family = enumerate_selfdual(image.exponents(), "orthogonal", delta)
-        if image.text() in {p.text() for p in family}:
-            coh = True
-        elif image.orbit_key() in {p.orbit_key() for p in family}:
-            coh = True
+        twodims = [a for a in image.atoms if isinstance(a, TwoDimAtom)]
+        lens = [a.a for a in image.atoms if isinstance(a, QuadAtom)]
+        try:  # the list's member with the image's atoms, if any
+            quads = _assign_quad_eps(lens, sum(t.det_exponent for t in twodims) % 2, delta)[0]
+            member = GLParameter(tuple(twodims + quads)).text()
+        except MathCheckError:  # an even zero string, or delta unreachable
+            member = None
+        coh = not any(t.is_symplectic for t in twodims) and member in (
+            image.text(), image.omega_twist().text())
+        if coh and member != image.text():
             notes.append("matches the enumerated family up to the order-two twist")
-        else:
-            coh = False
         notes.append(f"appended {extra.text()}; discriminant class {delta}")
     else:  # gl-to-complex
-        assert isinstance(base, GLParameter)
         entries = []
         for a in base.atoms:
             if isinstance(a, TwoDimAtom):
@@ -555,10 +563,9 @@ def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
             else:
                 entries.append((0, a.a))
         image = ComplexParameter(tuple(entries))
-        half = source.ambient_dim
-        coh = image.text() in {
-            p.text() for p in enumerate_complex_cohomological(half, cohom.lam)
-        }
+        runs = [x2 + m - 1 - 2 * j for x2, m in sorted(entries, key=sum, reverse=True)
+                for j in range(m)]
+        coh = runs == list(image_inf.twice[: source.ambient_dim])
         notes.append("restriction of scalars")
 
     image_inf_dom = dominant_orbit_rep(check, image_inf)

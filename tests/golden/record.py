@@ -18,8 +18,8 @@ W^theta has at most 720 elements.  The corpora:
   and on the compact forms of `COMPACT_FAMILIES` up to size 8, and
   `verify` for every suite, each in table and JSON;
 * `limits_cli.json`: `verify` at non-default `--max-n` and `--max-rank`
-  caps (table and JSON), the error paths of `ERROR_PATHS`, and the
-  `COHOPARAM_MAX_WEYL` cases.  A case that begins with
+  caps (table and JSON), the error paths of `ERROR_PATHS`, one transfer
+  into a large target, and the `COHOPARAM_MAX_WEYL` cases.  A case that begins with
   `COHOPARAM_MAX_WEYL=value` runs with the variable set to that value, as
   in a shell; it is restored afterwards.
 
@@ -187,11 +187,8 @@ ERROR_PATHS = (
     (["transfer", "--embedding", "sp-gl", "--param", "s1[1]+w0[1]"], 3),
     (["transfer", "--embedding", "sp-gl", "--param", "s1[1]*nu^1"], 3),
     (["transfer", "--embedding", "sp-gl", "--param", "w0[1]+w0[1]+w0[1]"], 3),
-    # GL(40,R): 2**20 parameters to check the image against, over the
-    # default cap
-    (["transfer", "--embedding", "sp-gl", "--param", "s2[20]"], 3),
-    # GL(22,C): 2**21 compositions, over the default cap
-    (["transfer", "--embedding", "diag", "--param", "w0[22]"], 3),
+    # routes to SO(20,21), whose images have distinct exponents
+    (["transfer", "--embedding", "sp-gl", "--param", "s2[20]"], 2),
 )
 
 _ENV_CAP = "COHOPARAM_MAX_WEYL"
@@ -208,6 +205,8 @@ def limits_cases() -> list[list[str]]:
         out.append(argv)
         out.append(argv + ["--format", "json"])
     out.extend(list(argv) for argv, _ in ERROR_PATHS)
+    # a transfer into GL(22,C), which has 2**21 compositions at the zero weight
+    out.append(["transfer", "--embedding", "diag", "--param", "w0[22]"])
     for command in ("enumerate", "packet", "cohomology-sum", "innerforms", "dump-weyl"):
         for group in ("SO(1,0)", "SO(0,1)"):
             out.append([command, "--group", group])

@@ -36,6 +36,9 @@ the route it checks:
 * `preimage_by_search`, which walks a group's whole enumeration at one
   weight and compares image texts, against `_cohomological_preimage`,
   which reads the parameter off the image in closed form;
+* `transfer_by_enumeration`, which looks a transfer's image up in the
+  whole enumeration of its target, against `transfer_cohom`, which reads
+  membership off the image in closed form;
 * `parse_complex_parameter`, which reads `e1[1]+e-1/2[2]` text back into a
   `ComplexParameter`, against the text the CLI prints for the complex
   families;
@@ -72,7 +75,14 @@ from cohoparam.rootdata import (
     _new_tuple,
     _table_getter,
 )
-from cohoparam.transfer import _block_compositions, parse_gl_parameter
+from cohoparam.transfer import (
+    _block_compositions,
+    enumerate_complex_cohomological,
+    enumerate_gl_real,
+    enumerate_selfdual,
+    gl_coefficient_weight,
+    parse_gl_parameter,
+)
 from cohoparam.weyl import DoubleCoset, _cap, weyl_order
 
 # ---------------------------------------------------------------------------
@@ -555,6 +565,42 @@ def preimage_by_search(datum: RootDatum, lam: HalfIntVector, text: str):
     raise InvalidWeightError(
         f"{text!r} is not in the enumeration of {datum.descriptor} at {lam}"
     )
+
+
+# ---------------------------------------------------------------------------
+# a transfer's image against the whole enumeration of its target
+
+
+def transfer_by_enumeration(cohom: CohomParameter, kind: str, image) -> tuple:
+    """(image_cohomological, notes) of `transfer_cohom(cohom, kind)` with
+    image `image`, by looking the image up in its target's list, built in
+    full: `enumerate_gl_real` at the weight the exponents give (by orbit
+    key), `enumerate_selfdual` in the image's determinant class (by text,
+    then by orbit key, with a note), `enumerate_complex_cohomological` at
+    the source's weight (by text).  A GL image whose weight the list
+    refuses reads None with a note, which `transfer_cohom` no longer has.
+    """
+    notes, coh = [], None
+    if kind in ("so-odd-to-gl", "sp-to-gl"):
+        try:
+            mu = gl_coefficient_weight(image, image.dimension)
+            listed = {p.orbit_key() for p in enumerate_gl_real(image.dimension, mu)}
+            coh = image.orbit_key() in listed
+        except InvalidWeightError as exc:
+            notes.append(f"image coefficients not checkable: {exc}")
+        notes.append("standard-representation image")
+    elif kind == "sp-to-so-even":
+        delta = image.det_exponent
+        family = enumerate_selfdual(image.exponents(), "orthogonal", delta)
+        coh = image.orbit_key() in {p.orbit_key() for p in family}
+        if coh and image.text() not in {p.text() for p in family}:
+            notes.append("matches the enumerated family up to the order-two twist")
+        notes.append(f"appended w0[1]; discriminant class {delta}")
+    else:
+        family = enumerate_complex_cohomological(cohom.datum.ambient_dim, cohom.lam)
+        coh = image.text() in {p.text() for p in family}
+        notes.append("restriction of scalars")
+    return coh, "; ".join(notes)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@ Every argv that argparse accepts either succeeds or exits with a
 documented code (2, 3, 4 or 5) and at most one line on stderr; no input
 ends in a traceback.  Groups have size at most 7 (sizes 0 and 1 and
 malformed descriptors included) and the Weyl cap is 5,040, so each case
-stays small.
+stays small.  `transfer` is also run on large images, up to dimension 45,
+under the default cap: each ends within a second.
 """
 
 import contextlib
 import io
 import os
+import time
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohoparam.cli import EMBEDDINGS, SUITES, main
@@ -124,3 +126,27 @@ def test_every_accepted_argv_exits_with_a_documented_code(argv):
     assert code in (0, 2, 3, 4, 5), (argv, code)
     assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+# large parameter texts: images of large groups and texts that are not
+large_params = st.one_of(
+    st.builds("w{}[{}]".format, st.integers(0, 1), st.integers(1, 45)),
+    st.builds("s{}[{}]".format, st.integers(1, 4), st.integers(1, 22)),
+    st.builds("s{}[1]+w0[{}]".format, st.integers(1, 60), st.integers(1, 43)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(EMBEDDINGS)), large_params)
+@example("diag", "w0[18]")
+@example("so-odd-gl", "w0[29]")
+def test_large_transfers_end_at_once(embedding, text):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["transfer", "--embedding", embedding, "--param", text])
+    elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3), (text, code)
+    assert err.getvalue().count("\n") <= 1, (text, err.getvalue())
+    assert "Traceback" not in err.getvalue(), text
+    assert elapsed < 1, (embedding, text, elapsed)

@@ -1294,6 +1294,127 @@ class TestPreimage:
 
 
 # ---------------------------------------------------------------------------
+# whether a transfer's image is cohomological, in closed form
+
+
+def golden_transfers():
+    """(parameter, kind) for every parameter of every source group of the
+    golden corpus at the zero weight and at the two nonzero weights where
+    those are valid, along every transfer kind its family takes."""
+    out = []
+    for group in golden.GROUPS:
+        d = build_classical_dual(group)
+        kinds = [k for k, (families, *_) in transfer._TRANSFERS.items() if d.family in families]
+        if not kinds:
+            continue
+        for weight in (None, *golden.nonzero_weights(group)):
+            lam = None if weight is None else HalfIntVector.parse(weight)
+            try:
+                cs = enumerate_cohomological(d, lam)
+            except InvalidWeightError:
+                continue  # GL(1,R)'s nonzero weights are not theta-fixed
+            out += [(c, kind) for c in cs for kind in kinds]
+    return out
+
+
+# atoms of small candidate parameters, signs and repeated exponents included
+CANDIDATE_ATOMS = [TwoDimAtom(d, m) for d in range(1, 6) for m in range(1, 4)] + [
+    QuadAtom(eps, a) for eps in (0, 1) for a in range(1, 6)
+]
+
+
+def candidate_parameters(dim: int, start: int = 0):
+    """Every untwisted parameter of dimension `dim` made of `CANDIDATE_ATOMS`."""
+    if dim == 0:
+        yield GLParameter(())
+        return
+    for i, atom in enumerate(CANDIDATE_ATOMS[start:], start):
+        if atom.dim <= dim:
+            for rest in candidate_parameters(dim - atom.dim, i):
+                yield GLParameter((atom,) + rest.atoms)
+
+
+def transfer_candidate(monkeypatch, cohom, kind, candidate):
+    """`transfer_cohom(cohom, kind)` with `candidate` in place of the image
+    of `cohom`, and what the target's whole enumeration says of it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(transfer, "standard_rep_parameter", lambda _: candidate)
+        result = transfer_cohom(cohom, kind)
+    return result, oracles.transfer_by_enumeration(cohom, kind, result.parameter)
+
+
+class TestTransferMembership:
+    def test_closed_form_matches_the_enumeration_on_every_golden_transfer(self):
+        results = [(transfer_cohom(c, kind), c, kind) for c, kind in golden_transfers()]
+        assert len(results) == 617
+        for r, c, kind in results:
+            want = oracles.transfer_by_enumeration(c, kind, r.parameter)
+            assert (r.image_cohomological, r.notes) == want, (kind, r.parameter.text())
+        assert all(r.image_cohomological for r, _, _ in results)
+        twisted = [r for r, _, _ in results if "order-two twist" in r.notes]
+        assert len(twisted) == 14
+        assert {r.kind for r in twisted} == {"sp-to-so-even"}
+
+    def test_non_members_agree_with_the_enumeration(self, monkeypatch):
+        # every small candidate image into each target, against the target's
+        # list.  A GL(N,R) list refuses exponents that repeat or mix cosets
+        # (no image has such), and the exponents it takes are distinct and
+        # in one coset, so they leave at most one zero string: every
+        # candidate it takes is a member.  The non-members are orthogonal
+        # (a symplectic atom, an even or thrice repeated zero string, an
+        # unreachable determinant) and complex (strings off lam + rho).
+        sources = [(f"Sp({2 * n},R)", "sp-to-gl") for n in (1, 2, 3)]
+        sources += [(f"SO({n},{n + 1})", "so-odd-to-gl") for n in (1, 2, 3)]
+        sources += [(f"Sp({2 * n},R)", "sp-to-so-even") for n in (1, 2, 3)]
+        sources += [(f"GL({n},R)", "gl-to-complex") for n in range(1, 7)]
+        seen = Counter()
+        for group, kind in sources:
+            d = build_classical_dual(group)
+            weights = [None]
+            if kind == "gl-to-complex" and d.ambient_dim > 1:
+                weights += golden.nonzero_weights(group)
+            for weight in weights:
+                lam = None if weight is None else HalfIntVector.parse(weight)
+                c = enumerate_cohomological(d, lam)[0]
+                for cand in candidate_parameters(standard_rep_parameter(c).dimension):
+                    r, want = transfer_candidate(monkeypatch, c, kind, cand)
+                    if want[0] is None:
+                        assert "GL" in r.target_group
+                        seen[kind, "refused"] += 1
+                        continue
+                    assert (r.image_cohomological, r.notes) == want, (group, kind, cand.text())
+                    seen[kind, r.image_cohomological] += 1
+        assert seen["sp-to-gl", False] == seen["so-odd-to-gl", False] == 0
+        assert seen["sp-to-gl", True] + seen["so-odd-to-gl", True] == 49
+        assert seen["sp-to-so-even", False] == 694
+        assert seen["gl-to-complex", False] == 1605
+
+    @settings(max_examples=25, deadline=None)
+    @given(preimage_cases())
+    def test_closed_form_at_random_weights(self, case):
+        d, _, cs, _ = case
+        kinds = [k for k, (families, *_) in transfer._TRANSFERS.items() if d.family in families]
+        for c in cs:
+            for kind in kinds:
+                r = transfer_cohom(c, kind)
+                want = oracles.transfer_by_enumeration(c, kind, r.parameter)
+                assert (r.image_cohomological, r.notes) == want
+
+    def test_transfer_enumerates_nothing(self, monkeypatch):
+        def boom(*a, **k):
+            pytest.fail("transfer_cohom enumerated its target")
+
+        cases = golden_transfers()
+        want = [transfer_cohom(c, kind) for c, kind in cases]
+        for name in (
+            "enumerate_gl_real", "enumerate_selfdual", "enumerate_complex_cohomological",
+            "_atom_sets", "_finish_enumeration", "_block_compositions",
+        ):
+            monkeypatch.setattr(transfer, name, boom)
+        assert [transfer_cohom(c, kind) for c, kind in cases] == want
+
+
+# ---------------------------------------------------------------------------
 # central values
 
 
