@@ -41,7 +41,7 @@ from .packets import packet, unitary_packet_members
 from .params import CohomParameter, GLParameter, QuadAtom, standard_rep_parameter
 from .params import _self_dual_compositions  # the one composition walker
 from .rootdata import build_classical_dual
-from .weyl import _catalog_row, _closed_form_total, _torus_shape
+from .weyl import _closed_form_total, _order_text, _row_orders, _torus_shape
 from .weyl import compact_weyl_catalog
 from .weyl import _simple_weyl_order  # the one table of closed-form Weyl orders
 
@@ -466,23 +466,6 @@ def innerform_sum_compact(descriptor: str) -> InnerFormReport:
 # inner-form sums, quasi-split case
 
 
-def _orthogonal_compact_weyl_order(p: int, q: int) -> int:
-    """Order of the Weyl group of the full maximal compact S(O(p) x O(q)).
-
-    An odd factor contributes a central reflection that absorbs the
-    determinant condition, so one odd side unlocks all sign patterns;
-    with both sides even only patterns with even total survive, except
-    that a missing side leaves the connected special orthogonal group.
-    """
-    a, b = p // 2, q // 2
-    base = _simple_weyl_order("B", a) * _simple_weyl_order("B", b)
-    if p % 2 == 1 or q % 2 == 1:
-        return base
-    if p == 0 or q == 0:
-        return _simple_weyl_order("D", a + b)
-    return base // 2
-
-
 def innerform_sum_quasisplit(descriptor: str) -> InnerFormReport:
     """Sum of compact-side indices over a family of pure inner forms.
 
@@ -493,8 +476,9 @@ def innerform_sum_quasisplit(descriptor: str) -> InnerFormReport:
     the reals is unique).  Each index is |W^theta| divided by the order
     of the Weyl group of the *full* maximal compact; the sum is 2**e with
     e the circle rank of the fundamental torus.  Both orders are read off
-    the catalog's `_CATALOG_TABLE`, except for the orthogonal forms: their
-    row holds the identity component of S(O(p) x O(q)), not the full group.
+    the catalog's `_CATALOG_TABLE` (`_row_orders`, no group built); for
+    the orthogonal forms, whose row holds the identity component of
+    S(O(p) x O(q)), as the order of the full group.
 
     The connected-flavor rows (descriptor ``SL(n,R)``, n even) cannot
     satisfy the identity — their compact side is missing the reflection
@@ -511,18 +495,14 @@ def innerform_sum_quasisplit(descriptor: str) -> InnerFormReport:
     status = "ok"
 
     # the family's pure inner forms, each with the order of its compact side
-    (_, w_theta_order), (_, k_order) = _catalog_row(datum)
+    w_theta_order, k_order = _row_orders(datum)
     forms = [(datum.descriptor, k_order)]
     if fam == "U":
-        forms = [
-            (f"U({n - k},{k})", _catalog_row(datum, (n - k, k))[1][1])
-            for k in range(n + 1)
-        ]
+        forms = [(f"U({n - k},{k})", _row_orders(datum, (n - k, k))[1]) for k in range(n + 1)]
     elif fam in ("SO_odd", "SO_even"):
-        # the catalog's K is the identity component of the compact side
         p, q = datum.signature
         forms = [
-            (f"SO({p + q - q2},{q2})", _orthogonal_compact_weyl_order(p + q - q2, q2))
+            (f"SO({p + q - q2},{q2})", _row_orders(datum, (p + q - q2, q2), full=True)[1])
             for q2 in range(q % 2, p + q + 1, 2)
         ]
     elif fam == "SL_R" and n % 2 == 0:
@@ -540,8 +520,8 @@ def innerform_sum_quasisplit(descriptor: str) -> InnerFormReport:
     for label, order in forms:
         if w_theta_order % order:
             raise MathCheckError(
-                f"|W^theta| = {w_theta_order} not divisible by the "
-                f"compact-side order {order} for {label}"
+                f"|W^theta| = {_order_text(w_theta_order)} not divisible by the "
+                f"compact-side order {_order_text(order)} for {label}"
             )
         classes.append({"label": label, "index": w_theta_order // order})
     lhs = sum(c["index"] for c in classes)

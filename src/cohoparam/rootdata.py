@@ -6,9 +6,15 @@ Supported groups (descriptor grammar, ASCII, case-insensitive):
 
 `build_classical_dual` returns the based root datum of the complex dual
 group in epsilon-coordinates, together with the Galois action on the
-Dynkin diagram determined by the real form.  Simple roots are read off
-each factor's positive-root table, as the roots whose support is one simple
-root, and numbered 1..rank in the usual (Bourbaki) order, factor by factor.
+Dynkin diagram determined by the real form.  Each fact of the datum is a
+closed form per Cartan type (Bourbaki, *Lie Groups*, ch. VI, plates I-IV),
+read factor by factor.  The simple roots and coroots, numbered 1..rank in
+Bourbaki order, are kept as their nonzero entries (at most two), rho-check
+is one range per factor, and each diagram involution's index map is read
+on those entries, so building a datum and reading these facts is O(n).
+`rho_check` checks that it pairs to 1 with every simple root; only
+`simple_roots` and `simple_coroots` write out n dense vectors, on first
+use.  The dense table of positive roots is the tests' independent route.
 
 Three diagram involutions matter downstream:
 
@@ -191,42 +197,33 @@ class Factor:
     flavor: str
 
 
-def _local_positive_roots(f: Factor) -> list[tuple[list[int], list[int], Iterable[int]]]:
-    """(root, coroot, support) of each positive root: coordinate lists, and
-    the simple roots (local, 0-based) the root is a positive sum of.  e_i - e_j
-    needs i..j-1; e_i + e_j, e_i and 2e_i need i..n-1, but in type D
-    e_i + e_{n-1} skips root n-2."""
-    if f.cartan not in ("A", "B", "C", "D"):
+def _simple_entries(f: Factor) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
+    """(root, coroot) of each simple root of the factor, in Bourbaki order,
+    each as its nonzero entries: (0-based ambient coordinate, doubled entry)
+    pairs, at most two.  e_k - e_{k+1} along the factor, then on its last
+    coordinate z: e_z with coroot 2e_z (B), 2e_z with coroot e_z (C), or
+    e_{z-1} + e_z (D of dimension >= 2; D_1 has no roots)."""
+    first, z = f.offset, f.offset + f.dim - 1
+    out = [(((k, 2), (k + 1, -2)),) * 2 for k in range(first, z)]
+    if f.cartan == "B":
+        out.append((((z, 2),), ((z, 4),)))
+    elif f.cartan == "C":
+        out.append((((z, 4),), ((z, 2),)))
+    elif f.cartan == "D" and f.dim >= 2:
+        out.append((((z - 1, 2), (z, 2)),) * 2)
+    elif f.cartan not in ("A", "D"):
         raise ValueError(f"unknown Cartan type {f.cartan!r}")
-    n = f.dim
-    out: list[tuple[list[int], list[int], Iterable[int]]] = []
-
-    def vec(items: dict[int, int]) -> list[int]:
-        v = [0] * n
-        for i, c in items.items():
-            v[i] = c
-        return v
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = vec({i: 1, j: -1})
-            out.append((r, r, range(i, j)))
-            if f.cartan == "A":
-                continue
-            r = vec({i: 1, j: 1})
-            tail = (*range(i, n - 2), n - 1) if f.cartan == "D" and j == n - 1 else range(i, n)
-            out.append((r, r, tail))
-    for i in range(n) if f.cartan in ("B", "C") else ():
-        unit, double = vec({i: 1}), vec({i: 2})
-        root, coroot = (unit, double) if f.cartan == "B" else (double, unit)
-        out.append((root, coroot, range(i, n)))
     return out
 
 
-def _embed(local: list[int], offset: int, total: int) -> HalfIntVector:
-    v = [0] * total
-    v[offset : offset + len(local)] = local
-    return HalfIntVector.from_ints(*v)
+# doubled rho-check of a factor of n coordinates, half the sum of its
+# positive coroots
+_RHO_CHECK2 = {
+    "A": lambda n: range(n - 1, -n, -2),  # ((n-1)/2, ..., -(n-1)/2)
+    "B": lambda n: range(2 * n, 0, -2),  # (n, ..., 1)
+    "C": lambda n: range(2 * n - 1, 0, -2),  # (n - 1/2, ..., 1/2)
+    "D": lambda n: range(2 * n - 2, -1, -2),  # (n - 1, ..., 0)
+}
 
 
 @record
@@ -261,36 +258,28 @@ class RootDatum:
         return sum(f.dim for f in self.factors)
 
     @cached_property
-    def _positive_root_supports(self) -> tuple[frozenset[int], ...]:
-        """Simple-root support of each positive root, in enumeration order,
-        read off each root's indices factor by factor (`_local_positive_roots`)."""
-        out, first = [], 1
-        for f in self.factors:
-            supports = [s for *_, s in _local_positive_roots(f)]
-            out += (frozenset(k + first for k in s) for s in supports)
-            first += sum(len(s) == 1 for s in supports)  # the factor's simple roots
-        return tuple(out)
+    def _simple_pairs(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """(root, coroot) of each simple root, by index, as its nonzero
+        entries, factor by factor in closed form (`_simple_entries`)."""
+        return tuple(pair for f in self.factors for pair in _simple_entries(f))
 
-    @cached_property
-    def _simple_root_pairs(self) -> tuple[tuple[HalfIntVector, HalfIntVector], ...]:
-        """(root, coroot) of each simple root, read off the positive-root
-        table: the positive roots whose support is one simple root, in the
-        order of that root's index."""
-        supports = self._positive_root_supports
-        simple = {min(s): pair for pair, s in zip(self.positive_roots, supports) if len(s) == 1}
-        return tuple(simple[i] for i in sorted(simple))
+    def _dense(self, entries: tuple[tuple[int, int], ...]) -> HalfIntVector:
+        twice = [0] * self.ambient_dim
+        for k, t in entries:
+            twice[k] = t
+        return HalfIntVector(tuple(twice))
 
     @cached_property
     def simple_roots(self) -> tuple[HalfIntVector, ...]:
-        return tuple(root for root, _ in self._simple_root_pairs)
+        return tuple(self._dense(root) for root, _ in self._simple_pairs)
 
     @cached_property
     def simple_coroots(self) -> tuple[HalfIntVector, ...]:
-        return tuple(coroot for _, coroot in self._simple_root_pairs)
+        return tuple(self._dense(coroot) for _, coroot in self._simple_pairs)
 
     @cached_property
     def rank(self) -> int:
-        return len(self.simple_roots)
+        return len(self._simple_pairs)
 
     def alpha(self, i: int) -> HalfIntVector:
         """Simple root by 1-based index."""
@@ -300,27 +289,16 @@ class RootDatum:
         return self.simple_coroots[i - 1]
 
     @cached_property
-    def positive_roots(self) -> tuple[tuple[HalfIntVector, HalfIntVector], ...]:
-        total = self.ambient_dim
-        out = []
-        for f in self.factors:
-            for root, coroot, _ in _local_positive_roots(f):
-                r = _embed(root, f.offset, total)
-                out.append((r, r if coroot is root else _embed(coroot, f.offset, total)))
-        return tuple(out)
-
-    @cached_property
-    def rho(self) -> HalfIntVector:
-        acc = HalfIntVector((0,) * self.ambient_dim)
-        for root, _ in self.positive_roots:
-            acc = acc + root
-        return acc.scale(1, 2)
-
-    @cached_property
     def rho_check(self) -> HalfIntVector:
-        coroots = (coroot.twice for _, coroot in self.positive_roots)
-        sums = map(sum, zip((0,) * self.ambient_dim, *coroots))
-        return HalfIntVector(tuple(sums)).scale(1, 2)
+        """Half the sum of the positive coroots, factor by factor in closed
+        form (`_RHO_CHECK2`), checked to pair to 1 with each simple root."""
+        twice = tuple(t for f in self.factors for t in _RHO_CHECK2[f.cartan](f.dim))
+        for i, (root, _) in enumerate(self._simple_pairs, 1):
+            if sum(twice[k] * t for k, t in root) != 4:  # both entries doubled
+                raise MathCheckError(
+                    f"{self.descriptor}: rho-check does not pair to 1 with alpha_{i}"
+                )
+        return HalfIntVector(twice)
 
     def pairing(self, i: int, j: int) -> Fraction:
         """<alpha_i, alpha_j-check> for 1-based indices."""
@@ -332,8 +310,8 @@ class RootDatum:
     def _coroot_spans(self) -> tuple[tuple[int, int], ...]:
         """(first, last) 0-based coordinate of each simple coroot, by 1-based
         index, both growing with it; entry 0 is (n, n), just past the end."""
-        supports = ([k for k, t in enumerate(c.twice) if t] for c in self.simple_coroots)
-        return ((self.ambient_dim,) * 2,) + tuple((k[0], k[-1]) for k in supports)
+        spans = ((c[0][0], c[-1][0]) for _, c in self._simple_pairs)
+        return ((self.ambient_dim,) * 2, *spans)
 
     def _levi_blocks(self, S: Iterable[int]) -> list[tuple[tuple[int, ...], int, int]]:
         """The blocks of the Levi S, as (roots, first, last 0-based coordinate).
@@ -419,17 +397,18 @@ class RootDatum:
         return WeylElement(tuple(perm), tuple(signs))
 
     def _index_map(self, linear: WeylElement) -> tuple[int, ...]:
+        """The simple-root indices `linear` sends each simple root to, read
+        on its entries: entry (k, t) goes to (|w| - 1, sign(w) t), w = linear[k + 1]."""
+        index = {root: i for i, (root, _) in enumerate(self._simple_pairs, 1)}
         out = []
-        for i in range(1, self.rank + 1):
-            image = linear.apply(self.alpha(i))
-            for j in range(1, self.rank + 1):
-                if image == self.alpha(j):
-                    out.append(j)
-                    break
-            else:
+        for root in index:
+            moved = ((linear[k + 1], t) for k, t in root)
+            image = tuple(sorted((abs(w) - 1, t if w > 0 else -t) for w, t in moved))
+            if image not in index:
                 raise MathCheckError(
                     f"{self.descriptor}: diagram map does not permute simple roots"
                 )
+            out.append(index[image])
         return tuple(out)
 
     @cached_property
@@ -826,6 +805,7 @@ def dominant_orbit_rep(datum: RootDatum, v: HalfIntVector) -> HalfIntVector:
 
 def is_regular_orbit(datum: RootDatum, v: HalfIntVector) -> bool:
     """Is the W-stabilizer of v trivial?  Exactly when its dominant
-    representative pairs nonzero with every simple coroot."""
-    dominant = dominant_orbit_rep(datum, v)
-    return all(dominant.dot(coroot) for coroot in datum.simple_coroots)
+    representative pairs nonzero with every simple coroot, read on the
+    coroot's nonzero entries."""
+    dominant = dominant_orbit_rep(datum, v).twice
+    return all(sum(dominant[k] * t for k, t in coroot) for _, coroot in datum._simple_pairs)

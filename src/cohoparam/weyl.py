@@ -59,7 +59,8 @@ coordinates a..b-1 (K = W^theta where no K is given):
     SO(p,q), p,q odd   B on 0..n-1      B on 0..(p-1)/2 x B on (p-1)/2..n-1
 
 In the last row every flip also negates coordinate n-1.  Each block's
-order is a closed form, so both sizes are known before any closure.
+order is a closed form (`_row_orders`), so both sizes are known, and
+checked against the cap, before any generator is built.
 
 No group here is generated from the datum's simple reflections.  That
 route (the reflections, all of W, W_L and w_0) is the independent check
@@ -70,6 +71,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import itemgetter
@@ -405,49 +407,69 @@ class CompactWeylData:
 
 def _pairs(n: int) -> tuple[tuple[int, int], ...]:
     """The mirrored pairs (i, n-1-i) of n coordinates, outermost first."""
-    return tuple((i, n - 1 - i) for i in range(n // 2))
-
-
-def _run(lo: int, hi: int) -> tuple[tuple[int], ...]:
-    """Coordinates lo..hi-1, one slot each."""
-    return tuple((i,) for i in range(lo, hi))
+    return tuple(zip(range(n // 2), range(n - 1, -1, -1)))
 
 
 def _split(left: str, right: str, a: int, hi: int, also=()) -> list[tuple]:
     """Two blocks, of types `left` on 0..a and `right` on a..hi."""
-    return [(left, _run(0, a), also), (right, _run(a, hi), also)]
+    return [(left, range(a), also), (right, range(a, hi), also)]
 
 
 # The one table of the catalog: family -> (n, p, q) -> (W^theta blocks,
 # K blocks, or None when K = W^theta), for ambient dimension n and
-# signature (p, q).  Each group is the product of its blocks (`_block`).
+# signature (p, q).  Each group is the product of its blocks (`_block`); a
+# block's slots are mirrored pairs, or a range of single coordinates.
 _CATALOG_TABLE = {
     "GL_R": lambda n, p, q: ([("B", _pairs(n))], None),
     "SL_R": lambda n, p, q: (
         [("B", _pairs(n))], [("D", _pairs(n))] if n % 2 == 0 else None
     ),
     "GL_C": lambda n, p, q: ([("A", _pairs(n))], None),
-    "U": lambda n, p, q: ([("A", _run(0, n))], _split("A", "A", p, n)),
-    "Sp_R": lambda n, p, q: ([("B", _run(0, n))], [("A", _run(0, n))]),
+    "U": lambda n, p, q: ([("A", range(n))], _split("A", "A", p, n)),
+    "Sp_R": lambda n, p, q: ([("B", range(n))], [("A", range(n))]),
     "SO_odd": lambda n, p, q: (
-        [("B", _run(0, n))], _split("D", "B", (p if p % 2 == 0 else q) // 2, n)
+        [("B", range(n))], _split("D", "B", (p if p % 2 == 0 else q) // 2, n)
     ),
     "SO_even": lambda n, p, q: (
-        ([("D", _run(0, n))], _split("D", "D", p // 2, n))
+        ([("D", range(n))], _split("D", "D", p // 2, n))
         if p % 2 == 0
         # SO(odd,odd): every flip also negates the last coordinate
         else (
-            [("B", _run(0, n - 1), (n - 1,))],
+            [("B", range(n - 1), (n - 1,))],
             _split("B", "B", p // 2, n - 1, (n - 1,)),
         )
     ),
 }
 
 
-def _block(n: int, kind: str, slots, also=()) -> tuple[list[WeylElement], int]:
-    """Generators and closed-form order of one block of `_CATALOG_TABLE`.
+def _row_orders(datum: RootDatum, signature=None, *, full: bool = False) -> tuple[int, int]:
+    """(|W^theta|, |K|) of the datum's row of `_CATALOG_TABLE`, or of the row
+    of the form of the same family and size at `signature`, with no
+    generator built: a block of type A on r slots is S_r, one of type B or
+    D has the order of that Weyl group of rank r (`_simple_weyl_order`).
 
-    A block is a run of slots, each one coordinate (i,) or a mirrored pair
+    With `full` (an orthogonal row), |K| is the order of the Weyl group of
+    the whole S(O(p) x O(q)), not of its identity component: each D block,
+    an SO(2a), counts as the B of its O(2a), and the product is halved when
+    p and q are both even, where no odd side absorbs the determinant.
+    """
+    n, signature = datum.ambient_dim, signature or datum.signature or (0, 0)
+    w_theta, k = _CATALOG_TABLE[datum.family](n, *signature)
+
+    def order(blocks, whole=False) -> int:
+        return math.prod(
+            _simple_weyl_order("B" if whole and kind == "D" else kind, len(slots) - (kind == "A"))
+            for kind, slots, *_ in blocks
+        )
+
+    halve = full and signature[0] % 2 == signature[1] % 2 == 0
+    return order(w_theta), order(k or w_theta, full) // (2 if halve else 1)
+
+
+def _block(n: int, kind: str, slots, also=()) -> list[WeylElement]:
+    """Generators of one block of `_CATALOG_TABLE`.
+
+    A block is a run of slots, each one coordinate i or a mirrored pair
     (i, n-1-i).  Type A permutes the slots, B also flips the last slot, D
     flips the last two together.  A flip negates a coordinate, or swaps
     the two coordinates of a pair, and negates the coordinates in `also`.
@@ -464,53 +486,56 @@ def _block(n: int, kind: str, slots, also=()) -> tuple[list[WeylElement], int]:
     def flip(slot) -> WeylElement:
         return move([slot], also) if len(slot) == 2 else move((), slot + also)
 
-    r = len(slots)
+    slots = [(s,) if isinstance(s, int) else s for s in slots]
     gens = [move(zip(s, t), ()) for s, t in zip(slots, slots[1:])]
-    if kind == "B" and r >= 1:
+    if kind == "B" and len(slots) >= 1:
         gens.append(flip(slots[-1]))
-    if kind == "D" and r >= 2:
+    if kind == "D" and len(slots) >= 2:
         gens.append(flip(slots[-2]) * flip(slots[-1]))
-    return gens, _simple_weyl_order(kind, r - 1 if kind == "A" else r)
+    return gens
 
 
-def _catalog_row(datum: RootDatum, signature=None) -> tuple[tuple[list[WeylElement], int], ...]:
-    """(generators, order) of W^theta and of K, read off the datum's row, or
-    off the row of the form of the same family and size at `signature`.
-    A row that gives no K returns its W^theta entry twice, the same object."""
-    n, signature = datum.ambient_dim, signature or datum.signature or (0, 0)
-    w_theta, k = _CATALOG_TABLE[datum.family](n, *signature)
-
-    def group(blocks):
-        parts = [_block(n, *b) for b in blocks]
-        gens = [g for block_gens, _ in parts for g in block_gens]
-        return gens, math.prod(order for _, order in parts)
-
-    w_theta_row = group(w_theta)
-    return w_theta_row, w_theta_row if k is None else group(k)
+def _catalog_row(datum: RootDatum) -> tuple[list[WeylElement], list[WeylElement]]:
+    """Generators of W^theta and of K, read off the datum's row.  A row that
+    gives no K returns its W^theta list twice, the same object."""
+    n = datum.ambient_dim
+    w_theta, k = _CATALOG_TABLE[datum.family](n, *(datum.signature or (0, 0)))
+    w_theta_gens = [g for block in w_theta for g in _block(n, *block)]
+    return w_theta_gens, w_theta_gens if k is None else [g for b in k for g in _block(n, *b)]
 
 
-def _checked_row(datum: RootDatum, descriptor: str, cap: int):
-    """`_catalog_row`, refusing a twisted Weyl group over the cap (before
-    any closure) and a row whose orders |W^theta| and |K| do not divide."""
-    row = _catalog_row(datum)
-    (_, w_theta_order), (_, k_order) = row
+def _order_text(order: int) -> str:
+    """`order` in decimal, or its number of digits once the decimal would
+    pass the interpreter's limit on int-to-str conversion."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    digits = int((order.bit_length() - 1) * math.log10(2))  # at most log10(order)
+    while 10**digits <= order:
+        digits += 1
+    return f"a {digits}-digit number of" if limit and digits > limit else str(order)
+
+
+def _checked_row(datum: RootDatum, descriptor: str, cap: int) -> tuple[int, int]:
+    """`_row_orders`, refusing a twisted Weyl group over the cap and a row
+    whose orders |W^theta| and |K| do not divide, before any generator is
+    built."""
+    w_theta_order, k_order = _row_orders(datum)
     if w_theta_order > cap:
         raise WeylSizeError(
-            f"twisted Weyl group of {descriptor} has {w_theta_order} elements, "
-            f"over the cap of {cap}"
+            f"twisted Weyl group of {descriptor} has {_order_text(w_theta_order)} "
+            f"elements, over the cap of {cap}"
         )
     if w_theta_order % k_order != 0:
         raise MathCheckError(
-            f"|W^theta| = {w_theta_order} not divisible by "
-            f"|K-side| = {k_order} for {datum.descriptor}"
+            f"|W^theta| = {_order_text(w_theta_order)} not divisible by "
+            f"|K-side| = {_order_text(k_order)} for {datum.descriptor}"
         )
-    return row
+    return w_theta_order, k_order
 
 
 def _closed_form_total(descriptor: str) -> int:
     """The catalog's 2**d_exponent * n_cosets off its row, no group built."""
     datum = build_classical_dual(descriptor)
-    (_, w_theta), (_, k) = _checked_row(datum, descriptor, _cap(None))
+    w_theta, k = _checked_row(datum, descriptor, _cap(None))
     split, cplx, _ = _torus_shape(datum)
     return 2 ** (split + cplx) * (w_theta // k)
 
@@ -562,8 +587,8 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
         raise UnsupportedGroupError(
             f"{descriptor}: packets for SO(odd,odd) are only provided through rank 3"
         )
-    row = _checked_row(datum, descriptor, cap)
-    (w_theta_gens, expected_theta), (k_gens, expected_k) = row
+    expected_theta, expected_k = _checked_row(datum, descriptor, cap)
+    w_theta_gens, k_gens = _catalog_row(datum)
     w_theta = subgroup_closure(w_theta_gens, n=n, max_size=cap)
     if len(w_theta) != expected_theta:
         raise MathCheckError(
@@ -577,8 +602,8 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
             f"twisted Weyl group of {descriptor} is not fixed by theta"
         )
 
-    # a row without K hands back its W^theta entry (`_catalog_row`)
-    k_weyl = w_theta if row[1] is row[0] else subgroup_closure(k_gens, n=n, max_size=cap)
+    # a row without K hands back its W^theta generators (`_catalog_row`)
+    k_weyl = w_theta if k_gens is w_theta_gens else subgroup_closure(k_gens, n=n, max_size=cap)
     if len(k_weyl) != expected_k:
         raise MathCheckError(
             f"compact-side subgroup of {descriptor}: got {len(k_weyl)}, "

@@ -14,9 +14,10 @@ W^theta has at most 720 elements.  The corpora:
   each image of `TRANSFER_SOURCES` at the zero weight and at the two
   weights of `nonzero_weights`;
 * `cohomology_cli.json`: `cohomology-sum` at the zero weight for every
-  theta-stable subset of every group of `GROUPS`, `innerforms` on `GROUPS`
-  and on the compact forms of `COMPACT_FAMILIES` up to size 8, and
-  `verify` for every suite, each in table and JSON;
+  theta-stable subset of every group of `GROUPS`, `innerforms` on `GROUPS`,
+  on the compact forms of `COMPACT_FAMILIES` up to size 8 and on the
+  unitary and orthogonal forms of `LARGE_INNERFORMS`, and `verify` for
+  every suite, each in table and JSON;
 * `limits_cli.json`: `verify` at non-default `--max-n` and `--max-rank`
   caps (table and JSON), the error paths of `ERROR_PATHS`, one transfer
   into a large target, and the `COHOPARAM_MAX_WEYL` cases.  A case that begins with
@@ -147,6 +148,15 @@ def enumerate_cases() -> list[list[str]]:
 # compact families whose `innerforms` sums over every real form of the type
 COMPACT_FAMILIES = ("U", "Sp", "SO")
 
+# U(n-k,k) and SO(n-k,k) past size 8, at k = 0 and k = n // 2, odd and even n
+LARGE_INNERFORMS = tuple(
+    f"{family}({n - k},{k})"
+    for family in ("U", "SO")
+    for n in (9, 12, 16, 17, 24, 32, 33)
+    for k in (0, n // 2)
+    if f"{family}({n - k},{k})" not in GROUPS
+)
+
 
 def cohomology_cases() -> list[list[str]]:
     out = []
@@ -158,7 +168,7 @@ def cohomology_cases() -> list[list[str]]:
             out.append(argv)
             out.append(argv + ["--format", "json"])
     compact = [f"{family}({m})" for family in COMPACT_FAMILIES for m in range(1, 9)]
-    for group in (*GROUPS, *compact):
+    for group in (*GROUPS, *compact, *LARGE_INNERFORMS):
         argv = ["innerforms", "--group", group]
         out.append(argv)
         out.append(argv + ["--format", "json"])

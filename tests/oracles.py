@@ -17,11 +17,18 @@ the route it checks:
   right coset out of the ambient elements still uncovered, against
   `double_cosets`, which walks the orbits of the right group on a table
   of left cosets;
+* the dense table of positive roots (`positive_roots`, n^2 roots of n
+  coordinates each, with `rho`), and what it gives: the simple (root,
+  coroot) pairs as the roots whose support is one simple root
+  (`simple_root_pairs_by_table`), rho-check as half the coroot sum
+  (`rho_check_by_table`) and each diagram map's indices by comparing
+  images (`index_map_by_search`), against the datum's closed forms;
 * `cartan_matrix`, read straight off a datum, and `positive_root_supports`
   and `levi_positive`, with each root's simple-root coefficients solved
-  for, against the datum's supports read off the roots' indices, and
-  `levi_coroot_sum_oracle`, the Levi's coroot sum over that filter,
-  against `RootDatum.levi_coroot_sum`, which reads each block in closed form;
+  for, against the supports read off the roots' indices
+  (`positive_root_supports_by_index`), and `levi_coroot_sum_oracle`, the
+  Levi's coroot sum over that filter, against `RootDatum.levi_coroot_sum`,
+  which reads each block in closed form;
 * `cohom_parameter_check`, the weight and subset checks of a
   `CohomParameter` as one scan over Fraction pairings, against the
   constructor's set operations on the per-weight record;
@@ -44,15 +51,20 @@ the route it checks:
   families;
 * `innerform_indices_by_formula`, the index |W^theta| / |K| of each pure
   inner form of a GL, SL, Sp or U family in closed form, against
-  `innerform_sum_quasisplit`, which reads both orders off the catalog table.
+  `innerform_sum_quasisplit`, which reads both orders off the catalog table;
+* `full_orthogonal_compact_order`, the order of the Weyl group of the whole
+  S(O(p) x O(q)) by its component count, against `weyl._row_orders` with
+  `full`, which reads it off the catalog's blocks.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterable
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 from operator import attrgetter, itemgetter
 
 from cohoparam.errors import InvalidWeightError, MathCheckError, WeylSizeError
@@ -68,6 +80,7 @@ from cohoparam.params import (
     standard_rep_parameter,
 )
 from cohoparam.rootdata import (
+    Factor,
     RootDatum,
     StandardParabolic,
     WeylElement,
@@ -270,6 +283,109 @@ def double_cosets_by_expansion(
 
 
 # ---------------------------------------------------------------------------
+# the dense positive-root table
+
+
+def _local_positive_roots(f: Factor) -> list[tuple[list[int], list[int], Iterable[int]]]:
+    """(root, coroot, support) of each positive root: coordinate lists, and
+    the simple roots (local, 0-based) the root is a positive sum of.  e_i - e_j
+    needs i..j-1; e_i + e_j, e_i and 2e_i need i..n-1, but in type D
+    e_i + e_{n-1} skips root n-2."""
+    if f.cartan not in ("A", "B", "C", "D"):
+        raise ValueError(f"unknown Cartan type {f.cartan!r}")
+    n = f.dim
+    out: list[tuple[list[int], list[int], Iterable[int]]] = []
+
+    def vec(items: dict[int, int]) -> list[int]:
+        v = [0] * n
+        for i, c in items.items():
+            v[i] = c
+        return v
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = vec({i: 1, j: -1})
+            out.append((r, r, range(i, j)))
+            if f.cartan == "A":
+                continue
+            r = vec({i: 1, j: 1})
+            tail = (*range(i, n - 2), n - 1) if f.cartan == "D" and j == n - 1 else range(i, n)
+            out.append((r, r, tail))
+    for i in range(n) if f.cartan in ("B", "C") else ():
+        unit, double = vec({i: 1}), vec({i: 2})
+        root, coroot = (unit, double) if f.cartan == "B" else (double, unit)
+        out.append((root, coroot, range(i, n)))
+    return out
+
+
+def _embed(local: list[int], offset: int, total: int) -> HalfIntVector:
+    v = [0] * total
+    v[offset : offset + len(local)] = local
+    return HalfIntVector.from_ints(*v)
+
+
+@lru_cache(maxsize=64)
+def positive_roots(datum: RootDatum) -> tuple[tuple[HalfIntVector, HalfIntVector], ...]:
+    """(root, coroot) of each positive root, factor by factor."""
+    total = datum.ambient_dim
+    out = []
+    for f in datum.factors:
+        for root, coroot, _ in _local_positive_roots(f):
+            r = _embed(root, f.offset, total)
+            out.append((r, r if coroot is root else _embed(coroot, f.offset, total)))
+    return tuple(out)
+
+
+def positive_root_supports_by_index(datum: RootDatum) -> tuple[frozenset[int], ...]:
+    """Simple-root support of each positive root, in `positive_roots` order,
+    read off each root's indices factor by factor (`_local_positive_roots`)."""
+    out, first = [], 1
+    for f in datum.factors:
+        supports = [s for *_, s in _local_positive_roots(f)]
+        out += (frozenset(k + first for k in s) for s in supports)
+        first += sum(len(s) == 1 for s in supports)  # the factor's simple roots
+    return tuple(out)
+
+
+def simple_root_pairs_by_table(datum: RootDatum) -> tuple[tuple[HalfIntVector, HalfIntVector], ...]:
+    """(root, coroot) of each simple root: the positive roots whose support
+    is one simple root, in the order of that root's index."""
+    supports = positive_root_supports_by_index(datum)
+    pairs = zip(positive_roots(datum), supports)
+    simple = {min(s): pair for pair, s in pairs if len(s) == 1}
+    return tuple(simple[i] for i in sorted(simple))
+
+
+def rho(datum: RootDatum) -> HalfIntVector:
+    """Half the sum of the positive roots."""
+    acc = HalfIntVector((0,) * datum.ambient_dim)
+    for root, _ in positive_roots(datum):
+        acc = acc + root
+    return acc.scale(1, 2)
+
+
+def rho_check_by_table(datum: RootDatum) -> HalfIntVector:
+    """Half the sum of the positive coroots."""
+    coroots = (coroot.twice for _, coroot in positive_roots(datum))
+    sums = map(sum, zip((0,) * datum.ambient_dim, *coroots))
+    return HalfIntVector(tuple(sums)).scale(1, 2)
+
+
+def index_map_by_search(datum: RootDatum, linear: WeylElement) -> tuple[int, ...]:
+    """The index of the simple root each simple root's image under `linear`
+    equals, found by comparing dense vectors."""
+    simple = [root for root, _ in simple_root_pairs_by_table(datum)]
+    out = []
+    for alpha in simple:
+        image = linear.apply(alpha)
+        matches = [j for j, beta in enumerate(simple, 1) if beta == image]
+        if not matches:
+            raise MathCheckError(f"{datum.descriptor}: diagram map does not permute simple roots")
+        out.append(matches[0])
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # root-datum readings
 
 
@@ -282,7 +398,7 @@ def cartan_matrix(datum: RootDatum, subset=None) -> list[list[Fraction]]:
 def positive_root_supports(datum: RootDatum) -> tuple[frozenset[int], ...]:
     """The simple roots with a nonzero coefficient in each positive root, in
     the datum's order, from one exact elimination over all of them."""
-    roots = [root for root, _ in datum.positive_roots]
+    roots = [root for root, _ in positive_roots(datum)]
     supports = []
     for coeffs in _expand_each_in_basis(list(datum.simple_roots), roots):
         if coeffs is None:
@@ -298,7 +414,7 @@ def levi_positive(
     supports = positive_root_supports(parabolic.datum)
     return [
         pair
-        for pair, support in zip(parabolic.datum.positive_roots, supports)
+        for pair, support in zip(positive_roots(parabolic.datum), supports)
         if support <= parabolic.S
     ]
 
@@ -639,3 +755,17 @@ def innerform_indices_by_formula(descriptor: str) -> list[tuple[str, int]]:
     if kind == "SL" and int(first) % 2 == 0:
         return [(descriptor, 2)]
     return [(descriptor, 1)]
+
+
+def full_orthogonal_compact_order(p: int, q: int) -> int:
+    """|W| of S(O(p) x O(q)): W(O(2a)) and W(O(2a+1)) are both the signed
+    permutations of a letters, and the determinant condition halves their
+    product unless an odd side has a central -1 that absorbs it.  With one
+    side empty the group is SO(q), whose Weyl group is D of rank q // 2."""
+    signed = [2**r * factorial(r) for r in (p // 2, q // 2)]
+    if p % 2 or q % 2:
+        return signed[0] * signed[1]
+    if 0 in (p, q):
+        r = (p + q) // 2
+        return 2 ** (r - 1) * factorial(r) if r >= 2 else 1
+    return signed[0] * signed[1] // 2

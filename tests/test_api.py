@@ -113,6 +113,11 @@ def test_test_only_routes_are_not_in_the_library():
     ):
         assert not hasattr(weyl, attr), attr
     assert not hasattr(rootdata.RootDatum, "cartan_matrix")
+    # the dense positive-root table checks the datum's closed forms
+    for attr in ("positive_roots", "rho", "_positive_root_supports"):
+        assert not hasattr(rootdata.RootDatum, attr), attr
+    for attr in ("_local_positive_roots", "_embed"):
+        assert not hasattr(rootdata, attr), attr
     assert not hasattr(rootdata.StandardParabolic, "levi_positive")
     assert not hasattr(halfint, "solve_rational")
     # no command ran these; the tests check the same facts inline, and

@@ -26,9 +26,15 @@ from cohoparam.rootdata import (
 
 from oracles import (
     cartan_matrix,
+    index_map_by_search,
     levi_coroot_sum_oracle,
     levi_positive,
     positive_root_supports,
+    positive_root_supports_by_index,
+    positive_roots,
+    rho,
+    rho_check_by_table,
+    simple_root_pairs_by_table,
 )
 
 # a spread of supported descriptors reused across tests
@@ -77,25 +83,25 @@ def test_triality_signature_rejected():
 def test_rho_check_type_A():
     d = build_classical_dual("GL(4,R)")
     assert d.rho_check == HalfIntVector.parse("3/2,1/2,-1/2,-3/2")
-    assert d.rho == d.rho_check
+    assert rho(d) == d.rho_check
 
 
 def test_rho_check_type_B():
     d = build_classical_dual("Sp(6,R)")  # dual SO_7, type B_3
     assert d.rho_check == HalfIntVector.from_ints(3, 2, 1)
-    assert d.rho == HalfIntVector.parse("5/2,3/2,1/2")
+    assert rho(d) == HalfIntVector.parse("5/2,3/2,1/2")
 
 
 def test_rho_check_type_C():
     d = build_classical_dual("SO(3,4)")  # dual Sp_6, type C_3
     assert d.rho_check == HalfIntVector.parse("5/2,3/2,1/2")
-    assert d.rho == HalfIntVector.from_ints(3, 2, 1)
+    assert rho(d) == HalfIntVector.from_ints(3, 2, 1)
 
 
 def test_rho_check_type_D():
     d = build_classical_dual("SO(4,4)")  # dual SO_8, type D_4
     assert d.rho_check == HalfIntVector.from_ints(3, 2, 1, 0)
-    assert d.rho == d.rho_check
+    assert rho(d) == d.rho_check
 
 
 def test_rho_check_product():
@@ -108,7 +114,7 @@ def test_rho_check_pairs_to_one(desc):
     d = build_classical_dual(desc)
     for i in range(1, d.rank + 1):
         assert d.rho_check.dot(d.alpha(i)) == 1
-        assert d.rho.dot(d.alpha_check(i)) == 1
+        assert rho(d).dot(d.alpha_check(i)) == 1
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)
@@ -206,6 +212,10 @@ def test_galois_index_must_permute_the_simple_roots():
     d = _gl3_with_galois(bad)
     with pytest.raises(MathCheckError, match="does not permute simple roots"):
         d.galois_index
+    # theta = iota o gamma = (3 -2 -1) is a signed permutation, yet sends
+    # alpha_1 = e_1 - e_2 to e_2 + e_3
+    with pytest.raises(MathCheckError, match="does not permute simple roots"):
+        d.theta_index
 
 
 def test_theta_trivial_for_equal_rank_forms():
@@ -264,7 +274,7 @@ def test_rho_check_levi_B2_short_root():
 def test_levi_counts_full_subset():
     d = build_classical_dual("Sp(4,R)")
     full = StandardParabolic(d, frozenset({1, 2}))
-    assert len(levi_positive(full)) == len(d.positive_roots)
+    assert len(levi_positive(full)) == len(positive_roots(d))
 
 
 def test_build_classical_dual_is_memoized():
@@ -309,7 +319,7 @@ def test_rho_check_levi_is_half_the_levi_coroot_sum(desc):
 def test_positive_roots_expand_with_nonnegative_integer_coefficients(desc):
     d = build_classical_dual(desc)
     simples = list(d.simple_roots)
-    roots = [root for root, _ in d.positive_roots]
+    roots = [root for root, _ in positive_roots(d)]
     for root, coeffs in zip(roots, _expand_each_in_basis(simples, roots)):
         assert all(c.denominator == 1 and c >= 0 for c in coeffs)
         total = HalfIntVector.zero(d.ambient_dim)
@@ -438,15 +448,16 @@ def test_datum_tables_match_the_solver_routes(desc):
     d0 = build_classical_dual(desc)
     d = RootDatum(d0.descriptor, d0.family, d0.factors, d0.galois_linear, d0.signature)
     tables = (
-        "_positive_root_supports", "_theta_moved", "_theta_orbits", "rho_check", "rank",
+        "_simple_pairs", "_theta_moved", "_theta_orbits", "rho_check", "rank",
         "ambient_dim",
     )
     assert not set(tables) & set(vars(d))
     first = {name: getattr(d, name) for name in tables}
     assert all(getattr(d, name) is value for name, value in first.items())  # built once
     assert d == d0 and hash(d) == hash(d0) and repr(d) == repr(d0)
-    # supports from one exact elimination over the positive roots
-    assert d._positive_root_supports == positive_root_supports(d)
+    # the dense table's supports read off the roots' indices, against one
+    # exact elimination over the positive roots
+    assert positive_root_supports_by_index(d) == positive_root_supports(d)
     # the simple roots the linear theta does not fix
     alphas = enumerate(d.simple_roots, 1)
     assert d._theta_moved == {i for i, a in alphas if d.theta_linear.apply(a) != a}
@@ -456,11 +467,63 @@ def test_datum_tables_match_the_solver_routes(desc):
     assert d._theta_orbits == tuple(sorted(orbits, key=min))
     # half the sum of the positive coroots, which pairs to 1 with each simple root
     acc = HalfIntVector.zero(sum(f.dim for f in d.factors))
-    for _, coroot in d.positive_roots:
+    for _, coroot in positive_roots(d):
         acc = acc + coroot
     assert d.rho_check == acc.scale(1, 2)
     assert all(d.rho_check.dot(alpha) == 1 for alpha in d.simple_roots)
     assert d.rank == len(d.simple_coroots) and d.ambient_dim == len(acc)
+
+
+# -- the closed forms against the dense positive-root table -----------------
+
+
+def _assert_closed_forms_match_the_table(d):
+    pairs = simple_root_pairs_by_table(d)
+    assert d.simple_roots == tuple(root for root, _ in pairs)
+    assert d.simple_coroots == tuple(coroot for _, coroot in pairs)
+    assert d.rank == len(pairs)
+    assert d.rho_check == rho_check_by_table(d)
+    assert d.iota_index == index_map_by_search(d, d.iota_linear)
+    assert d.galois_index == index_map_by_search(d, d.galois_linear)
+    assert d.theta_index == index_map_by_search(d, d.theta_linear)
+
+
+@pytest.mark.parametrize("desc", golden.GROUPS)
+def test_closed_forms_match_the_positive_root_table(desc):
+    _assert_closed_forms_match_the_table(build_classical_dual(desc))
+
+
+@st.composite
+def _descriptors_up_to_40(draw):
+    """A supported descriptor whose dual datum has at most 40 coordinates
+    per factor (SO(p,q) with p + q = 8 and p, q odd is not supported)."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(0, n))
+    family = draw(st.sampled_from(["GL(n,R)", "SL(n,R)", "GL(n,C)", "U", "Sp", "SO"]))
+    if family == "SO":
+        size = 2 * n + draw(st.integers(0, 1))
+        p = k if size != 8 else k - k % 2
+        return f"SO({p},{size - p})"
+    return {"U": f"U({n - k},{k})", "Sp": f"Sp({2 * n},R)"}.get(family, family.replace("n", str(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_descriptors_up_to_40())
+def test_closed_forms_match_the_positive_root_table_at_random_sizes(desc):
+    d0 = build_classical_dual(desc)
+    # a fresh datum, so the closed forms are read here
+    d = RootDatum(d0.descriptor, d0.family, d0.factors, d0.galois_linear, d0.signature)
+    _assert_closed_forms_match_the_table(d)
+
+
+def test_rho_check_that_fails_to_pair_to_one_raises(monkeypatch):
+    # type B read with type C's rho-check: (5/2, 3/2, 1/2) pairs to 1/2
+    # with alpha_3 = e_3
+    monkeypatch.setitem(rootdata._RHO_CHECK2, "B", rootdata._RHO_CHECK2["C"])
+    d0 = build_classical_dual("Sp(6,R)")
+    d = RootDatum(d0.descriptor, d0.family, d0.factors, d0.galois_linear, d0.signature)
+    with pytest.raises(MathCheckError, match="rho-check does not pair to 1 with alpha_3"):
+        d.rho_check
 
 
 def test_fork_nodes_are_separate_components():
@@ -632,7 +695,7 @@ def test_regularity_is_no_root_on_its_wall(group, entries):
     # the definition: no positive coroot pairs to zero with v, dominant or not
     d = build_classical_dual(group)
     v = HalfIntVector.from_ints(*entries[: d.ambient_dim], *[0] * (d.ambient_dim - 5))
-    assert is_regular_orbit(d, v) == all(v.dot(c) for _, c in d.positive_roots)
+    assert is_regular_orbit(d, v) == all(v.dot(c) for _, c in positive_roots(d))
 
 
 def test_weight_lattices():

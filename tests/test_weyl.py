@@ -23,6 +23,7 @@ from oracles import (
     closure_by_bfs,
     conjugate_element,
     double_cosets_by_expansion,
+    full_orthogonal_compact_order,
     full_weyl_group,
     levi_weyl_group,
     longest_element,
@@ -467,7 +468,7 @@ def test_subgroup_closure_trivial():
 @pytest.mark.parametrize("desc", golden.GROUPS)
 def test_closure_matches_bfs_on_each_catalog_row(desc):
     datum = build_classical_dual(desc)
-    for gens, order in weyl._catalog_row(datum):
+    for gens, order in zip(weyl._catalog_row(datum), weyl._row_orders(datum)):
         group = subgroup_closure(gens, n=datum.ambient_dim)
         assert group == closure_by_bfs(gens, n=datum.ambient_dim)
         assert len(group) == order
@@ -504,7 +505,8 @@ def test_closure_edge_cases():
     with pytest.raises(ValueError):
         subgroup_closure([])
     # Sp(8,R)'s W^theta, B_4 on 0..4: 384 elements
-    (gens, order), _ = weyl._catalog_row(build_classical_dual("Sp(8,R)"))
+    datum = build_classical_dual("Sp(8,R)")
+    (gens, _), (order, _) = weyl._catalog_row(datum), weyl._row_orders(datum)
     assert len(subgroup_closure(gens, max_size=order)) == order
     with pytest.raises(WeylSizeError, match=f"exceeds the cap of {order - 1} elements"):
         subgroup_closure(gens, max_size=order - 1)
@@ -519,3 +521,16 @@ def test_flat_key_orders_like_sort_key(data, n):
     keys = weyl._flat_keys(elems)
     by_flat = sorted(range(len(elems)), key=keys.__getitem__)
     assert by_flat == sorted(range(len(elems)), key=lambda i: elems[i].sort_key)
+
+
+# -- orders off the catalog table, no generator built --------------------------
+
+
+@pytest.mark.parametrize("size", range(2, 31))
+def test_full_orthogonal_orders_match_the_component_count(size):
+    # every signature of one size reads the row of its family at that size
+    datum = build_classical_dual(f"SO({size},0)")
+    for q in range(size + 1):
+        _, full = weyl._row_orders(datum, (size - q, q), full=True)
+        assert full == full_orthogonal_compact_order(size - q, q), q
+
