@@ -8,19 +8,22 @@ The package computes, in exact arithmetic:
   and the compact-Weyl catalog (`cohoparam.weyl`),
 * parameters, their atoms and their standard-representation images
   (`cohoparam.params`),
-* parsing, direct enumerations, routing between classical families,
-  functorial transfer and the principal SL2 of a Levi
+* parsing, routing between classical families and functorial transfer
   (`cohoparam.transfer`),
+* the direct enumerations that check the subset route and the transfer,
+  the central-value report and the principal SL2 of a Levi
+  (`cohoparam.direct`),
 * packet parametrization by Weyl double cosets (`cohoparam.packets`),
 * closed-form cohomology dimension sums and inner-form sums
   (`cohoparam.cohomology`).
 
 The `cohoparam` console script exposes all of it; see README.md.
 
-`import cohoparam` loads every layer module except `cohoparam.transfer`,
-whose names (`transfer_cohom`, `parse_gl_parameter`,
-`principal_sl2_coefficients`, ...) load it on first use; only the
-``transfer`` and ``verify`` commands need it.
+`import cohoparam` loads every layer module except `cohoparam.transfer`
+and `cohoparam.direct`.  Each name of theirs (`transfer_cohom`,
+`enumerate_gl_real`, `principal_sl2_coefficients`, ...) loads the one
+module that holds it on first use: the ``transfer`` command needs only
+`cohoparam.transfer`, and ``verify`` both.
 """
 
 from .cohomology import (
@@ -130,18 +133,37 @@ __all__ = [
     "__version__",
 ]
 
-# the names of `cohoparam.transfer`, which is compiled only when one of
-# them is first asked for; every other layer module loads eagerly above
-_LAZY = frozenset(__all__) - frozenset(globals())
+# the names of the two layer modules that are compiled only when one of
+# their names is first asked for; every other layer module loads eagerly above
+_LAZY = {
+    "parse_gl_parameter": "transfer",
+    "gl_coefficient_weight": "transfer",
+    "route_selfdual": "transfer",
+    "RouteResult": "transfer",
+    "transfer_weight": "transfer",
+    "transfer_cohom": "transfer",
+    "TransferResult": "transfer",
+    "TRANSFER_KINDS": "transfer",
+    "enumerate_gl_real": "direct",
+    "enumerate_selfdual": "direct",
+    "gl_cascade_parameters": "direct",
+    "enumerate_complex_cohomological": "direct",
+    "tempered_companion": "direct",
+    "central_value_report": "direct",
+    "CentralReport": "direct",
+    "PrincipalSL2": "direct",
+    "principal_sl2_coefficients": "direct",
+}
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
-        from . import transfer
-
-        return getattr(transfer, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # importing a submodule binds it in this namespace
+    __import__(f"{__name__}.{module}")
+    return getattr(globals()[module], name)
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _LAZY)
+    return sorted(set(globals()) | set(_LAZY))

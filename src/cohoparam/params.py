@@ -10,9 +10,10 @@ Two coordinate systems meet here:
 
 `standard_rep_parameter` maps the first to the second by pushing the
 principal sl2 of each Levi block through the standard representation of
-the dual group, whose strings it reads off in closed form.  Parsing, the
-direct enumerations, routing and transfer live in `cohoparam.transfer`,
-which only the commands that run them load.
+the dual group, whose strings it reads off in closed form.  Parsing,
+routing and transfer live in `cohoparam.transfer`, and the direct
+enumerations in `cohoparam.direct`; only the commands that run them load
+them.
 
 Conventions:
 
@@ -140,6 +141,19 @@ _atom_sort_key = attrgetter("_key")
 _atom_text = attrgetter("_text")
 
 
+def _falling_string_entries(strings, shift2: int) -> list[int]:
+    """The doubled entries of the strings (x2, m) -- x2 + m - 1, x2 + m - 3,
+    ..., x2 - m + 1 -- each shifted by `shift2`, all of them falling."""
+    entries = (x2 + shift2 + m - 1 - 2 * k for x2, m in strings for k in range(m))
+    return sorted(entries, reverse=True)
+
+
+def _halves(doubled: list[int]) -> list["Fraction"]:
+    from fractions import Fraction
+
+    return [Fraction(t, 2) for t in doubled]
+
+
 # ---------------------------------------------------------------------------
 # self-dual (real-coefficient) parameters
 
@@ -170,14 +184,16 @@ class GLParameter:
     def det_exponent(self) -> int:
         return sum(a.det_exponent for a in self.atoms) % 2
 
-    def exponents(self) -> list["Fraction"]:
-        from fractions import Fraction
-
-        shift = Fraction(self.twist2, 2)
-        out = []
+    def doubled_exponents(self) -> list[int]:
+        """The doubled exponents, falling: the strings (+-d, m) of each
+        s{d}[m] and (0, a) of each w{eps}[a], shifted by the twist."""
+        strings = []
         for a in self.atoms:
-            out.extend(e + shift for e in a.exponents())
-        return sorted(out, reverse=True)
+            strings += [(a.d, a.m), (-a.d, a.m)] if isinstance(a, TwoDimAtom) else [(0, a.a)]
+        return _falling_string_entries(strings, self.twist2)
+
+    def exponents(self) -> list["Fraction"]:
+        return _halves(self.doubled_exponents())
 
     @property
     def selfdual_type(self) -> str:
@@ -240,14 +256,12 @@ class ComplexParameter:
     def dimension(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def exponents(self) -> list["Fraction"]:
-        from fractions import Fraction
+    def doubled_exponents(self) -> list[int]:
+        """The doubled exponents, falling: the string of each entry."""
+        return _falling_string_entries(self.entries, 0)
 
-        out = []
-        for two_d, m in self.entries:
-            for k in range(m):
-                out.append(Fraction(two_d, 2) + Fraction(m - 1 - 2 * k, 2))
-        return sorted(out, reverse=True)
+    def exponents(self) -> list["Fraction"]:
+        return _halves(self.doubled_exponents())
 
     def central_parity_ok(self) -> tuple[bool, list[bool]]:
         return _central_parity(self, (self.dimension - 1) % 2)

@@ -29,8 +29,8 @@ and as a `WeylElement`, the signed coordinate permutation that
 
 Everything is exact: coordinates are `HalfIntVector`s, read as doubled
 ints.  The principal SL2 of a Levi, the one linear solve over these
-coordinates (over `fractions.Fraction`), lives in `cohoparam.transfer`,
-with the regular unipotents that the transfer theorem is about.
+coordinates (over `fractions.Fraction`), lives in `cohoparam.direct`,
+beside the routes that check the transfer theorem's regular unipotents.
 """
 
 from __future__ import annotations
@@ -319,19 +319,21 @@ class RootDatum:
         components of S, with the two fork nodes of type D (orthogonal, so
         not Dynkin neighbours) joined.  Each run of coordinates that no root
         of S touches is a block without roots.  S must lie in 1..rank.
+        The open block's roots are walk[opened:k], sliced once it closes.
         """
         spans = self._coroot_spans
-        out, roots, first, last = [], (), 0, -1
-        for i in (*sorted(S), 0):  # 0 ends the walk: its span is (n, n)
+        walk = (*sorted(S), 0)  # 0 ends the walk: its span is (n, n)
+        out, opened, k, first, last = [], 0, 0, 0, -1
+        for i in walk:
             a, b = spans[i]
             if a > last:  # i shares no coordinate with the open block
-                if roots:
-                    out.append((roots, first, last))
+                if k > opened:
+                    out.append((walk[opened:k], first, last))
                 if a > last + 1:
                     out.append(((), last + 1, a - 1))
-                roots, first = (), a
-            roots += (i,)
+                opened, first = k, a
             last = b
+            k += 1
         return out
 
     def _gl_blocks(self, S: Iterable[int]) -> list[tuple[tuple[int, ...], int, int]]:

@@ -1,22 +1,19 @@
-"""Parsing, direct enumerations, routing and functorial transfer.
+"""Parsing, routing and functorial transfer: what ``cohoparam transfer`` runs.
 
-Independent direct enumerations (`enumerate_gl_real`,
-`enumerate_selfdual`, `enumerate_complex_cohomological`) recover the
-images of `cohoparam.params.standard_rep_parameter` from the
-infinitesimal character alone: the second route that the tests check
-`transfer_cohom`'s closed forms against.  The principal SL2 of a Levi
-(`principal_sl2_coefficients`), with the one exact linear solver over
-half-integer coordinates, lives here too.  Only the ``transfer`` and
-``verify`` commands import this module; the package resolves its names on
-first use.
+`transfer_cohom` carries a cohomological parameter along one L-embedding
+that preserves regular unipotents and decides, in closed form, whether
+its image is cohomological on the target; `_cohomological_preimage`
+reads the source parameter off the image's text in O(n).  All of it works
+on doubled ints, so no `Fraction` is made.  The direct enumerations that
+check these closed forms, the central-value report and the principal SL2
+live in `cohoparam.direct`.  Only the ``transfer`` and ``verify`` commands
+import this module; the package resolves its names on first use.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from collections.abc import Callable, Mapping
-from fractions import Fraction
+from collections.abc import Callable
 
 from ._record import record
 from .errors import InvalidWeightError, MathCheckError, UnsupportedGroupError
@@ -29,14 +26,10 @@ from .params import (
     QuadAtom,
     TwoDimAtom,
     _assign_quad_eps,
-    _central_parity,
-    _compositions,
-    _self_dual_compositions,
     standard_rep_parameter,
 )
 from .rootdata import (
     RootDatum,
-    StandardParabolic,
     build_classical_dual,
     dominant_orbit_rep,
     is_regular_orbit,
@@ -44,27 +37,18 @@ from .rootdata import (
 
 __all__ = [
     "parse_gl_parameter",
-    "enumerate_gl_real",
-    "enumerate_selfdual",
-    "gl_cascade_parameters",
-    "enumerate_complex_cohomological",
     "gl_coefficient_weight",
-    "tempered_companion",
     "route_selfdual",
     "RouteResult",
     "transfer_weight",
     "transfer_cohom",
     "TransferResult",
     "TRANSFER_KINDS",
-    "central_value_report",
-    "CentralReport",
-    "PrincipalSL2",
-    "principal_sl2_coefficients",
 ]
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing, and the weight a parameter's exponents carry
 
 
 _GL_ATOM_RE = re.compile(r"^(s|w)(\d+)(?:\[(\d+)\])?$")
@@ -95,240 +79,18 @@ def parse_gl_parameter(text: str) -> GLParameter:
     return GLParameter(tuple(atoms), twist2)
 
 
-# ---------------------------------------------------------------------------
-# direct enumerations from the infinitesimal character
-
-
-def _atom_sets(rem: Counter) -> list[tuple]:
-    """All splittings of a symmetric exponent multiset into raw atoms.
-
-    Raw atoms are ('s', d, m) and ('w', a); recursion is on the largest
-    remaining exponent, which every covering atom must reach.
-    """
-    if not rem:
-        return [()]
-    x = max(rem)
-    out = []
-
-    def _minus(bag: Counter) -> Counter | None:
-        nxt = rem.copy()
-        for v, c in bag.items():
-            if nxt[v] < c:
-                return None
-            nxt[v] -= c
-            if not nxt[v]:
-                del nxt[v]
-        return nxt
-
-    # two-dimensional options: top exponent x = (d + m - 1)/2.  When d < m
-    # the two chains overlap; the multiset subtraction below is the only
-    # gate needed (overlaps require doubled entries, e.g. the zero pair of
-    # an even orthogonal exponent set).
-    m = 0
-    while True:
-        m += 1
-        d2 = 2 * x - m + 1
-        if d2.denominator != 1:
-            break  # exponents of mixed parity class: no two-dim atom at x
-        d = int(d2)
-        if d < 1:
-            break
-        chain = [x - k for k in range(m)]
-        nxt = _minus(Counter(chain + [-c for c in chain]))
-        if nxt is not None:
-            for tail in _atom_sets(nxt):
-                out.append((("s", d, m),) + tail)
-    # one quad option: a = 2x + 1 covering the chain x .. -x
-    a2 = 2 * x + 1
-    if a2.denominator == 1 and x >= 0:
-        a = int(a2)
-        nxt = _minus(Counter(x - k for k in range(a)))
-        if nxt is not None:
-            for tail in _atom_sets(nxt):
-                out.append((("w", a),) + tail)
-    return out
-
-
-def _finish_enumeration(
-    raw_sets: list[tuple],
-    twist2: int,
-    valued_in: str | None,
-    delta: int | None,
-) -> tuple[GLParameter, ...]:
-    results = []
-    for raw in raw_sets:
-        twodims = [TwoDimAtom(r[1], r[2]) for r in raw if r[0] == "s"]
-        quadlens = sorted((r[1] for r in raw if r[0] == "w"), reverse=True)
-        if valued_in == "orthogonal":
-            if any(t.is_symplectic for t in twodims):
-                continue
-            if any(a % 2 == 0 for a in quadlens):
-                continue
-            twodim_det = sum(t.det_exponent for t in twodims) % 2
-            try:
-                quads, flag = _assign_quad_eps(quadlens, twodim_det, delta or 0)
-            except MathCheckError:
-                continue
-        else:
-            if valued_in == "symplectic" and (
-                any(not t.is_symplectic for t in twodims)
-                or any(a % 2 == 1 for a in quadlens)
-            ):
-                continue
-            quads, flag = _assign_quad_eps(quadlens, 0, None)
-        results.append(GLParameter(tuple(twodims + quads), twist2, flag))
-    results.sort(key=lambda p: p.text())
-    return tuple(results)
-
-
-def enumerate_gl_real(n: int, lam: HalfIntVector | None = None) -> tuple[GLParameter, ...]:
-    """Every self-dual-up-to-twist parameter with the given coefficients.
-
-    Works straight from the exponent multiset lam + rho-check of GL(n),
-    independently of the subset-side construction.
-    """
-    if lam is None:
-        lam = HalfIntVector((0,) * n)
-    if len(lam) != n:
-        raise InvalidWeightError(f"weight has {len(lam)} coordinates, expected {n}")
-    entries = list(lam)
-    if any(e.denominator != 1 for e in entries):
-        raise InvalidWeightError(f"{lam} is not an integral weight")
-    if any(entries[i] < entries[i + 1] for i in range(n - 1)):
-        raise InvalidWeightError(f"{lam} is not dominant")
-    big = [entries[i] + Fraction(n - 1 - 2 * i, 2) for i in range(n)]
-    csums = {big[i] + big[n - 1 - i] for i in range(n)}
-    if len(csums) != 1:
-        raise InvalidWeightError(
-            f"{lam} is not self-dual up to twist: exponent sums {sorted(csums)}"
-        )
-    c = csums.pop() / 2
-    twist2 = 2 * c
-    if twist2.denominator != 1:
-        raise InvalidWeightError(f"twist {c} is not half-integral")
-    sym = Counter(b - c for b in big)
-    return _finish_enumeration(_atom_sets(sym), int(twist2), None, None)
-
-
-def enumerate_selfdual(
-    entries: list[Fraction] | HalfIntVector,
-    valued_in: str,
-    delta: int | None = None,
-) -> tuple[GLParameter, ...]:
-    """All orthogonal- or symplectic-valued parameters with given exponents.
-
-    `entries` is the full symmetric exponent multiset of the standard
-    representation (dimension many entries).  For 'orthogonal' a
-    determinant class `delta` may be imposed.
-    """
-    if valued_in not in ("orthogonal", "symplectic"):
-        raise ValueError(f"valued_in = {valued_in!r}")
-    bag = Counter(Fraction(e) for e in entries)
-    if any(bag[-v] != c for v, c in bag.items()):
-        raise InvalidWeightError("exponent multiset is not symmetric")
-    return _finish_enumeration(_atom_sets(bag), 0, valued_in, delta)
-
-
-def _block_compositions(n: int, lam: HalfIntVector | None, comps):
-    """(composition, doubled block exponents) for each of the compositions
-    `comps` of n on whose blocks `lam` is constant; the j-th block carries
-    the exponent (n - n_j)/2 - (preceding sum) + its weight."""
-    twice = (0,) * n if lam is None else lam.twice
-    if len(twice) != n:
-        raise InvalidWeightError(f"weight has {len(twice)} coordinates")
-    for comp in comps:
-        exps = []
-        pos = 0
-        for size in comp:
-            if len(set(twice[pos : pos + size])) != 1:
-                break
-            exps.append(n - size - 2 * pos + twice[pos])
-            pos += size
-        else:
-            yield comp, exps
-
-
-def gl_cascade_parameters(
-    n: int, lam: HalfIntVector | None = None
-) -> tuple[GLParameter, ...]:
-    """Second independent route: blocks of mirror-symmetric compositions.
-
-    Each composition (n_1, ..., n_k) of n with n_j = n_{k+1-j} and
-    block-constant weight contributes one parameter, twisted so that its
-    block exponents pair off around zero.
-    """
-    out = []
-    for comp, exps in _block_compositions(n, lam, _self_dual_compositions(n)):
-        k = len(comp)
-        sums = {exps[j] + exps[k - 1 - j] for j in range(k)}
-        if len(sums) != 1:
-            continue
-        total = sums.pop()
-        if total % 2:
-            continue
-        twist2 = total // 2
-        two_ds = [exps[j] - twist2 for j in range(k // 2)]
-        if any(d <= 0 for d in two_ds):
-            continue
-        quadlens = []
-        if k % 2 == 1:  # the middle block's own pair sum makes its exponent twist2
-            quadlens.append(comp[k // 2])
-        quads, flag = _assign_quad_eps(quadlens, 0, None)
-        atoms = [TwoDimAtom(d, m) for d, m in zip(two_ds, comp)]
-        out.append(GLParameter(tuple(atoms + quads), twist2, flag))
-    out.sort(key=lambda p: p.text())
-    return tuple(out)
-
-
-def enumerate_complex_cohomological(
-    n: int, lam: HalfIntVector | None = None
-) -> tuple[ComplexParameter, ...]:
-    """Direct route for complex-coefficient parameters: one per composition
-    with block-constant weight."""
-    seen = {}
-    for comp, exps in _block_compositions(n, lam, _compositions(n)):
-        p = ComplexParameter(tuple(zip(exps, comp)))
-        seen.setdefault(p.text(), p)
-    return tuple(sorted(seen.values(), key=lambda p: p.text()))
-
-
 def gl_coefficient_weight(param: GLParameter | ComplexParameter, n: int) -> HalfIntVector:
-    """The dominant weight whose exponents the parameter carries."""
-    exps = param.exponents()
+    """The dominant weight whose exponents the parameter carries: the
+    falling doubled exponents less GL(n)'s doubled rho, n - 1 - 2i."""
+    exps = param.doubled_exponents()
     if len(exps) != n:
         raise InvalidWeightError(
             f"parameter has dimension {len(exps)}, expected {n}"
         )
-    rho = [Fraction(n - 1 - 2 * i, 2) for i in range(n)]
-    lam = [e - r for e, r in zip(exps, rho)]
+    lam = [e - n + 1 + 2 * i for i, e in enumerate(exps)]
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise InvalidWeightError("exponents are not dominant after the rho shift")
-    return HalfIntVector.from_fractions(lam)
-
-
-def tempered_companion(param: GLParameter) -> GLParameter:
-    """The tempered parameter with the same exponents and determinant."""
-    atoms: list[Atom] = []
-    pending_eps: list[int] = []
-    for a in param.atoms:
-        if isinstance(a, TwoDimAtom):
-            if a.d < a.m:
-                raise MathCheckError(f"{a.text()} has colliding exponents")
-            for k in range(a.m):
-                atoms.append(TwoDimAtom(a.d + a.m - 1 - 2 * k, 1))
-        else:
-            top = a.a - 1
-            for t in range(top, 0, -2):
-                atoms.append(TwoDimAtom(t, 1))
-            if a.a % 2 == 1:
-                spread = sum(1 for t in range(top, 0, -2))
-                pending_eps.append((a.eps + spread) % 2)
-    for eps in pending_eps:
-        atoms.append(QuadAtom(eps, 1))
-    out = GLParameter(tuple(atoms), param.twist2, param.omega_pair)
-    if sorted(out.exponents()) != sorted(param.exponents()):
-        raise MathCheckError("companion changed the exponents")
-    return out
+    return HalfIntVector(tuple(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +277,10 @@ def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
     """Functorial image of a subset-side parameter along one embedding.
 
     `image_cohomological` is membership in the target's list, which is not
-    built.  GL(N,R): the exponents, +-(lam + rho-check) and 0 for Sp_R, are
-    distinct, as lam is integral dominant and rho-check (of the dual B_n,
-    N = 2n + 1; of C_n, N = 2n) lies in Z or 1/2 + Z with GL(N)'s rho.  So
+    built (the lists are `cohoparam.direct`'s enumerations).  GL(N,R): the
+    exponents, +-(lam + rho-check) and 0 for Sp_R, are distinct, as lam is
+    integral dominant and rho-check (of the dual B_n, N = 2n + 1; of C_n,
+    N = 2n) lies in Z or 1/2 + Z with GL(N)'s rho.  So
     the weight mu they give is integral, dominant and self-dual, and
     `enumerate_gl_real(N, mu)` lists every splitting of them with sign 0:
     the image is on it up to the twist iff its zero strings carry one sign.
@@ -585,188 +348,3 @@ def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
         image_cohomological=coh,
         notes="; ".join(notes),
     )
-
-
-# ---------------------------------------------------------------------------
-# central value and unitary bookkeeping
-
-
-@record
-class CentralReport:
-    overall: bool
-    per_atom: tuple[bool, ...]
-    subset_side: bool | None
-
-
-def central_value_report(
-    param: GLParameter | ComplexParameter, cohom: CohomParameter | None = None
-) -> CentralReport:
-    """String-by-string central-element parity, with the subset-side check.
-
-    A cohomological parameter has infinitesimal character lam + rho-check
-    with lam integral, so the central element's sign on its image is read
-    off the lattice of rho-check of the group it lands in: a string (x2, m)
-    sits on it when x2 + m - 1 has the parity of rho-check's doubled
-    entries (`_central_parity`).  With `cohom` that parity is read off
-    ``cohom.datum.rho_check``, and ``cohom.central_ok``, which reads lam
-    alone, must agree or `MathCheckError` is raised; without it the parity
-    is GL(N)'s, (N - 1) mod 2 for N = ``param.dimension``.
-    """
-    if cohom is None:
-        overall, per = param.central_parity_ok()
-    else:
-        overall, per = _central_parity(param, cohom.datum.rho_check.twice[0] % 2)
-    side = None if cohom is None else cohom.central_ok
-    if side is not None and side != overall:
-        raise MathCheckError(
-            "central parity differs between the subset side and the atom side"
-        )
-    return CentralReport(overall, tuple(per), side)
-
-
-# ---------------------------------------------------------------------------
-# principal SL2 coefficients
-#
-# the principal SL2 of a Levi is the one whose unipotent is regular in it,
-# the unipotents the transfer theorem is about; nothing outside this layer
-# solves for it
-
-
-@record
-class PrincipalSL2:
-    """Solution of the principal-SL2 linear system on a Levi subset.
-
-    ``coeffs[alpha]`` are the unique rationals with
-    sum_beta coeffs[beta] * <alpha, beta-check> = 2 for every alpha in S;
-    the semisimple element is sum coeffs[beta] * beta-check = 2 rho_check_L.
-    ``t_assignment`` satisfies t[alpha] * t[phi(alpha)] = coeffs[alpha]
-    for the supplied diagram involution phi; indices in ``needs_sqrt``
-    are phi-fixed, and their recorded value is coeffs[alpha] itself
-    (a consumer takes the square root).
-    """
-
-    subset: tuple[int, ...]
-    coeffs: Mapping[int, Fraction]
-    t_assignment: Mapping[int, Fraction]
-    needs_sqrt: frozenset[int]
-
-
-def principal_sl2_coefficients(
-    parabolic: StandardParabolic,
-    phi: Callable[[int], int] | Mapping[int, int] | None = None,
-) -> PrincipalSL2:
-    """Coefficients of the principal SL2 of the Levi on simple coroots.
-
-    Solves sum_{beta in S} a_beta <alpha, beta-check> = 2 (alpha in S)
-    exactly, re-checks the residual, verifies the expansion
-    sum a_beta beta-check = 2 rho_check_L, and, when a diagram involution
-    phi preserving S is supplied, verifies a_alpha = a_{phi(alpha)} and
-    builds a t-assignment with t_alpha t_{phi(alpha)} = a_alpha.
-    """
-    datum = parabolic.datum
-    idx = sorted(parabolic.S)
-    if phi is not None and not callable(phi):
-        # an index phi lacks maps to None, which the subset check reports
-        phi = dict(phi).get
-
-    if not idx:
-        return PrincipalSL2((), {}, {}, frozenset())
-
-    rows = [[datum.pairing(i, j) for j in idx] for i in idx]
-    # the Cartan columns are the basis, the all-2 vector the target
-    columns = [HalfIntVector.from_fractions(col) for col in zip(*rows)]
-    twos = HalfIntVector.from_ints(*[2] * len(idx))
-    (sol,) = _expand_each_in_basis(columns, [twos])
-    if sol is None:
-        raise MathCheckError(f"Cartan matrix of {idx} is singular")
-    coeffs = {i: a for i, a in zip(idx, sol)}
-
-    # residual must vanish identically
-    for r, row in enumerate(rows):
-        res = sum(row[c] * sol[c] for c in range(len(idx))) - 2
-        if res != 0:
-            raise MathCheckError(f"principal SL2 system residual {res} at {idx[r]}")
-
-    # the semisimple element is exactly 2 rho_check of the Levi
-    acc = HalfIntVector((0,) * datum.ambient_dim)
-    for i in idx:
-        scaled = datum.alpha_check(i).scale(coeffs[i].numerator, coeffs[i].denominator)
-        acc = acc + scaled
-    if acc != parabolic.rho_check_levi.scale(2):
-        raise MathCheckError(
-            f"sum a_beta beta-check != 2 rho_check_L on {idx} of {datum.descriptor}"
-        )
-
-    t: dict[int, Fraction] = {}
-    fixed: set[int] = set()
-    if phi is None:
-        fixed.update(idx)
-        t.update(coeffs)
-    else:
-        image = {i: phi(i) for i in idx}
-        if set(image.values()) != set(idx):
-            raise ValueError(f"phi does not preserve the subset {idx}")
-        for i in idx:
-            j = image[i]
-            if coeffs[i] != coeffs[j]:
-                raise MathCheckError(
-                    f"phi-symmetry fails: a_{i}={coeffs[i]} but a_{j}={coeffs[j]}"
-                )
-            if j == i:
-                fixed.add(i)
-                t[i] = coeffs[i]
-            elif j > i:
-                t[i] = coeffs[i]
-                t[j] = Fraction(1)
-    return PrincipalSL2(tuple(idx), coeffs, t, frozenset(fixed))
-
-
-# ---------------------------------------------------------------------------
-# small exact linear helpers
-
-
-def _expand_each_in_basis(
-    basis: list[HalfIntVector], targets: list[HalfIntVector]
-) -> list[list[Fraction] | None]:
-    """Coefficients of each target in the linearly independent `basis`, or
-    None for a target outside its span.  One elimination of the basis
-    serves every target: the targets ride along as extra columns of the
-    augmented matrix, and the coordinates may be overdetermined (ambient
-    dim > len(basis)).
-
-    The elimination runs on the doubled integer entries without division:
-    a row update is pivot * row - f * pivot_row, a nonzero multiple of the
-    rational update, so no solution changes.  Each coefficient is divided
-    out once at the end, as an exact Fraction.
-    """
-    if not basis:
-        return [[] if t.is_zero else None for t in targets]
-    dim = len(basis[0])
-    if any(len(v) != dim for v in basis + targets):
-        raise ValueError("basis and targets must have the same length")
-    cols = len(basis)
-    a = [
-        [v.twice[r] for v in basis] + [t.twice[r] for t in targets]
-        for r in range(dim)
-    ]
-    row = 0
-    for col in range(cols):
-        pr = next((r for r in range(row, dim) if a[r][col]), None)
-        if pr is None:
-            # basis not independent; callers pass simple roots
-            return [None] * len(targets)
-        a[row], a[pr] = a[pr], a[row]
-        pivot_row = a[row]
-        pivot = pivot_row[col]
-        for r in range(dim):
-            f = a[r][col]
-            if r != row and f:
-                a[r] = [pivot * x - f * y for x, y in zip(a[r], pivot_row)]
-        row += 1
-    # consistency: rows below the pivots must have zero rhs
-    return [
-        None
-        if any(a[r][cols + j] for r in range(row, dim))
-        else [Fraction(a[k][cols + j], a[k][k]) for k in range(cols)]
-        for j in range(len(targets))
-    ]

@@ -24,15 +24,11 @@ from .cohomology import (
     partition_independence,
     so_even_dichotomy,
 )
+from .direct import central_value_report, enumerate_gl_real, tempered_companion
 from .errors import MathCheckError
 from .packets import packet
 from .params import enumerate_cohomological, standard_rep_parameter
-from .transfer import (
-    central_value_report,
-    enumerate_gl_real,
-    parse_gl_parameter,
-    tempered_companion,
-)
+from .transfer import parse_gl_parameter
 from .weyl import compact_weyl_catalog
 
 Checks = Iterator[tuple[str, Callable[[], None]]]

@@ -54,7 +54,13 @@ the route it checks:
   `innerform_sum_quasisplit`, which reads both orders off the catalog table;
 * `full_orthogonal_compact_order`, the order of the Weyl group of the whole
   S(O(p) x O(q)) by its component count, against `weyl._row_orders` with
-  `full`, which reads it off the catalog's blocks.
+  `full`, which reads it off the catalog's blocks;
+* `levi_blocks_by_concatenation`, the Levi-block walk that grows each open
+  block's roots one tuple at a time, against `RootDatum._levi_blocks`,
+  which slices the sorted walk once per block;
+* `gl_coefficient_weight_by_fractions`, the weight a parameter carries
+  from its `Fraction` exponents less GL(n)'s rho, against
+  `gl_coefficient_weight`, which works on the doubled exponents.
 """
 
 from __future__ import annotations
@@ -87,15 +93,14 @@ from cohoparam.rootdata import (
     _new_tuple,
     _table_getter,
 )
-from cohoparam.transfer import (
+from cohoparam.direct import (
     _block_compositions,
     _expand_each_in_basis,
     enumerate_complex_cohomological,
     enumerate_gl_real,
     enumerate_selfdual,
-    gl_coefficient_weight,
-    parse_gl_parameter,
 )
+from cohoparam.transfer import gl_coefficient_weight, parse_gl_parameter
 from cohoparam.weyl import DoubleCoset, _cap, weyl_order
 
 # ---------------------------------------------------------------------------
@@ -427,6 +432,24 @@ def levi_coroot_sum_oracle(parabolic: StandardParabolic) -> list[int]:
     return acc
 
 
+def levi_blocks_by_concatenation(datum: RootDatum, S) -> list[tuple[tuple[int, ...], int, int]]:
+    """The blocks of the Levi S as (roots, first, last 0-based coordinate),
+    each open block's roots grown by one tuple concatenation per root."""
+    spans = datum._coroot_spans
+    out, roots, first, last = [], (), 0, -1
+    for i in (*sorted(S), 0):  # 0 ends the walk: its span is (n, n)
+        a, b = spans[i]
+        if a > last:  # i shares no coordinate with the open block
+            if roots:
+                out.append((roots, first, last))
+            if a > last + 1:
+                out.append(((), last + 1, a - 1))
+            roots, first = (), a
+        roots += (i,)
+        last = b
+    return out
+
+
 def cohom_parameter_check(datum: RootDatum, S, lam: HalfIntVector) -> None:
     """Raise the error `CohomParameter(datum, S, lam)` raises, or return.
 
@@ -655,6 +678,26 @@ def standard_rep_by_whole_table(cohom: CohomParameter):
     twodim_det = sum(t.det_exponent for t in twodims) % 2
     quads, flag = _assign_quad_eps(quadlens, twodim_det, delta)
     return GLParameter(tuple(twodims + quads), 0, flag)
+
+
+# ---------------------------------------------------------------------------
+# the weight a parameter's exponents carry, over Fractions
+
+
+def gl_coefficient_weight_by_fractions(
+    param: GLParameter | ComplexParameter, n: int
+) -> HalfIntVector:
+    """The dominant weight whose exponents the parameter carries."""
+    exps = param.exponents()
+    if len(exps) != n:
+        raise InvalidWeightError(
+            f"parameter has dimension {len(exps)}, expected {n}"
+        )
+    rho = [Fraction(n - 1 - 2 * i, 2) for i in range(n)]
+    lam = [e - r for e, r in zip(exps, rho)]
+    if any(lam[i] < lam[i + 1] for i in range(n - 1)):
+        raise InvalidWeightError("exponents are not dominant after the rho shift")
+    return HalfIntVector.from_fractions(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -37,15 +37,14 @@ from cohoparam.rootdata import (
     build_classical_dual,
     dominant_orbit_rep,
 )
-from cohoparam.transfer import (
+from cohoparam.direct import (
     enumerate_complex_cohomological,
     enumerate_gl_real,
     gl_cascade_parameters,
     principal_sl2_coefficients,
-    route_selfdual,
     tempered_companion,
-    transfer_weight,
 )
+from cohoparam.transfer import route_selfdual, transfer_weight
 from cohoparam.weyl import compact_weyl_catalog, weyl_order
 
 from oracles import levi_weyl_group

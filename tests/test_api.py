@@ -9,7 +9,7 @@ import importlib
 import pytest
 
 import cohoparam
-from cohoparam import cohomology, halfint, params, rootdata, transfer, weyl
+from cohoparam import cohomology, direct, halfint, params, rootdata, transfer, weyl
 
 PUBLIC_API = {
     "cohoparam": [
@@ -57,13 +57,15 @@ PUBLIC_API = {
         "CohomParameter", "enumerate_cohomological", "standard_rep_parameter",
     ],
     "cohoparam.transfer": [
-        "parse_gl_parameter",
+        "parse_gl_parameter", "gl_coefficient_weight", "route_selfdual",
+        "RouteResult", "transfer_weight", "transfer_cohom", "TransferResult",
+        "TRANSFER_KINDS",
+    ],
+    "cohoparam.direct": [
         "enumerate_gl_real", "enumerate_selfdual", "gl_cascade_parameters",
-        "enumerate_complex_cohomological", "gl_coefficient_weight",
-        "tempered_companion", "route_selfdual", "RouteResult",
-        "transfer_weight", "transfer_cohom", "TransferResult",
-        "TRANSFER_KINDS", "central_value_report", "CentralReport",
-        "PrincipalSL2", "principal_sl2_coefficients",
+        "enumerate_complex_cohomological", "tempered_companion",
+        "central_value_report", "CentralReport", "PrincipalSL2",
+        "principal_sl2_coefficients",
     ],
     "cohoparam.packets": [
         "PacketDescriptor", "PacketMember", "UnitaryMember", "packet",
@@ -90,17 +92,24 @@ def test_all_is_pinned(name):
 
 
 def test_package_resolves_the_transfer_layer_on_first_use():
-    # the package holds no copy of them: each name is the transfer module's
-    # own object, and `dir` lists every name of `__all__`; `PrincipalSL2`,
-    # the type of `principal_sl2_coefficients`'s result, is not a package name
-    assert cohoparam._LAZY == set(transfer.__all__) - {"PrincipalSL2"}
-    for attr in cohoparam._LAZY:
-        assert getattr(cohoparam, attr) is getattr(transfer, attr), attr
+    # the transfer layer is two lazy modules, `transfer` and `direct`; the
+    # package's lazy table is their `__all__`, each name mapped to
+    # the module that holds it; the package holds no copy of them: each name
+    # is that module's own object, and `dir` lists every name of `__all__`
+    modules = {"transfer": transfer, "direct": direct}
+    assert set(cohoparam._LAZY) == set(transfer.__all__) | set(direct.__all__)
+    assert not set(transfer.__all__) & set(direct.__all__)
+    for attr, name in cohoparam._LAZY.items():
+        assert attr in modules[name].__all__, attr
+        assert getattr(cohoparam, attr) is getattr(modules[name], attr), attr
         assert attr not in vars(cohoparam), attr
     assert set(cohoparam.__all__) <= set(dir(cohoparam))
-    # the principal SL2 and its solver live in the transfer layer alone
+    # the principal SL2 and its solver live in `direct` alone, and
+    # `transfer` re-exports none of `direct`'s names
     for attr in ("PrincipalSL2", "principal_sl2_coefficients", "_expand_each_in_basis"):
         assert not hasattr(rootdata, attr), attr
+    for attr in (*direct.__all__, "_atom_sets", "_block_compositions", "_expand_each_in_basis"):
+        assert not hasattr(transfer, attr), attr
     # the one name `params` still forwards, for the benchmark's layer tracer
     assert params.transfer_cohom is transfer.transfer_cohom
     with pytest.raises(AttributeError):

@@ -676,9 +676,9 @@ class TestStartup:
         # a command pays for what `import cohoparam.cli` loads: no
         # dataclasses (and the inspect it pulls in), no json before a JSON
         # print, no fractions (and the decimal it pulls in) before a
-        # Fraction is made, no verify before a suite runs, no transfer layer
-        # before a transfer; every other layer module is loaded eagerly, as
-        # the package promises
+        # Fraction is made, no verify before a suite runs, no transfer or
+        # direct layer before a transfer or a suite; every other layer module
+        # is loaded eagerly, as the package promises
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
             "import sys, cohoparam.cli; "
@@ -695,7 +695,7 @@ class TestStartup:
         loaded = set(proc.stdout.split())
         assert not loaded & {
             "dataclasses", "inspect", "json", "typing", "fractions", "decimal",
-            "cohoparam.verify", "cohoparam.transfer",
+            "cohoparam.verify", "cohoparam.transfer", "cohoparam.direct",
         }
         layers = ("rootdata", "weyl", "params", "packets", "cohomology")
         assert {f"cohoparam.{m}" for m in layers} <= loaded
@@ -714,14 +714,17 @@ class TestStartup:
         ids=lambda v: v[0] if isinstance(v, list) else None,
     )
     def test_only_transfer_and_verify_load_the_transfer_layer(self, argv, loads_transfer):
-        # each command in a fresh process, as a user runs it; the same two
-        # commands are the only ones that make a Fraction, so the only ones
-        # that load fractions
+        # each command in a fresh process, as a user runs it, reporting
+        # whether it loaded `cohoparam.transfer`, `cohoparam.direct` and
+        # fractions: transfer runs on doubled ints and needs only the first;
+        # verify runs the direct routes, the only code that makes a Fraction
+        loads = (loads_transfer, *[argv[0] == "verify"] * 2)
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
             "import contextlib, io, sys; from cohoparam.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
-            "print(code, 'cohoparam.transfer' in sys.modules, 'fractions' in sys.modules)"
+            "print(code, *(m in sys.modules for m in "
+            "('cohoparam.transfer', 'cohoparam.direct', 'fractions')))"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", probe, *argv],
@@ -729,15 +732,16 @@ class TestStartup:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", str(loads_transfer), str(loads_transfer)]
+        assert proc.stdout.split() == ["0", *map(str, loads)]
 
-    def test_the_principal_sl2_loads_the_transfer_layer(self):
+    def test_the_principal_sl2_loads_only_the_direct_layer(self):
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
             "import sys, cohoparam\n"
-            "before = 'cohoparam.transfer' in sys.modules\n"
+            "before = 'cohoparam.direct' in sys.modules\n"
             "f = cohoparam.principal_sl2_coefficients\n"
-            "print(before, f.__module__, 'cohoparam.transfer' in sys.modules)"
+            "print(before, f.__module__, *(m in sys.modules for m in "
+            "('cohoparam.direct', 'cohoparam.transfer')))"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", probe],
@@ -745,7 +749,7 @@ class TestStartup:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "cohoparam.transfer", "True"]
+        assert proc.stdout.split() == ["False", "cohoparam.direct", "True", "False"]
 
     def test_suite_names_are_the_verify_suites(self):
         from cohoparam import verify

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cohoparam.errors import InvalidWeightError
 from cohoparam.halfint import HalfIntVector, _fmt_half, _parse_half
-from cohoparam.transfer import _expand_each_in_basis
+from cohoparam.direct import _expand_each_in_basis
 
 
 def test_parse_and_str_roundtrip():
@@ -139,7 +139,7 @@ def test_parse_half_edge_cases_agree_with_the_fraction_oracle(text):
 
 
 # The exact rational solve of half-integer systems lives in
-# `transfer._expand_each_in_basis`; these are its two textbook cases.
+# `direct._expand_each_in_basis`; these are its two textbook cases.
 
 
 def test_solve_rational_exact():

@@ -25,7 +25,7 @@ from cohoparam.errors import (
     MathCheckError,
     UnsupportedGroupError,
 )
-from cohoparam import params, transfer
+from cohoparam import direct, params, transfer
 from cohoparam.halfint import HalfIntVector, _fmt_half
 from cohoparam.params import (
     CohomParameter,
@@ -36,16 +36,18 @@ from cohoparam.params import (
     enumerate_cohomological,
     standard_rep_parameter,
 )
-from cohoparam.transfer import (
+from cohoparam.direct import (
     central_value_report,
     enumerate_complex_cohomological,
     enumerate_gl_real,
     enumerate_selfdual,
     gl_cascade_parameters,
+    tempered_companion,
+)
+from cohoparam.transfer import (
     gl_coefficient_weight,
     parse_gl_parameter,
     route_selfdual,
-    tempered_companion,
     transfer_cohom,
     transfer_weight,
 )
@@ -1009,6 +1011,72 @@ class TestWeightedEnumeration:
             assert gl_coefficient_weight(p, 3) == lam
 
 
+_gl_parameters = st.builds(
+    GLParameter,
+    st.lists(
+        st.one_of(
+            st.builds(TwoDimAtom, st.integers(1, 8), st.integers(1, 5)),
+            st.builds(QuadAtom, st.integers(0, 1), st.integers(1, 6)),
+        ),
+        max_size=5,
+    ).map(tuple),
+    st.integers(-6, 6),
+)
+_complex_parameters = st.builds(
+    ComplexParameter,
+    st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 5)), max_size=5).map(tuple),
+)
+
+
+class TestDoubledExponents:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_gl_parameters, _complex_parameters))
+    def test_doubled_exponents_are_twice_the_exponents(self, p):
+        doubled = p.doubled_exponents()
+        assert doubled == [2 * e for e in p.exponents()]
+        # against each atom's own Fraction exponents, shifted by the twist
+        if isinstance(p, GLParameter):
+            own = [2 * e + p.twist2 for a in p.atoms for e in a.exponents()]
+        else:
+            own = [two_d + m - 1 - 2 * k for two_d, m in p.entries for k in range(m)]
+        assert doubled == sorted(own, reverse=True)
+        assert len(doubled) == p.dimension
+
+    @staticmethod
+    def _both(p, n):
+        out = []
+        for route in (gl_coefficient_weight, oracles.gl_coefficient_weight_by_fractions):
+            try:
+                out.append(route(p, n))
+            except InvalidWeightError as exc:
+                out.append(str(exc))
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_gl_parameters, _complex_parameters), st.integers(-1, 2))
+    def test_coefficient_weight_matches_the_fraction_route(self, p, off):
+        # off = 0 reads the parameter's own dimension, the others the first
+        # error text; most random parameters give the dominance error
+        n = p.dimension + off
+        ints, fractions = self._both(p, n)
+        assert ints == fractions
+        if off:
+            assert ints == f"parameter has dimension {p.dimension}, expected {n}"
+
+    def test_coefficient_weight_matches_the_fraction_route_on_the_lists(self):
+        seen = set()
+        for n in range(1, 7):
+            lams = [zero(n), HalfIntVector.from_ints(*range(n, 0, -1))]
+            for lam in lams:
+                for p in (*enumerate_gl_real(n, lam), *enumerate_complex_cohomological(n, lam)):
+                    ints, fractions = self._both(p, n)
+                    assert ints == fractions == lam, p.text()
+                    seen.add(p.text())
+        assert len(seen) == 96
+        bad = parse_gl_parameter("s1[1]+s1[1]")  # exponents 1/2, 1/2, -1/2, -1/2
+        assert self._both(bad, 4) == ["exponents are not dominant after the rho shift"] * 2
+
+
 # ---------------------------------------------------------------------------
 # tempered companions
 
@@ -1276,7 +1344,7 @@ class TestPreimage:
             "enumerate_gl_real", "enumerate_selfdual",
             "enumerate_complex_cohomological", "gl_cascade_parameters",
         ):
-            monkeypatch.setattr(transfer, name, boom)
+            monkeypatch.setattr(direct, name, boom)
         for d, c, img in images:
             assert transfer._cohomological_preimage(d, img) == c
 
@@ -1424,7 +1492,7 @@ class TestTransferMembership:
             "enumerate_gl_real", "enumerate_selfdual", "enumerate_complex_cohomological",
             "_atom_sets", "_finish_enumeration", "_block_compositions",
         ):
-            monkeypatch.setattr(transfer, name, boom)
+            monkeypatch.setattr(direct, name, boom)
         assert [transfer_cohom(c, kind) for c, kind in cases] == want
 
 

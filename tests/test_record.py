@@ -20,7 +20,8 @@ from cohoparam import (
 )
 from cohoparam._record import FrozenRecordError
 from cohoparam.cohomology import InnerFormReport, PoincarePolynomial, PureInnerFormClass
-from cohoparam.transfer import CentralReport, PrincipalSL2, RouteResult
+from cohoparam.direct import CentralReport, PrincipalSL2
+from cohoparam.transfer import RouteResult
 from cohoparam.rootdata import (
     Factor,
     RootDatum,

@@ -21,11 +21,12 @@ from cohoparam.rootdata import (
     is_self_associate,
     parse_group,
 )
-from cohoparam.transfer import _expand_each_in_basis, principal_sl2_coefficients
+from cohoparam.direct import _expand_each_in_basis, principal_sl2_coefficients
 
 from oracles import (
     cartan_matrix,
     index_map_by_search,
+    levi_blocks_by_concatenation,
     levi_coroot_sum_oracle,
     levi_positive,
     positive_root_supports,
@@ -533,6 +534,25 @@ def test_fork_nodes_are_separate_components():
     # they share both coordinates, so the Levi has them in one block
     assert d.levi_coroot_sum({3, 4}) == [0, 0, 4, 0]
     assert d._levi_blocks({3, 4}) == [((), 0, 1), ((3, 4), 2, 3)]
+
+
+@pytest.mark.parametrize("desc", golden.GROUPS)
+def test_levi_blocks_match_the_concatenating_walk(desc):
+    # every subset, theta-stable or not, and S given unsorted
+    d = build_classical_dual(desc)
+    roots = range(1, d.rank + 1)
+    for S in itertools.chain.from_iterable(
+        itertools.combinations(roots, k) for k in range(d.rank + 1)
+    ):
+        assert d._levi_blocks(S[::-1]) == levi_blocks_by_concatenation(d, S), S
+
+
+@settings(max_examples=60, deadline=None)
+@given(_descriptors_up_to_40(), st.data())
+def test_levi_blocks_match_the_concatenating_walk_at_random_sizes(desc, data):
+    d = build_classical_dual(desc)
+    S = data.draw(st.sets(st.integers(1, d.rank)) if d.rank else st.just(set()))
+    assert d._levi_blocks(S) == levi_blocks_by_concatenation(d, S)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,8 @@ Each run ends within a second with exit code 0, 2 or 3, at most one line
 on stderr and no traceback: the datum's facts are closed forms, and the
 Weyl cap refuses on the closed-form order before any group is built.
 `packet --group "GL(2048,R)"` exits 3 within 0.3 s in a fresh process,
-and an over-cap message prints an order past 30 digits as its number of
+`transfer --embedding so-odd-gl --param "w0[40001]"` exits 0 within 1 s
+in one, and an over-cap message prints an order past 30 digits as its number of
 digits, whatever the interpreter's int-to-str limit.
 `enumerate` is left out: it has no cap on its subset walk yet.
 """
@@ -152,6 +153,20 @@ def test_a_packet_of_gl_2048_exits_in_a_fresh_process_within_300_ms():
         assert proc.returncode == 3, proc.stderr
         assert b"Traceback" not in proc.stderr
     assert min(times) < 0.3, times
+
+
+def test_a_transfer_of_w0_40001_exits_in_a_fresh_process_within_a_second():
+    # Sp(40000,R): every step from the parse to the printed image is linear
+    # in n, the Levi block of all 20,000 roots included; best of three
+    argv = ["transfer", "--embedding", "so-odd-gl", "--param", "w0[40001]"]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        proc = _fresh(argv)
+        times.append(time.perf_counter() - start)
+        assert proc.returncode == 0, proc.stderr
+        assert b"image cohomological  True\n" in proc.stdout
+    assert min(times) < 1.0, times
 
 
 def test_the_cap_refuses_before_any_generator_is_built(monkeypatch):
