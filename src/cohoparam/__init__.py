@@ -19,28 +19,16 @@ The package computes, in exact arithmetic:
 
 The `cohoparam` console script exposes all of it; see README.md.
 
-`import cohoparam` loads every layer module except `cohoparam.transfer`
-and `cohoparam.direct`.  Each name of theirs (`transfer_cohom`,
-`enumerate_gl_real`, `principal_sl2_coefficients`, ...) loads the one
-module that holds it on first use: the ``transfer`` command needs only
-`cohoparam.transfer`, and ``verify`` both.
+`import cohoparam` loads `rootdata`, `weyl`, `params` and `packets`.  It
+binds `cohoparam.cohomology` (in `sys.modules` and on the package) without
+running it: the module's body runs on its first attribute access, which
+only ``cohomology-sum``, ``innerforms`` and ``verify`` make.  It neither
+binds nor loads `cohoparam.transfer` and `cohoparam.direct`.  Each name of
+the three (`packet_cohomology_sum`, `transfer_cohom`, `enumerate_gl_real`,
+...) loads the one module that holds it on first use: the ``transfer``
+command needs only `cohoparam.transfer`, and ``verify`` all three.
 """
 
-from .cohomology import (
-    InnerFormReport,
-    PacketSumReport,
-    PoincarePolynomial,
-    PureInnerFormClass,
-    innerform_sum_compact,
-    innerform_sum_quasisplit,
-    levi_cohomology,
-    levi_member_count,
-    packet_cohomology_sum,
-    partition_independence,
-    self_dual_compositions,
-    so_even_dichotomy,
-    symmetric_space_poincare,
-)
 from .errors import (
     CohoparamError,
     InvalidWeightError,
@@ -133,9 +121,22 @@ __all__ = [
     "__version__",
 ]
 
-# the names of the two layer modules that are compiled only when one of
+# the names of the three layer modules that are compiled only when one of
 # their names is first asked for; every other layer module loads eagerly above
 _LAZY = {
+    "InnerFormReport": "cohomology",
+    "PacketSumReport": "cohomology",
+    "PoincarePolynomial": "cohomology",
+    "PureInnerFormClass": "cohomology",
+    "innerform_sum_compact": "cohomology",
+    "innerform_sum_quasisplit": "cohomology",
+    "levi_cohomology": "cohomology",
+    "levi_member_count": "cohomology",
+    "packet_cohomology_sum": "cohomology",
+    "partition_independence": "cohomology",
+    "self_dual_compositions": "cohomology",
+    "so_even_dichotomy": "cohomology",
+    "symmetric_space_poincare": "cohomology",
     "parse_gl_parameter": "transfer",
     "gl_coefficient_weight": "transfer",
     "route_selfdual": "transfer",
@@ -154,6 +155,24 @@ _LAZY = {
     "PrincipalSL2": "direct",
     "principal_sl2_coefficients": "direct",
 }
+
+
+def _bound_lazily(name: str):
+    """The submodule `name`, bound in `sys.modules` but not yet run: its body
+    runs on its first attribute access, and `type()` of it does not count."""
+    import sys
+    from importlib.util import LazyLoader, find_spec, module_from_spec
+
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# bound on the package too, so `cohoparam.cohomology.X` works after a bare
+# `import cohoparam`
+cohomology = _bound_lazily("cohomology")
 
 
 def __getattr__(name: str):

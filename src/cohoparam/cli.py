@@ -18,12 +18,6 @@ import argparse
 import sys
 from functools import lru_cache
 
-from .cohomology import (
-    innerform_sum_compact,
-    innerform_sum_quasisplit,
-    packet_cohomology_sum,
-)
-from .cohomology import _COMPACT_RE  # descriptor dispatch shared with innerforms
 from .errors import (
     InvalidWeightError,
     MathCheckError,
@@ -199,6 +193,10 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_cohomology_sum(args) -> int:
+    # cohomology-sum, innerforms and verify are the commands that run the
+    # cohomology layer
+    from .cohomology import packet_cohomology_sum
+
     datum = build_classical_dual(args.group)
     S = _parse_subset(args.subset)
     lam = _weight_or_zero(args, datum)
@@ -218,6 +216,9 @@ def cmd_cohomology_sum(args) -> int:
 
 
 def cmd_innerforms(args) -> int:
+    from .cohomology import _COMPACT_RE  # descriptor dispatch shared with innerforms
+    from .cohomology import innerform_sum_compact, innerform_sum_quasisplit
+
     if _COMPACT_RE.match(args.group.replace(" ", "")):
         report = innerform_sum_compact(args.group)
         payload = report.to_json()

@@ -30,8 +30,9 @@ __all__ = ["HalfIntVector"]
 
 
 # a rational written `a`, `a/b` or `a.d`; exponents such as `1e5000`,
-# whose value is too long to print, are refused
-_RATIONAL_RE = re.compile(r"\s*([+-]?)(\d+)(?:/(\d+)|\.(\d+))?\s*")
+# whose value is too long to print, are refused.  Compiled on first use,
+# through `re`'s cache: most commands parse no half-integer
+_RATIONAL = r"\s*([+-]?)(\d+)(?:/(\d+)|\.(\d+))?\s*"
 
 
 def _parse_half(text: str, what: str = "entry") -> int:
@@ -41,7 +42,7 @@ def _parse_half(text: str, what: str = "entry") -> int:
     >>> [_parse_half(t) for t in ("3", "-3/2", "2.5")]
     [6, -3, 5]
     """
-    m = _RATIONAL_RE.fullmatch(text)
+    m = re.fullmatch(_RATIONAL, text)
     num = den = 0
     if m:
         _, whole, over, dec = m.groups()

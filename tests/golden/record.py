@@ -5,16 +5,18 @@ Each case is one `cohoparam` command line, run in-process through
 code).  `GROUPS` lists each supported descriptor whose twisted Weyl group
 W^theta has at most 720 elements.  The corpora:
 
-* `weyl_cli.json`: `dump-weyl` (table, JSON, and `--elements 4`) and
-  `packet` at the zero weight for every theta-stable subset (table and
-  JSON), on every group of `GROUPS`;
+* `weyl_cli.json`: `dump-weyl` (table, JSON, and `--elements 4`),
+  `packet` at the zero weight for every theta-stable subset and `packet`
+  at the two weights of `nonzero_weights` for the default subset (table
+  and JSON), on every group of `GROUPS`;
 * `enumerate_cli.json`: `enumerate` (table and JSON) at the zero weight and
   at the two weights of `nonzero_weights`, on every group of `GROUPS` of
   rank at most 6; and `transfer` (table and JSON) along every embedding of
   each image of `TRANSFER_SOURCES` at the zero weight and at the two
   weights of `nonzero_weights`;
 * `cohomology_cli.json`: `cohomology-sum` at the zero weight for every
-  theta-stable subset of every group of `GROUPS`, `innerforms` on `GROUPS`,
+  theta-stable subset and at the two weights of `nonzero_weights` for the
+  default subset, on every group of `GROUPS`, `innerforms` on `GROUPS`,
   on the compact forms of `COMPACT_FAMILIES` up to size 8 and on the
   unitary and orthogonal forms of `LARGE_INNERFORMS`, and `verify` for
   every suite, each in table and JSON;
@@ -90,6 +92,17 @@ def weyl_cases() -> list[list[str]]:
                 argv += ["--subset", ",".join(map(str, S))]
             out.append(argv)
             out.append(argv + ["--format", "json"])
+        out.extend(_at_nonzero_weights("packet", group))
+    return out
+
+
+def _at_nonzero_weights(command: str, group: str) -> list[list[str]]:
+    """`command` at the two weights of `nonzero_weights`, default subset."""
+    out = []
+    for weight in nonzero_weights(group):
+        argv = [command, "--group", group, "--weight", weight]
+        out.append(argv)
+        out.append(argv + ["--format", "json"])
     return out
 
 
@@ -167,6 +180,7 @@ def cohomology_cases() -> list[list[str]]:
                 argv += ["--subset", ",".join(map(str, S))]
             out.append(argv)
             out.append(argv + ["--format", "json"])
+        out.extend(_at_nonzero_weights("cohomology-sum", group))
     compact = [f"{family}({m})" for family in COMPACT_FAMILIES for m in range(1, 9)]
     for group in (*GROUPS, *compact, *LARGE_INNERFORMS):
         argv = ["innerforms", "--group", group]

@@ -5,6 +5,7 @@ Adding or removing a name from the package's or a layer module's
 """
 
 import importlib
+import sys
 
 import pytest
 
@@ -92,13 +93,19 @@ def test_all_is_pinned(name):
 
 
 def test_package_resolves_the_transfer_layer_on_first_use():
-    # the transfer layer is two lazy modules, `transfer` and `direct`; the
-    # package's lazy table is their `__all__`, each name mapped to
-    # the module that holds it; the package holds no copy of them: each name
-    # is that module's own object, and `dir` lists every name of `__all__`
-    modules = {"transfer": transfer, "direct": direct}
-    assert set(cohoparam._LAZY) == set(transfer.__all__) | set(direct.__all__)
+    # the transfer layer is two lazy modules, `transfer` and `direct`, and
+    # the cohomology layer a third; the package's lazy table is their
+    # `__all__`, each name mapped to the module that holds it; the package
+    # holds no copy of them: each name is that module's own object, and
+    # `dir` lists every name of `__all__`
+    modules = {"transfer": transfer, "direct": direct, "cohomology": cohomology}
+    assert set(cohoparam._LAZY) == (
+        set(transfer.__all__) | set(direct.__all__) | set(cohomology.__all__)
+    )
     assert not set(transfer.__all__) & set(direct.__all__)
+    assert not (set(transfer.__all__) | set(direct.__all__)) & set(cohomology.__all__)
+    # `cohomology` is bound on the package itself, as the one module object
+    assert cohoparam.cohomology is cohomology is sys.modules["cohoparam.cohomology"]
     for attr, name in cohoparam._LAZY.items():
         assert attr in modules[name].__all__, attr
         assert getattr(cohoparam, attr) is getattr(modules[name], attr), attr

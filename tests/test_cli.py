@@ -671,20 +671,35 @@ class TestParser:
         assert proc.stdout == "w0[1]\n"
 
 
+# argv, whether the command loads the transfer layer, whether it runs the
+# cohomology layer
+_STARTUP_CASES = [
+    (["enumerate", "--group", "GL(4,R)", "--weight", "1,0,0,-1"], False, False),
+    (["packet", "--group", "U(2,1)", "--subset", "1"], False, False),
+    (["dump-weyl", "--group", "GL(4,R)"], False, False),
+    (["cohomology-sum", "--group", "U(2,1)"], False, True),
+    (["innerforms", "--group", "Sp(4,R)"], False, True),
+    (["transfer", "--embedding", "sp-gl", "--param", "s2[2]"], True, False),
+    (["verify", "--suite", "innerforms", "--max-rank", "0"], True, True),
+]
+
+
 class TestStartup:
     def test_import_loads_no_unused_module(self):
         # a command pays for what `import cohoparam.cli` loads: no
         # dataclasses (and the inspect it pulls in), no json before a JSON
         # print, no fractions (and the decimal it pulls in) before a
         # Fraction is made, no verify before a suite runs, no transfer or
-        # direct layer before a transfer or a suite; every other layer module
-        # is loaded eagerly, as the package promises
+        # direct layer before a transfer or a suite; the cohomology layer is
+        # bound but unexecuted (`type()` of it does not run it); every other
+        # layer module is loaded eagerly, as the package promises
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
-            "import sys, cohoparam.cli; "
+            "import sys, types, cohoparam.cli; "
             "print(' '.join(sorted(m for m in sys.modules if m.startswith("
             "('dataclasses', 'inspect', 'json', 'typing', 'fractions', 'decimal', "
-            "'cohoparam')))))"
+            "'cohoparam')))), "
+            "type(sys.modules['cohoparam.cohomology']) is not types.ModuleType)"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", probe],
@@ -692,39 +707,38 @@ class TestStartup:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.split())
+        *names, unexecuted = proc.stdout.split()
+        loaded = set(names)
         assert not loaded & {
             "dataclasses", "inspect", "json", "typing", "fractions", "decimal",
             "cohoparam.verify", "cohoparam.transfer", "cohoparam.direct",
         }
         layers = ("rootdata", "weyl", "params", "packets", "cohomology")
         assert {f"cohoparam.{m}" for m in layers} <= loaded
+        assert unexecuted == "True"
 
     @pytest.mark.parametrize(
-        "argv, loads_transfer",
-        [
-            (["enumerate", "--group", "GL(4,R)", "--weight", "1,0,0,-1"], False),
-            (["packet", "--group", "U(2,1)", "--subset", "1"], False),
-            (["dump-weyl", "--group", "GL(4,R)"], False),
-            (["cohomology-sum", "--group", "U(2,1)"], False),
-            (["innerforms", "--group", "Sp(4,R)"], False),
-            (["transfer", "--embedding", "sp-gl", "--param", "s2[2]"], True),
-            (["verify", "--suite", "innerforms", "--max-rank", "0"], True),
-        ],
-        ids=lambda v: v[0] if isinstance(v, list) else None,
+        "argv, loads_transfer, runs_cohomology",
+        _STARTUP_CASES,
+        # the command and its transfer column name each case
+        ids=[f"{argv[0]}-{transfer}" for argv, transfer, _ in _STARTUP_CASES],
     )
-    def test_only_transfer_and_verify_load_the_transfer_layer(self, argv, loads_transfer):
+    def test_only_transfer_and_verify_load_the_transfer_layer(
+        self, argv, loads_transfer, runs_cohomology
+    ):
         # each command in a fresh process, as a user runs it, reporting
         # whether it loaded `cohoparam.transfer`, `cohoparam.direct` and
-        # fractions: transfer runs on doubled ints and needs only the first;
-        # verify runs the direct routes, the only code that makes a Fraction
-        loads = (loads_transfer, *[argv[0] == "verify"] * 2)
+        # fractions, and whether it ran the lazily bound `cohoparam.cohomology`:
+        # transfer runs on doubled ints and needs only the first; verify runs
+        # the direct routes, the only code that makes a Fraction
+        loads = (loads_transfer, *[argv[0] == "verify"] * 2, runs_cohomology)
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
-            "import contextlib, io, sys; from cohoparam.cli import main\n"
+            "import contextlib, io, sys, types; from cohoparam.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
             "print(code, *(m in sys.modules for m in "
-            "('cohoparam.transfer', 'cohoparam.direct', 'fractions')))"
+            "('cohoparam.transfer', 'cohoparam.direct', 'fractions')), "
+            "type(sys.modules['cohoparam.cohomology']) is types.ModuleType)"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", probe, *argv],
