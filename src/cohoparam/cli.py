@@ -6,15 +6,19 @@ sorted keys (``--format json``); the default is a human table.  Output is
 deterministic: no timestamps, canonical ordering everywhere.
 
 Exit codes: 0 success, 2 malformed input, 3 unsupported group or
-embedding, 4 internal cross-check failure, 5 verification-suite failure.
+embedding, 4 internal cross-check failure, 5 verification-suite failure;
+a process whose stdout closes before its output is written exits 1.
 
 This module holds the commands, the parser and the exit-code mapping;
-the checks that ``verify`` runs live in `cohoparam.verify`.
+the checks that ``verify`` runs live in `cohoparam.verify`.  `main` runs
+one command in process; `run` is the process entry around it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from functools import lru_cache
 
@@ -404,5 +408,30 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Run one command as a whole process: ``python -m cohoparam.cli`` and
+    the ``cohoparam`` console script.
+
+    A reader that closes stdout early (``| head -1``) ends the process
+    with exit 1 and no traceback, whether the output broke off during the
+    command or was still buffered.  Then `gc.freeze` moves every live
+    object out of the collector's reach, so the collections that the
+    interpreter runs at exit no longer walk everything built at import;
+    atexit handlers and the final flush of the standard streams still
+    run.  Argparse's own exits (usage errors, ``--help``) pass straight
+    through.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the `signal` docs: a stdout that writes to devnull
+        # lets the exit flush succeed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,12 +1,13 @@
 """Command-line front end: golden outputs, exit codes, determinism.
 
 Commands are driven in-process through ``main(argv)`` (fast, and the exit
-code is the return value); one subprocess test at the bottom proves the
-``python -m`` route end to end.  Table outputs for the low-rank groups were
+code is the return value); the subprocess tests at the bottom prove the
+``python -m`` route, its process entry and its imports end to end.  Table outputs for the low-rank groups were
 checked by hand against the enumeration tables in test_params and frozen
 here byte for byte.
 """
 
+import gc
 import importlib.util
 import json
 import os
@@ -669,6 +670,112 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert proc.stdout == "w0[1]\n"
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python(*args, **kwargs):
+    """A fresh interpreter with the checkout's `src` on its path."""
+    return subprocess.run(
+        [sys.executable, *args], text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(_ROOT / "src")}, **kwargs,
+    )
+
+
+# argv and exit code: a success, an argparse usage error, a weight outside
+# the lattice, a group over the Weyl cap
+_PARITY_CASES = [
+    (["enumerate", "--group", "GL(4,R)"], 0),
+    (["enumerate", "--weight", "0"], 2),
+    (["enumerate", "--group", "GL(2,R)", "--weight", "1/3,0"], 2),
+    (["packet", "--group", "Sp(600,R)"], 3),
+]
+
+
+class TestProcessEntry:
+    def test_console_script_is_the_process_entry(self):
+        # read as text, since 3.10 has no tomllib
+        text = (_ROOT / "pyproject.toml").read_text()
+        section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        scripts = dict(
+            line.split(" = ", 1) for line in section.splitlines() if line.strip()
+        )
+        assert scripts == {"cohoparam": '"cohoparam.cli:run"'}
+
+    @pytest.mark.parametrize(
+        "argv, code", _PARITY_CASES, ids=["ok", "usage", "weight", "weyl-cap"]
+    )
+    def test_process_prints_what_main_prints(self, argv, code, capsys):
+        try:
+            got = main(list(argv))
+        except SystemExit as exc:  # argparse's usage error
+            got = exc.code
+        captured = capsys.readouterr()
+        proc = _python("-m", "cohoparam.cli", *argv, capture_output=True)
+        assert got == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, captured.out, captured.err,
+        )
+
+    def test_atexit_handlers_run_after_the_freeze(self):
+        probe = (
+            "import atexit, gc\n"
+            "atexit.register(lambda: print('atexit', gc.get_freeze_count() > 0))\n"
+            "from cohoparam.cli import run\n"
+            "run()"
+        )
+        proc = _python("-c", probe, "enumerate", "--group", "GL(1,R)",
+                       capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "w0[1]\natexit True\n", "",
+        )
+
+    def test_main_in_process_leaves_the_collector_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["enumerate", "--group", "GL(4,R)"]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    def test_the_entry_loads_no_module_main_does_not(self):
+        # the modules loaded when the process ends, through `run` and
+        # through `main` in process alike
+        report = "print(' '.join(sorted(sys.modules)), file=sys.stderr)"
+        probes = (
+            "import atexit, sys; from cohoparam.cli import main; "
+            f"main(sys.argv[1:]); {report}",
+            f"import atexit, sys; atexit.register(lambda: {report}); "
+            "from cohoparam.cli import run; run()",
+        )
+        argv = ["dump-weyl", "--group", "GL(4,R)", "--format", "json"]
+        procs = [
+            _python("-S", "-c", probe, *argv, capture_output=True)
+            for probe in probes
+        ]
+        assert [p.returncode for p in procs] == [0, 0]
+        via_main, via_run = (set(p.stderr.split()) for p in procs)
+        assert via_run == via_main
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 11 kB of JSON, over the stdout buffer: the write breaks off
+            # inside the command
+            ["enumerate", "--group", "Sp(12,R)", "--format", "json"],
+            # four lines, still buffered when the command returns
+            ["enumerate", "--group", "GL(4,R)"],
+        ],
+        ids=["in-the-command", "at-the-flush"],
+    )
+    def test_a_closed_stdout_ends_in_exit_1_without_a_traceback(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the command writes
+        try:
+            proc = _python("-m", "cohoparam.cli", *argv, stdout=write,
+                           stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 # argv, whether the command loads the transfer layer, whether it runs the
