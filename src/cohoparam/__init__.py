@@ -42,8 +42,6 @@ from .packets import (
     PacketMember,
     UnitaryMember,
     packet,
-    packet_size_unitary,
-    theta_stable_parabolic_count,
     unitary_packet_members,
 )
 from .params import (
@@ -102,8 +100,6 @@ __all__ = [
     "PacketMember",
     "UnitaryMember",
     "packet",
-    "packet_size_unitary",
-    "theta_stable_parabolic_count",
     "unitary_packet_members",
     "InnerFormReport",
     "PacketSumReport",

@@ -153,6 +153,10 @@ def cmd_transfer(args) -> int:
             "only the trivial normalized discriminant is supported"
         )
     param = parse_gl_parameter(args.param)
+    if not param.atoms:
+        raise InvalidWeightError(
+            f"{args.param!r} is the empty parameter; give at least one atom"
+        )
     if kind == "gl-to-complex":
         source = f"GL({param.dimension},R)"
     else:

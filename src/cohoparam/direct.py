@@ -7,10 +7,10 @@ Independent direct enumerations (`enumerate_gl_real`,
 alone: the second route that ``verify`` and the tests check the subset
 route and `cohoparam.transfer`'s closed forms against.  The tempered
 companion, the central-value report and the principal SL2 of a Levi
-(`principal_sl2_coefficients`, with the one exact linear solver over
-half-integer coordinates) live here too.  Only ``verify`` and the tests
-import this module; the package resolves its names on first use, and the
-``transfer`` command never compiles it.
+(`principal_sl2_coefficients`, whose coefficients are read off
+2 rho-check_L one coroot at a time) live here too.  Only ``verify`` and
+the tests import this module; the package resolves its names on first
+use, and the ``transfer`` command never compiles it.
 """
 
 from __future__ import annotations
@@ -341,11 +341,16 @@ def principal_sl2_coefficients(
 ) -> PrincipalSL2:
     """Coefficients of the principal SL2 of the Levi on simple coroots.
 
-    Solves sum_{beta in S} a_beta <alpha, beta-check> = 2 (alpha in S)
-    exactly, re-checks the residual, verifies the expansion
-    sum a_beta beta-check = 2 rho_check_L, and, when a diagram involution
-    phi preserving S is supplied, verifies a_alpha = a_{phi(alpha)} and
-    builds a t-assignment with t_alpha t_{phi(alpha)} = a_alpha.
+    The semisimple element is 2 rho_check_L (`RootDatum.levi_coroot_sum`),
+    and the coefficients are its coordinates on the coroots of S, read left
+    to right: a coroot's first coordinate is met by no later coroot, so its
+    coefficient is what is left there over its own entry.  Type D's fork
+    coroots e_k - e_z and e_k + e_z share theirs and are solved as a pair.
+    Anything left over at the end, or a nonzero residual of
+    sum_{beta in S} a_beta <alpha, beta-check> = 2 (alpha in S), raises
+    `MathCheckError`.  When a diagram involution phi preserving S is
+    supplied, verifies a_alpha = a_{phi(alpha)} and builds a t-assignment
+    with t_alpha t_{phi(alpha)} = a_alpha.
     """
     datum = parabolic.datum
     idx = sorted(parabolic.S)
@@ -353,33 +358,36 @@ def principal_sl2_coefficients(
         # an index phi lacks maps to None, which the subset check reports
         phi = dict(phi).get
 
-    if not idx:
-        return PrincipalSL2((), {}, {}, frozenset())
-
-    rows = [[datum.pairing(i, j) for j in idx] for i in idx]
-    # the Cartan columns are the basis, the all-2 vector the target
-    columns = [HalfIntVector.from_fractions(col) for col in zip(*rows)]
-    twos = HalfIntVector.from_ints(*[2] * len(idx))
-    (sol,) = _expand_each_in_basis(columns, [twos])
-    if sol is None:
-        raise MathCheckError(f"Cartan matrix of {idx} is singular")
-    coeffs = {i: a for i, a in zip(idx, sol)}
-
-    # residual must vanish identically
-    for r, row in enumerate(rows):
-        res = sum(row[c] * sol[c] for c in range(len(idx))) - 2
-        if res != 0:
-            raise MathCheckError(f"principal SL2 system residual {res} at {idx[r]}")
-
-    # the semisimple element is exactly 2 rho_check of the Levi
-    acc = HalfIntVector((0,) * datum.ambient_dim)
-    for i in idx:
-        scaled = datum.alpha_check(i).scale(coeffs[i].numerator, coeffs[i].denominator)
-        acc = acc + scaled
-    if acc != parabolic.rho_check_levi.scale(2):
+    pairs = datum._simple_pairs  # (root, coroot) entries, doubled
+    rest = datum.levi_coroot_sum(idx)  # doubled too
+    coeffs: dict[int, Fraction] = {}
+    for i, j in zip(idx, [*idx[1:], 0]):
+        if i in coeffs:
+            continue
+        (k, entry), *end = pairs[i - 1][1]
+        if j and pairs[j - 1][1][0][0] == k:  # the fork, i = rank - 1 and j = rank
+            z = end[0][0]
+            solved = {i: Fraction(rest[k] - rest[z], 4), j: Fraction(rest[k] + rest[z], 4)}
+        else:
+            solved = {i: Fraction(rest[k], entry)}
+        for b, a in solved.items():
+            for m, u in pairs[b - 1][1]:
+                rest[m] -= a * u
+        coeffs.update(solved)
+    if any(rest):
         raise MathCheckError(
-            f"sum a_beta beta-check != 2 rho_check_L on {idx} of {datum.descriptor}"
+            f"2 rho_check_L is outside the span of the coroots {idx} of {datum.descriptor}"
         )
+
+    # the residual, as sum_beta a_beta beta-check paired with each alpha
+    acc = [0] * datum.ambient_dim
+    for b in idx:
+        for m, u in pairs[b - 1][1]:
+            acc[m] += coeffs[b] * u
+    for i in idx:
+        res = sum(acc[k] * e for k, e in pairs[i - 1][0]) / 4 - 2
+        if res != 0:
+            raise MathCheckError(f"principal SL2 system residual {res} at {i} of {idx}")
 
     t: dict[int, Fraction] = {}
     fixed: set[int] = set()
@@ -403,54 +411,3 @@ def principal_sl2_coefficients(
                 t[i] = coeffs[i]
                 t[j] = Fraction(1)
     return PrincipalSL2(tuple(idx), coeffs, t, frozenset(fixed))
-
-
-# ---------------------------------------------------------------------------
-# small exact linear helpers
-
-
-def _expand_each_in_basis(
-    basis: list[HalfIntVector], targets: list[HalfIntVector]
-) -> list[list[Fraction] | None]:
-    """Coefficients of each target in the linearly independent `basis`, or
-    None for a target outside its span.  One elimination of the basis
-    serves every target: the targets ride along as extra columns of the
-    augmented matrix, and the coordinates may be overdetermined (ambient
-    dim > len(basis)).
-
-    The elimination runs on the doubled integer entries without division:
-    a row update is pivot * row - f * pivot_row, a nonzero multiple of the
-    rational update, so no solution changes.  Each coefficient is divided
-    out once at the end, as an exact Fraction.
-    """
-    if not basis:
-        return [[] if t.is_zero else None for t in targets]
-    dim = len(basis[0])
-    if any(len(v) != dim for v in basis + targets):
-        raise ValueError("basis and targets must have the same length")
-    cols = len(basis)
-    a = [
-        [v.twice[r] for v in basis] + [t.twice[r] for t in targets]
-        for r in range(dim)
-    ]
-    row = 0
-    for col in range(cols):
-        pr = next((r for r in range(row, dim) if a[r][col]), None)
-        if pr is None:
-            # basis not independent; callers pass simple roots
-            return [None] * len(targets)
-        a[row], a[pr] = a[pr], a[row]
-        pivot_row = a[row]
-        pivot = pivot_row[col]
-        for r in range(dim):
-            f = a[r][col]
-            if r != row and f:
-                a[r] = [pivot * x - f * y for x, y in zip(a[r], pivot_row)]
-        row += 1
-    # consistency: rows below the pivots must have zero rhs
-    return [
-        None
-        if any(a[r][cols + j] for r in range(row, dim))
-        else [Fraction(a[k][cols + j], a[k][k]) for k in range(cols)]
-        for j in range(len(targets))
-    ]

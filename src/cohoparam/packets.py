@@ -60,8 +60,6 @@ __all__ = [
     "PacketMember",
     "UnitaryMember",
     "packet",
-    "packet_size_unitary",
-    "theta_stable_parabolic_count",
     "unitary_packet_members",
 ]
 
@@ -91,7 +89,6 @@ class PacketDescriptor:
     levi_subset: tuple[int, ...]
     members: tuple[PacketMember, ...]
     d_exponent: int
-    parameter: CohomParameter | None = None
 
     @property
     def size(self) -> int:
@@ -214,7 +211,6 @@ def packet(
         levi_subset=tuple(sorted(param.S)),
         members=tuple(members),
         d_exponent=cat.d_exponent,
-        parameter=param,
     )
     expected_total = (2**cat.d_exponent) * cat.n_cosets
     if pkt.h_total != expected_total:
@@ -223,27 +219,6 @@ def packet(
             f"{sorted(param.S)} differs from the closed form {expected_total}"
         )
     return pkt
-
-
-def theta_stable_parabolic_count(
-    descriptor: str,
-    parabolic: StandardParabolic,
-    *,
-    max_size: int | None = None,
-) -> int:
-    """Number of compact-side conjugacy classes over one self-associate subset.
-
-    This is the same double-coset count as :func:`packet`, reachable without
-    choosing a weight.
-    """
-    cat = compact_weyl_catalog(descriptor, max_size=max_size)
-    if parabolic.datum.descriptor != cat.descriptor:
-        raise UnsupportedGroupError(
-            f"parabolic belongs to {parabolic.datum.descriptor}, "
-            f"not to {cat.descriptor}"
-        )
-    cosets, _ = _cosets_for_subset(cat, parabolic.S)
-    return len(cosets)
 
 
 # ---------------------------------------------------------------------------
@@ -292,34 +267,3 @@ def unitary_packet_members(
             f"expected C({A + B},{A}) = {comb(A + B, A)}"
         )
     return tuple(members)
-
-
-def packet_size_unitary(
-    A: int, B: int, m: int, n: int
-) -> tuple[int, tuple[int, ...]]:
-    """Packet size for U(A,B) with a two-block Levi U(m) x U(n).
-
-    Returns the size together with the witness values ``r`` (the number of
-    coordinates of the first block that land on the first-part side), which
-    run over ``max(0, m - B) <= r <= min(A, m)``.
-    """
-    if min(A, B, m, n) < 0:
-        raise InvalidWeightError(
-            f"bad unitary packet data: A={A}, B={B}, m={m}, n={n}"
-        )
-    if A + B != m + n:
-        raise InvalidWeightError(
-            f"dimension mismatch: A+B = {A + B} but m+n = {m + n}"
-        )
-    lo = max(0, m - B)
-    hi = min(A, m)
-    witnesses = tuple(range(lo, hi + 1))
-    # cross-check against the k-block closed form
-    if m >= 1 and n >= 1:
-        from_blocks = {mem.r[0] for mem in unitary_packet_members(A, B, (m, n))}
-        if from_blocks != set(witnesses):
-            raise MathCheckError(
-                f"witness interval {witnesses} disagrees with the "
-                f"block enumeration {sorted(from_blocks)}"
-            )
-    return len(witnesses), witnesses

@@ -28,9 +28,10 @@ and as a `WeylElement`, the signed coordinate permutation that
 `cohoparam.weyl` also uses for Weyl-group elements.
 
 Everything is exact: coordinates are `HalfIntVector`s, read as doubled
-ints.  The principal SL2 of a Levi, the one linear solve over these
-coordinates (over `fractions.Fraction`), lives in `cohoparam.direct`,
-beside the routes that check the transfer theorem's regular unipotents.
+ints.  The principal SL2 of a Levi, whose coefficients are the coordinates
+of 2 rho-check_L (`RootDatum.levi_coroot_sum`) on the coroots of S, lives
+in `cohoparam.direct`, beside the routes that check the transfer theorem's
+regular unipotents.
 """
 
 from __future__ import annotations

@@ -213,6 +213,12 @@ ERROR_PATHS = (
     (["transfer", "--embedding", "sp-gl", "--param", "w0[1]+w0[1]+w0[1]"], 3),
     # routes to SO(20,21), whose images have distinct exponents
     (["transfer", "--embedding", "sp-gl", "--param", "s2[20]"], 2),
+    # the empty parameter, which names no group
+    *(
+        (["transfer", "--embedding", e, "--param", p], 2)
+        for e in ("sp-gl", "diag")
+        for p in ("", "0")
+    ),
 )
 
 _ENV_CAP = "COHOPARAM_MAX_WEYL"

@@ -25,7 +25,9 @@ the route it checks:
   images (`index_map_by_search`), against the datum's closed forms;
 * `cartan_matrix`, read straight off a datum, and `positive_root_supports`
   and `levi_positive`, with each root's simple-root coefficients solved
-  for, against the supports read off the roots' indices
+  for by `expand_each_in_basis_oracle` (Gauss-Jordan over `Fraction`, the
+  tests' one elimination, which also checks `principal_sl2_coefficients`),
+  against the supports read off the roots' indices
   (`positive_root_supports_by_index`), and `levi_coroot_sum_oracle`, the
   Levi's coroot sum over that filter, against `RootDatum.levi_coroot_sum`,
   which reads each block in closed form;
@@ -95,7 +97,6 @@ from cohoparam.rootdata import (
 )
 from cohoparam.direct import (
     _block_compositions,
-    _expand_each_in_basis,
     enumerate_complex_cohomological,
     enumerate_gl_real,
     enumerate_selfdual,
@@ -400,12 +401,50 @@ def cartan_matrix(datum: RootDatum, subset=None) -> list[list[Fraction]]:
     return [[datum.pairing(i, j) for j in idx] for i in idx]
 
 
+def expand_each_in_basis_oracle(
+    basis: list[HalfIntVector], targets: list[HalfIntVector]
+) -> list[list[Fraction] | None]:
+    """Coefficients of each target in the linearly independent `basis`, or
+    None for a target outside its span (or for a dependent basis), by one
+    Gauss-Jordan elimination over `Fraction` with the targets as extra
+    columns."""
+    if not basis:
+        return [[] if t.is_zero else None for t in targets]
+    dim = len(basis[0])
+    cols = len(basis)
+    a = [
+        [Fraction(v.twice[r], 2) for v in basis]
+        + [Fraction(t.twice[r], 2) for t in targets]
+        for r in range(dim)
+    ]
+    row = 0
+    for col in range(cols):
+        pr = next((r for r in range(row, dim) if a[r][col] != 0), None)
+        if pr is None:
+            return [None] * len(targets)
+        a[row], a[pr] = a[pr], a[row]
+        inv = a[row][col]
+        a[row] = [x / inv for x in a[row]]
+        for r in range(dim):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        row += 1
+    return [
+        None
+        if any(a[r][cols + j] != 0 for r in range(row, dim))
+        else [a[k][cols + j] for k in range(cols)]
+        for j in range(len(targets))
+    ]
+
+
+@lru_cache(maxsize=64)
 def positive_root_supports(datum: RootDatum) -> tuple[frozenset[int], ...]:
     """The simple roots with a nonzero coefficient in each positive root, in
     the datum's order, from one exact elimination over all of them."""
     roots = [root for root, _ in positive_roots(datum)]
     supports = []
-    for coeffs in _expand_each_in_basis(list(datum.simple_roots), roots):
+    for coeffs in expand_each_in_basis_oracle(list(datum.simple_roots), roots):
         if coeffs is None:
             raise MathCheckError("positive root outside simple-root span")
         supports.append(frozenset(i + 1 for i, c in enumerate(coeffs) if c != 0))

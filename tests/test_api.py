@@ -28,7 +28,6 @@ PUBLIC_API = {
         "standard_rep_parameter", "tempered_companion", "transfer_cohom",
         "transfer_weight",
         "PacketDescriptor", "PacketMember", "UnitaryMember", "packet",
-        "packet_size_unitary", "theta_stable_parabolic_count",
         "unitary_packet_members",
         "InnerFormReport", "PacketSumReport", "PoincarePolynomial",
         "PureInnerFormClass", "innerform_sum_compact",
@@ -70,7 +69,6 @@ PUBLIC_API = {
     ],
     "cohoparam.packets": [
         "PacketDescriptor", "PacketMember", "UnitaryMember", "packet",
-        "packet_size_unitary", "theta_stable_parabolic_count",
         "unitary_packet_members",
     ],
     "cohoparam.cohomology": [
@@ -111,11 +109,11 @@ def test_package_resolves_the_transfer_layer_on_first_use():
         assert getattr(cohoparam, attr) is getattr(modules[name], attr), attr
         assert attr not in vars(cohoparam), attr
     assert set(cohoparam.__all__) <= set(dir(cohoparam))
-    # the principal SL2 and its solver live in `direct` alone, and
-    # `transfer` re-exports none of `direct`'s names
-    for attr in ("PrincipalSL2", "principal_sl2_coefficients", "_expand_each_in_basis"):
+    # the principal SL2 lives in `direct` alone, and `transfer` re-exports
+    # none of `direct`'s names
+    for attr in ("PrincipalSL2", "principal_sl2_coefficients"):
         assert not hasattr(rootdata, attr), attr
-    for attr in (*direct.__all__, "_atom_sets", "_block_compositions", "_expand_each_in_basis"):
+    for attr in (*direct.__all__, "_atom_sets", "_block_compositions"):
         assert not hasattr(transfer, attr), attr
     # the one name `params` still forwards, for the benchmark's layer tracer
     assert params.transfer_cohom is transfer.transfer_cohom
@@ -140,6 +138,8 @@ def test_test_only_routes_are_not_in_the_library():
         assert not hasattr(rootdata, attr), attr
     assert not hasattr(rootdata.StandardParabolic, "levi_positive")
     assert not hasattr(halfint, "solve_rational")
+    # the one linear elimination is tests/oracles.py's, over Fraction
+    assert not hasattr(direct, "_expand_each_in_basis")
     # no command ran these; the tests check the same facts inline, and
     # tests/oracles.py keeps the complex-parameter parser
     for attr in ("unitary_relevance", "parse_complex_parameter", "_C_ATOM_RE"):

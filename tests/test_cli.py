@@ -473,6 +473,17 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert "p+q >= 2" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("param", ["", "0", " ", "0*nu^1"])
+    @pytest.mark.parametrize("embedding", sorted(EMBEDDINGS))
+    def test_the_empty_parameter_exits_2(self, embedding, param, capsys):
+        # it names no group, so the message names none either
+        assert main(["transfer", "--embedding", embedding, "--param", param]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"invalid input: {param!r} is the empty parameter; give at least one atom\n"
+        )
+
     @pytest.mark.parametrize(
         "command,flag,value,need",
         [

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cohoparam.errors import InvalidWeightError
 from cohoparam.halfint import HalfIntVector, _fmt_half, _parse_half
-from cohoparam.direct import _expand_each_in_basis
 
 
 def test_parse_and_str_roundtrip():
@@ -136,20 +135,3 @@ def test_parse_half_agrees_with_the_fraction_oracle(text):
 )
 def test_parse_half_edge_cases_agree_with_the_fraction_oracle(text):
     assert _parse_half_or_error(text) == _parse_half_by_fraction(text)
-
-
-# The exact rational solve of half-integer systems lives in
-# `direct._expand_each_in_basis`; these are its two textbook cases.
-
-
-def test_solve_rational_exact():
-    # 2x - y = 2 ; -x + 2y = 2  =>  x = y = 2
-    columns = [HalfIntVector.from_ints(2, -1), HalfIntVector.from_ints(-1, 2)]
-    (sol,) = _expand_each_in_basis(columns, [HalfIntVector.from_ints(2, 2)])
-    assert sol == [Fraction(2), Fraction(2)]
-
-
-def test_solve_rational_singular():
-    # x + y = 1 ; 2x + 2y = 2: the columns are equal, no unique solution
-    columns = [HalfIntVector.from_ints(1, 2)] * 2
-    assert _expand_each_in_basis(columns, [HalfIntVector.from_ints(1, 2)]) == [None]

@@ -21,8 +21,6 @@ from cohoparam import packets, weyl
 from cohoparam.packets import (
     _cosets_for_subset,
     packet,
-    packet_size_unitary,
-    theta_stable_parabolic_count,
     unitary_packet_members,
 )
 from cohoparam.params import CohomParameter, enumerate_cohomological
@@ -72,18 +70,24 @@ def block_group(n: int, cuts: tuple[int, ...]) -> tuple[WeylElement, ...]:
 # unitary closed form
 
 
+def two_block_members(A: int, B: int, m: int, n: int):
+    """The closed-form members of U(A,B) over the Levi U(m) x U(n), an
+    empty block left out."""
+    return unitary_packet_members(A, B, tuple(b for b in (m, n) if b))
+
+
 class TestUnitaryClosedForm:
     def test_low_rank_closed_form(self):
-        assert packet_size_unitary(2, 1, 2, 1) == (2, (1, 2))
-        assert packet_size_unitary(2, 2, 2, 2) == (3, (0, 1, 2))
+        assert [m.r for m in two_block_members(2, 1, 2, 1)] == [(1, 1), (2, 0)]
+        assert [m.r for m in two_block_members(2, 2, 2, 2)] == [(0, 2), (1, 1), (2, 0)]
         for A, B in ((2, 1), (3, 2), (4, 0)):
-            assert packet_size_unitary(A, B, A + B, 0) == (1, (A,))
+            assert [m.r for m in two_block_members(A, B, A + B, 0)] == [(A,)]
 
     def test_errors(self):
         with pytest.raises(InvalidWeightError):
-            packet_size_unitary(2, 1, 2, 2)
+            two_block_members(2, 1, 2, 2)
         with pytest.raises(InvalidWeightError):
-            packet_size_unitary(-1, 2, 1, 0)
+            two_block_members(-1, 2, 1, 0)
         with pytest.raises(InvalidWeightError):
             unitary_packet_members(2, 1, (2, 2))
 
@@ -92,9 +96,8 @@ class TestUnitaryClosedForm:
             for A in range(N + 1):
                 for m in range(N + 1):
                     B, n = N - A, N - m
-                    size, _ = packet_size_unitary(A, B, m, n)
-                    swapped, _ = packet_size_unitary(B, A, n, m)
-                    assert size == swapped
+                    size = len(two_block_members(A, B, m, n))
+                    assert size == len(two_block_members(B, A, n, m))
 
     def test_member_h_dims_are_binomial_products(self):
         members = unitary_packet_members(2, 2, (2, 1, 1))
@@ -161,7 +164,7 @@ class TestUnitaryOracles:
         for N in range(1, 9):
             for A in range(N + 1):
                 for m in range(N + 1):
-                    size, _ = packet_size_unitary(A, N - A, m, N - m)
+                    size = len(two_block_members(A, N - A, m, N - m))
                     assert size == subset_orbit_count(A, N - A, m), (A, N - A, m)
 
     @pytest.mark.parametrize(
@@ -175,8 +178,7 @@ class TestUnitaryOracles:
         right = block_group(N, (m, n) if n else (m,))
         cosets = double_cosets(left, right, ambient)
         assert cosets == double_cosets_by_expansion(left, right, ambient)
-        size, _ = packet_size_unitary(A, B, m, n)
-        assert len(cosets) == size
+        assert len(cosets) == len(two_block_members(A, B, m, n))
         # coset sizes partition the full group
         assert sum(c.size for c in cosets) == len(ambient)
 
@@ -325,19 +327,24 @@ class TestPacketStructure:
             assert got == want, (desc, sorted(c.S))
 
     def test_count_equals_packet_size(self):
+        # the packet's members against the double cosets grown by expansion
+        # from the Levi's Weyl group, built from its simple reflections
         for desc in ("Sp(4,R)", "SO(2,3)", "SO(2,4)", "U(2,1)", "GL(4,R)"):
-            d = build_classical_dual(desc)
+            cat = compact_weyl_catalog(desc)
+            w_theta = set(cat.w_theta)
             for c in enumerate_cohomological(desc):
-                q = StandardParabolic(d, c.S)
-                assert theta_stable_parabolic_count(desc, q) == packet(desc, c).size
+                levi = levi_weyl_group(StandardParabolic(c.datum, c.S))
+                levi_theta = [w for w in levi if w in w_theta]
+                cosets = double_cosets_by_expansion(cat.k_weyl, levi_theta, cat.w_theta)
+                assert len(cosets) == packet(desc, c).size
 
     def test_borel_counts(self):
-        # count over the empty subset = index of the compact-side subgroup
+        # the packet over the empty subset has one member per K-coset
         cases = {"Sp(4,R)": 4, "U(2,1)": 3, "SO(2,3)": 4, "Sp(6,R)": 8}
         for desc, want in cases.items():
             d = build_classical_dual(desc)
-            q = StandardParabolic(d, frozenset())
-            assert theta_stable_parabolic_count(desc, q) == want
+            c = CohomParameter(d, frozenset(), HalfIntVector((0,) * d.ambient_dim))
+            assert packet(desc, c).size == want
 
     def test_member_bookkeeping_consistency(self):
         # h_dim * |K| = 2^d * |coset| for every member, and coset sizes
@@ -369,12 +376,11 @@ class TestPacketStructure:
             packet("Sp(6,R)", c)
         d = build_classical_dual("GL(4,R)")
         with pytest.raises(UnsupportedGroupError):
-            theta_stable_parabolic_count("GL(5,R)", StandardParabolic(d, frozenset()))
+            packet("GL(5,R)", CohomParameter(d, frozenset(), HalfIntVector((0,) * 4)))
 
     def test_non_self_associate_subset_rejected(self):
-        d = build_classical_dual("GL(4,R)")
         with pytest.raises(InvalidWeightError):
-            theta_stable_parabolic_count("GL(4,R)", StandardParabolic(d, frozenset({1})))
+            _cosets_for_subset(compact_weyl_catalog("GL(4,R)"), frozenset({1}))
 
     def test_unsupported_group_rejected(self):
         c = enumerate_cohomological("Sp(4,R)")[0]
