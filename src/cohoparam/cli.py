@@ -71,7 +71,7 @@ def _check_counts(args) -> None:
 
 
 def _weight_or_zero(args, datum) -> HalfIntVector:
-    if getattr(args, "weight", None):
+    if args.weight is not None:  # an empty --weight is parsed, and refused
         return HalfIntVector.parse(args.weight)
     return HalfIntVector((0,) * datum.ambient_dim)
 

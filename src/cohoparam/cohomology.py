@@ -325,11 +325,8 @@ def packet_cohomology_sum(descriptor: str, param: CohomParameter) -> PacketSumRe
         routes["exponent_form"] = _gl_exponent_form(n, flavor)
     elif fam == "GL_C":
         # S is theta-stable and no block crosses the factor boundary, so
-        # the first half of the blocks are the first factor's
-        prod = PoincarePolynomial.one()
-        for size in blocks[: len(blocks) // 2]:
-            prod = prod * symmetric_space_poincare("U_n", size)
-        routes["levi_product"] = prod.total
+        # the blocks are an even palindrome: one U_n factor per mirror pair
+        routes["levi_product"] = levi_cohomology(blocks, "O").total
     elif fam == "U":
         A, B = cat.datum.signature
         members = unitary_packet_members(A, B, blocks)

@@ -4,11 +4,13 @@ Independent direct enumerations (`enumerate_gl_real`,
 `enumerate_selfdual`, `gl_cascade_parameters`,
 `enumerate_complex_cohomological`) recover the images of
 `cohoparam.params.standard_rep_parameter` from the infinitesimal character
-alone: the second route that ``verify`` and the tests check the subset
-route and `cohoparam.transfer`'s closed forms against.  The tempered
-companion, the central-value report and the principal SL2 of a Levi
+alone, on doubled exponents as `cohoparam.halfint` stores them: the second
+route that ``verify`` and the tests check the subset route and
+`cohoparam.transfer`'s closed forms against.  The tempered companion, the
+central-value report and the principal SL2 of a Levi
 (`principal_sl2_coefficients`, whose coefficients are read off
-2 rho-check_L one coroot at a time) live here too.  Only ``verify`` and
+2 rho-check_L one coroot at a time, and are the one `Fraction` result
+here) live here too.  Only ``verify`` and
 the tests import this module; the package resolves its names on first
 use, and the ``transfer`` command never compiles it.
 """
@@ -17,11 +19,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Mapping
-from fractions import Fraction
 
 from ._record import record
 from .errors import InvalidWeightError, MathCheckError
-from .halfint import HalfIntVector
+from .halfint import HalfIntVector, _fmt_half
 from .params import (
     Atom,
     CohomParameter,
@@ -54,14 +55,15 @@ __all__ = [
 
 
 def _atom_sets(rem: Counter) -> list[tuple]:
-    """All splittings of a symmetric exponent multiset into raw atoms.
+    """All splittings of a symmetric multiset of doubled exponents into raw
+    atoms.
 
     Raw atoms are ('s', d, m) and ('w', a); recursion is on the largest
-    remaining exponent, which every covering atom must reach.
+    remaining doubled exponent x2, which every covering atom must reach.
     """
     if not rem:
         return [()]
-    x = max(rem)
+    x2 = max(rem)
     out = []
 
     def _minus(bag: Counter) -> Counter | None:
@@ -74,32 +76,22 @@ def _atom_sets(rem: Counter) -> list[tuple]:
                 del nxt[v]
         return nxt
 
-    # two-dimensional options: top exponent x = (d + m - 1)/2.  When d < m
-    # the two chains overlap; the multiset subtraction below is the only
-    # gate needed (overlaps require doubled entries, e.g. the zero pair of
-    # an even orthogonal exponent set).
-    m = 0
-    while True:
-        m += 1
-        d2 = 2 * x - m + 1
-        if d2.denominator != 1:
-            break  # exponents of mixed parity class: no two-dim atom at x
-        d = int(d2)
-        if d < 1:
-            break
-        chain = [x - k for k in range(m)]
+    # two-dimensional options s{x2 - m + 1}[m], m = 1..x2.  When
+    # x2 - m + 1 < m the two chains overlap; the multiset subtraction below is the only gate
+    # needed (overlaps require doubled entries, e.g. the zero pair of an
+    # even orthogonal exponent set).
+    for m in range(1, x2 + 1):
+        chain = [x2 - 2 * k for k in range(m)]
         nxt = _minus(Counter(chain + [-c for c in chain]))
         if nxt is not None:
             for tail in _atom_sets(nxt):
-                out.append((("s", d, m),) + tail)
-    # one quad option: a = 2x + 1 covering the chain x .. -x
-    a2 = 2 * x + 1
-    if a2.denominator == 1 and x >= 0:
-        a = int(a2)
-        nxt = _minus(Counter(x - k for k in range(a)))
+                out.append((("s", x2 - m + 1, m),) + tail)
+    # one quad option: w[x2 + 1] covering the chain x2 .. -x2
+    if x2 >= 0:
+        nxt = _minus(Counter(x2 - 2 * k for k in range(x2 + 1)))
         if nxt is not None:
             for tail in _atom_sets(nxt):
-                out.append((("w", a),) + tail)
+                out.append((("w", x2 + 1),) + tail)
     return out
 
 
@@ -138,46 +130,43 @@ def _finish_enumeration(
 def enumerate_gl_real(n: int, lam: HalfIntVector | None = None) -> tuple[GLParameter, ...]:
     """Every self-dual-up-to-twist parameter with the given coefficients.
 
-    Works straight from the exponent multiset lam + rho-check of GL(n),
+    Works straight from the doubled exponents of lam + rho-check of GL(n),
     independently of the subset-side construction.
     """
-    if lam is None:
-        lam = HalfIntVector((0,) * n)
-    if len(lam) != n:
-        raise InvalidWeightError(f"weight has {len(lam)} coordinates, expected {n}")
-    entries = list(lam)
-    if any(e.denominator != 1 for e in entries):
+    twice = (0,) * n if lam is None else lam.twice
+    if len(twice) != n:
+        raise InvalidWeightError(f"weight has {len(twice)} coordinates, expected {n}")
+    if any(t % 2 for t in twice):
         raise InvalidWeightError(f"{lam} is not an integral weight")
-    if any(entries[i] < entries[i + 1] for i in range(n - 1)):
+    if any(twice[i] < twice[i + 1] for i in range(n - 1)):
         raise InvalidWeightError(f"{lam} is not dominant")
-    big = [entries[i] + Fraction(n - 1 - 2 * i, 2) for i in range(n)]
+    big = [twice[i] + n - 1 - 2 * i for i in range(n)]
     csums = {big[i] + big[n - 1 - i] for i in range(n)}
     if len(csums) != 1:
         raise InvalidWeightError(
-            f"{lam} is not self-dual up to twist: exponent sums {sorted(csums)}"
+            f"{lam} is not self-dual up to twist: exponent sums "
+            f"[{', '.join(map(_fmt_half, sorted(csums)))}]"
         )
-    c = csums.pop() / 2
-    twist2 = 2 * c
-    if twist2.denominator != 1:
-        raise InvalidWeightError(f"twist {c} is not half-integral")
-    sym = Counter(b - c for b in big)
-    return _finish_enumeration(_atom_sets(sym), int(twist2), None, None)
+    # an integral weight's doubled pair sums are even, so this is exact
+    twist2 = csums.pop() // 2
+    sym = Counter(b - twist2 for b in big)
+    return _finish_enumeration(_atom_sets(sym), twist2, None, None)
 
 
 def enumerate_selfdual(
-    entries: list[Fraction] | HalfIntVector,
+    entries: HalfIntVector,
     valued_in: str,
     delta: int | None = None,
 ) -> tuple[GLParameter, ...]:
     """All orthogonal- or symplectic-valued parameters with given exponents.
 
-    `entries` is the full symmetric exponent multiset of the standard
+    `entries` holds the full symmetric exponent multiset of the standard
     representation (dimension many entries).  For 'orthogonal' a
     determinant class `delta` may be imposed.
     """
     if valued_in not in ("orthogonal", "symplectic"):
         raise ValueError(f"valued_in = {valued_in!r}")
-    bag = Counter(Fraction(e) for e in entries)
+    bag = Counter(entries.twice)
     if any(bag[-v] != c for v, c in bag.items()):
         raise InvalidWeightError("exponent multiset is not symmetric")
     return _finish_enumeration(_atom_sets(bag), 0, valued_in, delta)
@@ -266,7 +255,7 @@ def tempered_companion(param: GLParameter) -> GLParameter:
     for eps in pending_eps:
         atoms.append(QuadAtom(eps, 1))
     out = GLParameter(tuple(atoms), param.twist2, param.omega_pair)
-    if sorted(out.exponents()) != sorted(param.exponents()):
+    if out.doubled_exponents() != param.doubled_exponents():
         raise MathCheckError("companion changed the exponents")
     return out
 
@@ -330,8 +319,8 @@ class PrincipalSL2:
     """
 
     subset: tuple[int, ...]
-    coeffs: Mapping[int, Fraction]
-    t_assignment: Mapping[int, Fraction]
+    coeffs: Mapping[int, "Fraction"]
+    t_assignment: Mapping[int, "Fraction"]
     needs_sqrt: frozenset[int]
 
 
@@ -352,6 +341,8 @@ def principal_sl2_coefficients(
     supplied, verifies a_alpha = a_{phi(alpha)} and builds a t-assignment
     with t_alpha t_{phi(alpha)} = a_alpha.
     """
+    from fractions import Fraction  # the coefficients are rational
+
     datum = parabolic.datum
     idx = sorted(parabolic.S)
     if phi is not None and not callable(phi):
@@ -360,7 +351,7 @@ def principal_sl2_coefficients(
 
     pairs = datum._simple_pairs  # (root, coroot) entries, doubled
     rest = datum.levi_coroot_sum(idx)  # doubled too
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, "Fraction"] = {}
     for i, j in zip(idx, [*idx[1:], 0]):
         if i in coeffs:
             continue
@@ -389,7 +380,7 @@ def principal_sl2_coefficients(
         if res != 0:
             raise MathCheckError(f"principal SL2 system residual {res} at {i} of {idx}")
 
-    t: dict[int, Fraction] = {}
+    t: dict[int, "Fraction"] = {}
     fixed: set[int] = set()
     if phi is None:
         fixed.update(idx)

@@ -1,12 +1,11 @@
 """Exact half-integer vectors.
 
-Everything downstream (weights, roots, coroots, infinitesimal characters)
-lives in (1/2)Z^n.  Entries are stored as *doubled* integers, so all vector
-arithmetic is integer arithmetic, parsing included; only pairings divide,
-and those return `fractions.Fraction`.  `fractions` (with the `decimal`
-and `numbers` it loads) is imported by the few functions that make a
-`Fraction`, so a command that makes none never loads it.  No floats
-anywhere.
+Everything downstream (weights, roots, coroots, infinitesimal characters,
+the exponents of parameters) lives in (1/2)Z^n.  Entries are stored as
+*doubled* integers, so all vector arithmetic is integer arithmetic,
+parsing included.  The two `fractions.Fraction` views, iteration and
+`dot`, import `fractions` (with the `decimal` and `numbers` it loads) when
+called; no command calls them, so none loads it.  No floats anywhere.
 
 >>> v = HalfIntVector.parse("3/2,1,-1/2")
 >>> str(v)
@@ -20,7 +19,7 @@ Fraction(2, 1)
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import cached_property
 
 from ._record import record
@@ -89,18 +88,6 @@ class HalfIntVector:
         return cls(tuple(2 * e for e in entries))
 
     @classmethod
-    def from_fractions(cls, entries: Iterable["Fraction"]) -> "HalfIntVector":
-        from fractions import Fraction
-
-        out = []
-        for e in entries:
-            f = Fraction(e)
-            if f.denominator not in (1, 2):
-                raise ValueError(f"{f} is not a half-integer")
-            out.append(int(f * 2))
-        return cls(tuple(out))
-
-    @classmethod
     def zero(cls, n: int) -> "HalfIntVector":
         return cls((0,) * n)
 
@@ -121,10 +108,6 @@ class HalfIntVector:
         from fractions import Fraction
 
         return (Fraction(t, 2) for t in self.twice)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(t == 0 for t in self.twice)
 
     # -- arithmetic --------------------------------------------------------
 

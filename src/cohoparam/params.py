@@ -24,7 +24,8 @@ Conventions:
 * w{eps}[a] is the one-dimensional character with sign eps tensored with
   [a]; symplectic iff a is even; determinant w^(eps*a).
 * a global half-integral twist nu^b is stored doubled (`twist2 = 2b`) and
-  shifts every exponent by b.
+  shifts every exponent by b; the exponents themselves are kept doubled
+  too, as `halfint` keeps every half-integer (`doubled_exponents()`).
 * where a sign eps is genuinely free (symplectic-valued parameters, and
   even-signature zero pairs), the canonical choice is eps = 0 and the
   parameter carries `omega_pair = True`; where the determinant class pins
@@ -81,16 +82,6 @@ class TwoDimAtom:
     def det_exponent(self) -> int:
         return self.m % 2 if self.d % 2 == 0 else 0
 
-    def exponents(self) -> list["Fraction"]:
-        from fractions import Fraction
-
-        out = []
-        for k in range(self.m):
-            shift = Fraction(self.m - 1 - 2 * k, 2)
-            out.append(Fraction(self.d, 2) + shift)
-            out.append(Fraction(-self.d, 2) + shift)
-        return out
-
     def text(self) -> str:
         return f"s{self.d}[{self.m}]"
 
@@ -122,11 +113,6 @@ class QuadAtom:
     def det_exponent(self) -> int:
         return (self.eps * self.a) % 2
 
-    def exponents(self) -> list["Fraction"]:
-        from fractions import Fraction
-
-        return [Fraction(self.a - 1 - 2 * k, 2) for k in range(self.a)]
-
     def text(self) -> str:
         return f"w{self.eps}[{self.a}]"
 
@@ -148,12 +134,6 @@ def _falling_string_entries(strings, shift2: int) -> list[int]:
     return sorted(entries, reverse=True)
 
 
-def _halves(doubled: list[int]) -> list["Fraction"]:
-    from fractions import Fraction
-
-    return [Fraction(t, 2) for t in doubled]
-
-
 # ---------------------------------------------------------------------------
 # self-dual (real-coefficient) parameters
 
@@ -164,7 +144,8 @@ class GLParameter:
 
     The constructor is permissive: it sorts the atoms canonically and
     checks only the atoms' own field ranges; `selfdual_type` reports the
-    self-duality type, and `exponents()` the infinitesimal character.
+    self-duality type, and `doubled_exponents()` the infinitesimal character,
+    doubled.
     """
 
     atoms: tuple[Atom, ...]
@@ -191,9 +172,6 @@ class GLParameter:
         for a in self.atoms:
             strings += [(a.d, a.m), (-a.d, a.m)] if isinstance(a, TwoDimAtom) else [(0, a.a)]
         return _falling_string_entries(strings, self.twist2)
-
-    def exponents(self) -> list["Fraction"]:
-        return _halves(self.doubled_exponents())
 
     @property
     def selfdual_type(self) -> str:
@@ -259,9 +237,6 @@ class ComplexParameter:
     def doubled_exponents(self) -> list[int]:
         """The doubled exponents, falling: the string of each entry."""
         return _falling_string_entries(self.entries, 0)
-
-    def exponents(self) -> list["Fraction"]:
-        return _halves(self.doubled_exponents())
 
     def central_parity_ok(self) -> tuple[bool, list[bool]]:
         return _central_parity(self, (self.dimension - 1) % 2)
@@ -352,10 +327,9 @@ class CohomParameter:
                 f"{self.lam} is not dominant (alpha_{first_negative})"
             )
         if first_in_s is not None:
-            from fractions import Fraction
-
+            # 4 <lam, alpha-check> is even: every doubled coroot entry is +-2 or 4
             raise InvalidWeightError(
-                f"weight pairs to {Fraction(pairings[first_in_s - 1], 4)} with "
+                f"weight pairs to {_fmt_half(pairings[first_in_s - 1] // 2)} with "
                 f"alpha_{first_in_s}, which lies in S"
             )
         if not all(1 <= i <= rank for i in self.S):

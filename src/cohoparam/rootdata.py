@@ -300,10 +300,6 @@ class RootDatum:
                 )
         return HalfIntVector(twice)
 
-    def pairing(self, i: int, j: int) -> "Fraction":
-        """<alpha_i, alpha_j-check> for 1-based indices."""
-        return self.alpha(i).dot(self.alpha_check(j))
-
     # -- Levi blocks and coroot sums -----------------------------------------
 
     @cached_property

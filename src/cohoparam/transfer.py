@@ -5,8 +5,8 @@ that preserves regular unipotents and decides, in closed form, whether
 its image is cohomological on the target; `_cohomological_preimage`
 reads the source parameter off the image's text in O(n).  All of it works
 on doubled ints, so no `Fraction` is made.  The direct enumerations that
-check these closed forms, the central-value report and the principal SL2
-live in `cohoparam.direct`.  Only the ``transfer`` and ``verify`` commands
+check these closed forms (on doubled ints too), the central-value report
+and the principal SL2 live in `cohoparam.direct`.  Only the ``transfer`` and ``verify`` commands
 import this module; the package resolves its names on first use.
 """
 

@@ -219,6 +219,11 @@ ERROR_PATHS = (
         for e in ("sp-gl", "diag")
         for p in ("", "0")
     ),
+    # an empty weight, which is parsed and refused, not read as zero
+    *(
+        ([command, "--group", "GL(2,R)", "--weight", ""], 2)
+        for command in ("enumerate", "packet", "cohomology-sum")
+    ),
 )
 
 _ENV_CAP = "COHOPARAM_MAX_WEYL"

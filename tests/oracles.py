@@ -60,6 +60,9 @@ the route it checks:
 * `levi_blocks_by_concatenation`, the Levi-block walk that grows each open
   block's roots one tuple at a time, against `RootDatum._levi_blocks`,
   which slices the sorted walk once per block;
+* `atom_exponents`, an atom's exponents over `Fraction`, term by term,
+  against `GLParameter.doubled_exponents`, which reads each atom as
+  strings of doubled ints;
 * `gl_coefficient_weight_by_fractions`, the weight a parameter carries
   from its `Fraction` exponents less GL(n)'s rho, against
   `gl_coefficient_weight`, which works on the doubled exponents.
@@ -81,6 +84,7 @@ from cohoparam.params import (
     CohomParameter,
     ComplexParameter,
     GLParameter,
+    QuadAtom,
     TwoDimAtom,
     _assign_quad_eps,
     _compositions,
@@ -398,7 +402,7 @@ def index_map_by_search(datum: RootDatum, linear: WeylElement) -> tuple[int, ...
 def cartan_matrix(datum: RootDatum, subset=None) -> list[list[Fraction]]:
     """<alpha_i, alpha_j-check> over `subset` (all simple roots by default)."""
     idx = sorted(subset) if subset is not None else list(range(1, datum.rank + 1))
-    return [[datum.pairing(i, j) for j in idx] for i in idx]
+    return [[datum.alpha(i).dot(datum.alpha_check(j)) for j in idx] for i in idx]
 
 
 def expand_each_in_basis_oracle(
@@ -409,7 +413,7 @@ def expand_each_in_basis_oracle(
     Gauss-Jordan elimination over `Fraction` with the targets as extra
     columns."""
     if not basis:
-        return [[] if t.is_zero else None for t in targets]
+        return [[] if t == HalfIntVector.zero(len(t)) else None for t in targets]
     dim = len(basis[0])
     cols = len(basis)
     a = [
@@ -720,14 +724,27 @@ def standard_rep_by_whole_table(cohom: CohomParameter):
 
 
 # ---------------------------------------------------------------------------
-# the weight a parameter's exponents carry, over Fractions
+# exponents, and the weight a parameter's exponents carry, over Fractions
+
+
+def atom_exponents(atom: TwoDimAtom | QuadAtom) -> list[Fraction]:
+    """The exponents of one atom: +-d/2 + (m - 1 - 2k)/2 for s{d}[m], and
+    (a - 1 - 2k)/2 for w{eps}[a], k = 0, 1, ...."""
+    if isinstance(atom, QuadAtom):
+        return [Fraction(atom.a - 1 - 2 * k, 2) for k in range(atom.a)]
+    out = []
+    for k in range(atom.m):
+        shift = Fraction(atom.m - 1 - 2 * k, 2)
+        out.append(Fraction(atom.d, 2) + shift)
+        out.append(Fraction(-atom.d, 2) + shift)
+    return out
 
 
 def gl_coefficient_weight_by_fractions(
     param: GLParameter | ComplexParameter, n: int
 ) -> HalfIntVector:
     """The dominant weight whose exponents the parameter carries."""
-    exps = param.exponents()
+    exps = [Fraction(t, 2) for t in param.doubled_exponents()]
     if len(exps) != n:
         raise InvalidWeightError(
             f"parameter has dimension {len(exps)}, expected {n}"
@@ -736,7 +753,8 @@ def gl_coefficient_weight_by_fractions(
     lam = [e - r for e, r in zip(exps, rho)]
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise InvalidWeightError("exponents are not dominant after the rho shift")
-    return HalfIntVector.from_fractions(lam)
+    assert all((2 * e).denominator == 1 for e in lam), lam
+    return HalfIntVector(tuple(int(2 * e) for e in lam))
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +807,8 @@ def transfer_by_enumeration(cohom: CohomParameter, kind: str, image) -> tuple:
         notes.append("standard-representation image")
     elif kind == "sp-to-so-even":
         delta = image.det_exponent
-        family = enumerate_selfdual(image.exponents(), "orthogonal", delta)
+        exps = HalfIntVector(tuple(image.doubled_exponents()))
+        family = enumerate_selfdual(exps, "orthogonal", delta)
         coh = image.orbit_key() in {p.orbit_key() for p in family}
         if coh and image.text() not in {p.text() for p in family}:
             notes.append("matches the enumerated family up to the order-two twist")

@@ -484,6 +484,15 @@ class TestExitCodes:
             f"invalid input: {param!r} is the empty parameter; give at least one atom\n"
         )
 
+    @pytest.mark.parametrize("weight", ["", " "])
+    @pytest.mark.parametrize("command", ["enumerate", "packet", "cohomology-sum"])
+    def test_an_empty_weight_exits_2(self, command, weight, capsys):
+        # a given --weight is parsed even when empty, not read as the zero weight
+        assert main([command, "--group", "GL(2,R)", "--weight", weight]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: weight has 0 coordinates, expected 2\n"
+
     @pytest.mark.parametrize(
         "command,flag,value,need",
         [
@@ -848,8 +857,8 @@ class TestStartup:
         # whether it loaded `cohoparam.transfer`, `cohoparam.direct` and
         # fractions, and whether it ran the lazily bound `cohoparam.cohomology`:
         # transfer runs on doubled ints and needs only the first; verify runs
-        # the direct routes, the only code that makes a Fraction
-        loads = (loads_transfer, *[argv[0] == "verify"] * 2, runs_cohomology)
+        # the direct routes, on doubled ints too, so no command makes a Fraction
+        loads = (loads_transfer, argv[0] == "verify", False, runs_cohomology)
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
             "import contextlib, io, sys, types; from cohoparam.cli import main\n"
