@@ -62,61 +62,6 @@ from .rootdata import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CohoparamError",
-    "InvalidWeightError",
-    "MathCheckError",
-    "UnsupportedGroupError",
-    "WeylSizeError",
-    "HalfIntVector",
-    "RootDatum",
-    "StandardParabolic",
-    "build_classical_dual",
-    "is_self_associate",
-    "principal_sl2_coefficients",
-    "TRANSFER_KINDS",
-    "CentralReport",
-    "CohomParameter",
-    "ComplexParameter",
-    "GLParameter",
-    "QuadAtom",
-    "RouteResult",
-    "TransferResult",
-    "TwoDimAtom",
-    "central_value_report",
-    "enumerate_cohomological",
-    "enumerate_complex_cohomological",
-    "enumerate_gl_real",
-    "enumerate_selfdual",
-    "gl_cascade_parameters",
-    "gl_coefficient_weight",
-    "parse_gl_parameter",
-    "route_selfdual",
-    "standard_rep_parameter",
-    "tempered_companion",
-    "transfer_cohom",
-    "transfer_weight",
-    "PacketDescriptor",
-    "PacketMember",
-    "UnitaryMember",
-    "packet",
-    "unitary_packet_members",
-    "InnerFormReport",
-    "PacketSumReport",
-    "PoincarePolynomial",
-    "PureInnerFormClass",
-    "innerform_sum_compact",
-    "innerform_sum_quasisplit",
-    "levi_cohomology",
-    "levi_member_count",
-    "packet_cohomology_sum",
-    "partition_independence",
-    "self_dual_compositions",
-    "so_even_dichotomy",
-    "symmetric_space_poincare",
-    "__version__",
-]
-
 # the names of the three layer modules that are compiled only when one of
 # their names is first asked for; every other layer module loads eagerly above
 _LAZY = {
@@ -151,6 +96,33 @@ _LAZY = {
     "PrincipalSL2": "direct",
     "principal_sl2_coefficients": "direct",
 }
+
+__all__ = [
+    "CohoparamError",
+    "InvalidWeightError",
+    "MathCheckError",
+    "UnsupportedGroupError",
+    "WeylSizeError",
+    "HalfIntVector",
+    "PacketDescriptor",
+    "PacketMember",
+    "UnitaryMember",
+    "packet",
+    "unitary_packet_members",
+    "CohomParameter",
+    "ComplexParameter",
+    "GLParameter",
+    "QuadAtom",
+    "TwoDimAtom",
+    "enumerate_cohomological",
+    "standard_rep_parameter",
+    "RootDatum",
+    "StandardParabolic",
+    "build_classical_dual",
+    "is_self_associate",
+    *_LAZY,
+    "__version__",
+]
 
 
 def _bound_lazily(name: str):

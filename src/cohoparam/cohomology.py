@@ -32,6 +32,7 @@ Three families of identities live here:
 from __future__ import annotations
 
 import re
+import sys
 from math import comb
 
 from ._record import field, record
@@ -422,12 +423,23 @@ def innerform_sum_compact(descriptor: str) -> InnerFormReport:
     if size < 1:
         raise UnsupportedGroupError(f"size {size} < 1 in {descriptor!r}")
     if kind == "U":
-        rank, weyl_order = size, _simple_weyl_order("A", size - 1)
+        rank, cartan, r = size, "A", size - 1
     elif kind == "Sp":
-        rank, weyl_order = size, _simple_weyl_order("C", size)
+        rank, cartan, r = size, "C", size
     else:
-        rank = size // 2
-        weyl_order = _simple_weyl_order("B" if size % 2 else "D", rank)
+        rank = r = size // 2
+        cartan = "B" if size % 2 else "D"
+    # |W| is the largest number the report prints; refuse it past the
+    # int-to-str limit (0: none, as before Python 3.10.7), and a rank at the
+    # limit without computing it: |W| >= rank! > 10**rank from rank 25 on,
+    # and a limit is >= 640
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    weyl_order = None if limit and rank >= limit else _simple_weyl_order(cartan, r)
+    if limit and (weyl_order is None or weyl_order >= 10**limit):
+        raise UnsupportedGroupError(
+            f"the Weyl group of {descriptor} has an order of more than {limit} "
+            f"digits, past the int-to-str limit"
+        )
     classes = []
     total = 0
     for k in range(rank + 1):

@@ -59,7 +59,7 @@ __all__ = [
 # atoms
 
 
-@record(order=True)
+@record
 class TwoDimAtom:
     """s{d}[m]: the two-dimensional piece with exponents +-d/2 times [m]."""
 
@@ -90,7 +90,7 @@ class TwoDimAtom:
     _text = cached_property(text)
 
 
-@record(order=True)
+@record
 class QuadAtom:
     """w{eps}[a]: the order-two character to the eps times [a]."""
 
@@ -165,13 +165,18 @@ class GLParameter:
     def det_exponent(self) -> int:
         return sum(a.det_exponent for a in self.atoms) % 2
 
-    def doubled_exponents(self) -> list[int]:
-        """The doubled exponents, falling: the strings (+-d, m) of each
-        s{d}[m] and (0, a) of each w{eps}[a], shifted by the twist."""
+    def _strings(self) -> list[tuple[int, int]]:
+        """The strings (x2, m), atom by atom: (d, m) and (-d, m) for each
+        s{d}[m], (0, a) for each w{eps}[a]."""
         strings = []
         for a in self.atoms:
             strings += [(a.d, a.m), (-a.d, a.m)] if isinstance(a, TwoDimAtom) else [(0, a.a)]
-        return _falling_string_entries(strings, self.twist2)
+        return strings
+
+    def doubled_exponents(self) -> list[int]:
+        """The doubled exponents, falling: the entries of `_strings`, shifted
+        by the twist."""
+        return _falling_string_entries(self._strings(), self.twist2)
 
     @property
     def selfdual_type(self) -> str:
@@ -388,9 +393,8 @@ def enumerate_cohomological(
 # exponents are doubled ints throughout, as in `halfint`
 
 
-# the atoms of images repeat across parameters; each is immutable
+# the two-dimensional atoms of images repeat across parameters; each is immutable
 _two_dim_atom = lru_cache(maxsize=1024)(TwoDimAtom)
-_quad_atom = lru_cache(maxsize=256)(QuadAtom)
 
 
 def _assign_quad_eps(
@@ -408,7 +412,7 @@ def _assign_quad_eps(
                   absorbs the rest.
     """
     if delta is None:
-        return [_quad_atom(0, a) for a in quadlens], bool(quadlens)
+        return [QuadAtom(0, a) for a in quadlens], bool(quadlens)
     counts = Counter(quadlens)
     if any(c > 2 for c in counts.values()):
         raise MathCheckError(f"zero string repeated 3+ times: {quadlens}")
@@ -425,10 +429,10 @@ def _assign_quad_eps(
     # only if no single can absorb it
     for a in doubles:
         if need and not singles:
-            atoms += _quad_atom(0, a), _quad_atom(1, a)
+            atoms += QuadAtom(0, a), QuadAtom(1, a)
             need = (need - a) % 2
         else:
-            atoms += _quad_atom(0, a), _quad_atom(0, a)
+            atoms += QuadAtom(0, a), QuadAtom(0, a)
             flag = True
     eps_map = {a: 0 for a in singles}
     if need:
@@ -437,7 +441,7 @@ def _assign_quad_eps(
                 f"determinant class {delta} unreachable with zero strings {quadlens}"
             )
         eps_map[singles[-1]] = 1
-    atoms.extend(_quad_atom(eps_map[a], a) for a in singles)
+    atoms.extend(QuadAtom(eps_map[a], a) for a in singles)
     return atoms, flag
 
 

@@ -232,9 +232,9 @@ class RootDatum:
 
     ``galois_linear`` is the Galois diagram action as a signed coordinate
     permutation (the identity for split forms, -w0 for U(p,q), the factor
-    swap for GL(n,C), the last sign flip for non-inner-split even SO);
-    ``galois_index`` is derived from it, as the map of 1-based simple-root
-    indices it induces.
+    swap for GL(n,C), the last sign flip for non-inner-split even SO).
+    ``theta_index`` is the map of 1-based simple-root indices that
+    ``theta_linear``, iota o gamma, induces (`_index_map`).
     """
 
     descriptor: str
@@ -408,14 +408,6 @@ class RootDatum:
                 )
             out.append(index[image])
         return tuple(out)
-
-    @cached_property
-    def iota_index(self) -> tuple[int, ...]:
-        return self._index_map(self.iota_linear)
-
-    @cached_property
-    def galois_index(self) -> tuple[int, ...]:
-        return self._index_map(self.galois_linear)
 
     @cached_property
     def theta_linear(self) -> WeylElement:

@@ -100,66 +100,38 @@ def gl_coefficient_weight(param: GLParameter | ComplexParameter, n: int) -> Half
 @record
 class RouteResult:
     target: str | None
-    normalized: GLParameter
     reason: str
 
 
 def route_selfdual(param: GLParameter) -> RouteResult:
     """Which classical family a self-dual parameter belongs to.
 
-    Odd-dimensional orthogonal parameters are normalized to determinant
-    one (flipping the sign on the smallest odd zero string) and sent to
-    the symplectic group; even symplectic ones to the odd orthogonal
-    family; even orthogonal ones to the even orthogonal family whose
-    discriminant class is the parameter's determinant.
+    Odd-dimensional orthogonal parameters go to the symplectic group
+    whatever their determinant: the order-two twist, which `orbit_key`
+    does not see, makes it one.  Even symplectic ones go to the odd
+    orthogonal family; even orthogonal ones to the even orthogonal family
+    whose discriminant class is the parameter's determinant.
     """
     n = param.dimension
     kind = param.selfdual_type
     if kind == "twisted":
-        return RouteResult(None, param, "nonzero twist: not self-dual")
+        return RouteResult(None, "nonzero twist: not self-dual")
     if kind == "mixed":
-        return RouteResult(None, param, "mixed atoms: not orthogonal or symplectic")
+        return RouteResult(None, "mixed atoms: not orthogonal or symplectic")
     if kind == "symplectic":
         if n % 2 == 1:
             raise MathCheckError("odd-dimensional symplectic parameter")
         half = n // 2
         a = half + 1 if half % 2 == 1 else half
         b = (n + 1) - a
-        return RouteResult(f"SO({a},{b})", param, "even symplectic")
+        return RouteResult(f"SO({a},{b})", "even symplectic")
     # orthogonal
     if n % 2 == 1:
-        normalized = param
-        if param.det_exponent != 0:
-            odd_quads = [
-                q
-                for q in param.atoms
-                if isinstance(q, QuadAtom) and q.a % 2 == 1
-            ]
-            if not odd_quads:
-                return RouteResult(
-                    None, param, "odd orthogonal with unfixable determinant"
-                )
-            target_q = min(odd_quads, key=lambda q: (q.a, q.eps))
-            new_atoms = list(param.atoms)
-            new_atoms[new_atoms.index(target_q)] = QuadAtom(
-                1 - target_q.eps, target_q.a
-            )
-            normalized = GLParameter(
-                tuple(new_atoms), param.twist2, param.omega_pair
-            )
-            if normalized.det_exponent != 0:
-                raise MathCheckError("determinant normalization failed")
-        return RouteResult(
-            f"Sp({n - 1},R)", normalized, "odd orthogonal, determinant normalized"
-        )
+        return RouteResult(f"Sp({n - 1},R)", "odd orthogonal")
     half = n // 2
     delta = param.det_exponent
     p, q = (half, half) if delta == 0 else (half + 1, half - 1)
-    return RouteResult(
-        f"SO({p},{q})",
-        param,
-        f"even orthogonal, discriminant class {delta}",
-    )
+    return RouteResult(f"SO({p},{q})", f"even orthogonal, discriminant class {delta}")
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +296,7 @@ def transfer_cohom(cohom: CohomParameter, kind: str) -> TransferResult:
             notes.append("matches the enumerated family up to the order-two twist")
         notes.append(f"appended {extra.text()}; discriminant class {delta}")
     else:  # gl-to-complex
-        entries = []
-        for a in base.atoms:
-            if isinstance(a, TwoDimAtom):
-                entries.append((a.d, a.m))
-                entries.append((-a.d, a.m))
-            else:
-                entries.append((0, a.a))
+        entries = base._strings()
         image = ComplexParameter(tuple(entries))
         runs = [x2 + m - 1 - 2 * j for x2, m in sorted(entries, key=sum, reverse=True)
                 for j in range(m)]

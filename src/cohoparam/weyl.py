@@ -361,7 +361,7 @@ def _build_left_coset_table(left, ambient):
 class CompactWeylData:
     """Twisted Weyl group and compact-side subgroup for one real form.
 
-    * `w_theta`: fixed points of conjugation by `theta_map` on W;
+    * `w_theta`: fixed points of conjugation by `datum.theta_linear` on W;
     * `k_weyl`: the compact-side subgroup inside `w_theta`;
     * `cartan_signature`: (split, complex, compact) rank split of the
       fundamental (maximally compact) Cartan subgroup;
@@ -374,7 +374,6 @@ class CompactWeylData:
     descriptor: str
     datum: RootDatum
     ambient_dim: int
-    theta_map: WeylElement
     full_order: int
     w_theta: tuple[WeylElement, ...]
     k_weyl: tuple[WeylElement, ...]
@@ -572,30 +571,31 @@ def compact_weyl_catalog(
     SO(p,q) with p and q odd is only served through rank (p+q)/2 <= 3,
     where the diagram involution is pinned down by the signature alone.
 
-    The cap is read on every call; the groups are built once per
-    (descriptor, cap) and shared, which is safe because `CompactWeylData`
-    is frozen and holds tuples.
+    The cap is read and checked on every call, before the memo; a catalog
+    does not depend on it, so the groups are built once per group and
+    shared, which is safe because `CompactWeylData` is frozen and holds
+    tuples.
     """
-    build_classical_dual(descriptor)  # a bad descriptor is reported before a bad cap
-    return _compact_weyl_catalog(descriptor, _cap(max_size))
-
-
-# `verify --suite all` builds 15 (descriptor, cap) keys, the most of any
-# command; 32 holds them all, so each is built once
-@lru_cache(maxsize=32)
-def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
-    datum = build_classical_dual(descriptor)
-    n = datum.ambient_dim
-    theta_map = datum.theta_linear
-    full_order = weyl_order(datum)
-
-    if datum.family == "SO_even" and datum.signature[0] % 2 == 1 and n > 3:
+    datum = build_classical_dual(descriptor)  # a bad descriptor is reported before a bad cap
+    cap = _cap(max_size)
+    if datum.family == "SO_even" and datum.signature[0] % 2 == 1 and datum.ambient_dim > 3:
         raise UnsupportedGroupError(
             f"{descriptor}: packets for SO(odd,odd) are only provided through rank 3"
         )
-    expected_theta, expected_k = _checked_row(datum, descriptor, cap)
+    _checked_row(datum, descriptor, cap)
+    return _compact_weyl_catalog(descriptor)
+
+
+# `verify --suite all` builds 15 groups, the most of any command; 32 holds
+# them all, so each is built once
+@lru_cache(maxsize=32)
+def _compact_weyl_catalog(descriptor: str) -> CompactWeylData:
+    datum = build_classical_dual(descriptor)
+    n = datum.ambient_dim
+    # the caller has checked |W^theta| against the cap in force
+    expected_theta, expected_k = _row_orders(datum)
     w_theta_gens, k_gens = _catalog_row(datum)
-    w_theta = subgroup_closure(w_theta_gens, n=n, max_size=cap)
+    w_theta = subgroup_closure(w_theta_gens, n=n)
     if len(w_theta) != expected_theta:
         raise MathCheckError(
             f"twisted Weyl group of {descriptor}: got {len(w_theta)}, "
@@ -603,13 +603,13 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
         )
     # the packet layer's W_L^theta is a stabilizer inside W^theta, so it is
     # theta-fixed only if all of W^theta is
-    if theta_fixed_subgroup(w_theta, theta_map) != w_theta:
+    if theta_fixed_subgroup(w_theta, datum.theta_linear) != w_theta:
         raise MathCheckError(
             f"twisted Weyl group of {descriptor} is not fixed by theta"
         )
 
     # a row without K hands back its W^theta generators (`_catalog_row`)
-    k_weyl = w_theta if k_gens is w_theta_gens else subgroup_closure(k_gens, n=n, max_size=cap)
+    k_weyl = w_theta if k_gens is w_theta_gens else subgroup_closure(k_gens, n=n)
     if len(k_weyl) != expected_k:
         raise MathCheckError(
             f"compact-side subgroup of {descriptor}: got {len(k_weyl)}, "
@@ -630,8 +630,7 @@ def _compact_weyl_catalog(descriptor: str, cap: int) -> CompactWeylData:
         descriptor=datum.descriptor,
         datum=datum,
         ambient_dim=n,
-        theta_map=theta_map,
-        full_order=full_order,
+        full_order=weyl_order(datum),
         w_theta=w_theta,
         k_weyl=k_weyl,
         cartan_signature=_torus_shape(datum),

@@ -22,7 +22,8 @@ W^theta has at most 720 elements.  The corpora:
   every suite, each in table and JSON;
 * `limits_cli.json`: `verify` at non-default `--max-n` and `--max-rank`
   caps (table and JSON), the error paths of `ERROR_PATHS`, one transfer
-  into a large target, and the `COHOPARAM_MAX_WEYL` cases.  A case that begins with
+  into a large target, compact `innerforms` refused for an order past the
+  int-to-str limit (table and JSON), and the `COHOPARAM_MAX_WEYL` cases.  A case that begins with
   `COHOPARAM_MAX_WEYL=value` runs with the variable set to that value, as
   in a shell; it is restored afterwards.
 
@@ -245,6 +246,10 @@ def limits_cases() -> list[list[str]]:
     for command in ("enumerate", "packet", "cohomology-sum", "innerforms", "dump-weyl"):
         for group in ("SO(1,0)", "SO(0,1)"):
             out.append([command, "--group", group])
+    # compact forms whose |W| has more digits than the int-to-str limit
+    for group in ("U(3000)", "Sp(1600)", "SO(3201)", "U(99999999999)"):
+        out.append(["innerforms", "--group", group])
+        out.append(["innerforms", "--group", group, "--format", "json"])
     for command, flag, value in (
         ("packet", "--max-size", "-5"),
         ("packet", "--max-size", "0"),

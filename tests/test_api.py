@@ -14,27 +14,30 @@ from cohoparam import cohomology, direct, halfint, params, rootdata, transfer, w
 
 PUBLIC_API = {
     "cohoparam": [
+        # the names loaded eagerly, in import order
         "CohoparamError", "InvalidWeightError", "MathCheckError",
         "UnsupportedGroupError", "WeylSizeError",
         "HalfIntVector",
-        "RootDatum", "StandardParabolic", "build_classical_dual",
-        "is_self_associate", "principal_sl2_coefficients",
-        "TRANSFER_KINDS", "CentralReport", "CohomParameter",
-        "ComplexParameter", "GLParameter", "QuadAtom", "RouteResult",
-        "TransferResult", "TwoDimAtom", "central_value_report",
-        "enumerate_cohomological", "enumerate_complex_cohomological",
-        "enumerate_gl_real", "enumerate_selfdual", "gl_cascade_parameters",
-        "gl_coefficient_weight", "parse_gl_parameter", "route_selfdual",
-        "standard_rep_parameter", "tempered_companion", "transfer_cohom",
-        "transfer_weight",
         "PacketDescriptor", "PacketMember", "UnitaryMember", "packet",
         "unitary_packet_members",
+        "CohomParameter", "ComplexParameter", "GLParameter", "QuadAtom",
+        "TwoDimAtom", "enumerate_cohomological", "standard_rep_parameter",
+        "RootDatum", "StandardParabolic", "build_classical_dual",
+        "is_self_associate",
+        # the names resolved on first use: `_LAZY`, in its order
         "InnerFormReport", "PacketSumReport", "PoincarePolynomial",
         "PureInnerFormClass", "innerform_sum_compact",
         "innerform_sum_quasisplit", "levi_cohomology", "levi_member_count",
         "packet_cohomology_sum", "partition_independence",
         "self_dual_compositions", "so_even_dichotomy",
         "symmetric_space_poincare",
+        "parse_gl_parameter", "gl_coefficient_weight", "route_selfdual",
+        "RouteResult", "transfer_weight", "transfer_cohom", "TransferResult",
+        "TRANSFER_KINDS",
+        "enumerate_gl_real", "enumerate_selfdual", "gl_cascade_parameters",
+        "enumerate_complex_cohomological", "tempered_companion",
+        "central_value_report", "CentralReport", "PrincipalSL2",
+        "principal_sl2_coefficients",
         "__version__",
     ],
     "cohoparam.errors": [
@@ -109,6 +112,9 @@ def test_package_resolves_the_transfer_layer_on_first_use():
         assert getattr(cohoparam, attr) is getattr(modules[name], attr), attr
         assert attr not in vars(cohoparam), attr
     assert set(cohoparam.__all__) <= set(dir(cohoparam))
+    # the package lists each lazy name once: `__all__` ends with `_LAZY`'s
+    # keys, then `__version__`
+    assert cohoparam.__all__[-len(cohoparam._LAZY) - 1 : -1] == list(cohoparam._LAZY)
     # the principal SL2 lives in `direct` alone, and `transfer` re-exports
     # none of `direct`'s names
     for attr in ("PrincipalSL2", "principal_sl2_coefficients"):

@@ -807,7 +807,7 @@ _STARTUP_CASES = [
     (["cohomology-sum", "--group", "U(2,1)"], False, True),
     (["innerforms", "--group", "Sp(4,R)"], False, True),
     (["transfer", "--embedding", "sp-gl", "--param", "s2[2]"], True, False),
-    (["verify", "--suite", "innerforms", "--max-rank", "0"], True, True),
+    (["verify", "--suite", "all"], True, True),
 ]
 
 
@@ -854,17 +854,20 @@ class TestStartup:
         self, argv, loads_transfer, runs_cohomology
     ):
         # each command in a fresh process, as a user runs it, reporting
-        # whether it loaded `cohoparam.transfer`, `cohoparam.direct` and
-        # fractions, and whether it ran the lazily bound `cohoparam.cohomology`:
-        # transfer runs on doubled ints and needs only the first; verify runs
-        # the direct routes, on doubled ints too, so no command makes a Fraction
-        loads = (loads_transfer, argv[0] == "verify", False, runs_cohomology)
+        # whether it loaded `cohoparam.transfer`, `cohoparam.direct`,
+        # `cohoparam.verify`, fractions and decimal, and whether it ran the
+        # lazily bound `cohoparam.cohomology`: transfer runs on doubled ints
+        # and needs only the first; verify runs the direct routes, on doubled
+        # ints too, so no command makes a Fraction
+        verify = argv[0] == "verify"
+        loads = (loads_transfer, verify, verify, False, False, runs_cohomology)
         src = Path(__file__).resolve().parents[1] / "src"
         probe = (
             "import contextlib, io, sys, types; from cohoparam.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
             "print(code, *(m in sys.modules for m in "
-            "('cohoparam.transfer', 'cohoparam.direct', 'fractions')), "
+            "('cohoparam.transfer', 'cohoparam.direct', 'cohoparam.verify', "
+            "'fractions', 'decimal')), "
             "type(sys.modules['cohoparam.cohomology']) is types.ModuleType)"
         )
         proc = subprocess.run(

@@ -443,7 +443,7 @@ def test_levi_theta_by_stabilizer_matches_closure(desc, monkeypatch):
     cat = compact_weyl_catalog(desc)
     for parabolic in _self_associate_parabolics(cat.datum):
         _, levi_theta = _cosets_for_subset(cat, parabolic.S)
-        expected = _levi_theta_by_closure(parabolic, cat.theta_map)
+        expected = _levi_theta_by_closure(parabolic, cat.datum.theta_linear)
         assert levi_theta == expected, parabolic.S
 
 

@@ -11,12 +11,15 @@ Weyl cap refuses on the closed-form order before any group is built.
 `packet --group "GL(2048,R)"` exits 3 within 0.3 s in a fresh process,
 `transfer --embedding so-odd-gl --param "w0[40001]"` exits 0 within 1 s
 in one, and an over-cap message prints an order past 30 digits as its number of
-digits, whatever the interpreter's int-to-str limit.
+digits, whatever the interpreter's int-to-str limit.  Compact `innerforms`
+prints |W| itself, so it exits 3 where |W| has more digits than that limit.
 `enumerate` is left out: it has no cap on its subset walk yet.
 """
 
 import contextlib
 import io
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -27,7 +30,8 @@ import pytest
 
 from cohoparam import weyl
 from cohoparam.cli import main
-from cohoparam.errors import WeylSizeError
+from cohoparam.cohomology import innerform_sum_compact
+from cohoparam.errors import UnsupportedGroupError, WeylSizeError
 from cohoparam.rootdata import build_classical_dual
 
 SIZES = (16, 128, 1024)
@@ -116,6 +120,43 @@ def test_an_order_past_the_int_to_str_limit_is_reported_by_its_digits(command):
         "unsupported: twisted Weyl group of U(900,900) has a 5080-digit number "
         "of elements, over the cap of 1000000\n"
     )
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("group", ["U(3000)", "Sp(1600)", "SO(3201)", "U(99999999999)"])
+def test_a_compact_innerforms_past_the_int_to_str_limit_exits_3(group, fmt):
+    # |W|, the stabilizer at k = 0, is the report's largest number: 3000!
+    # has 9,131 digits, 2^1600 1600! 4,919, over the default limit of 4,300;
+    # at rank 10^11 it is refused without being computed
+    argv = ["innerforms", "--group", group, "--format", fmt]
+    elapsed, code, err = _timed(argv)
+    _assert_bounded(argv, elapsed, code, err)
+    assert code == 3
+    assert err.startswith(f"unsupported: the Weyl group of {group} has an order of more than")
+
+
+_COMPACT_ORDERS = {  # |W| of the compact form of each kind at each size
+    "U": lambda n: math.factorial(n),
+    "Sp": lambda n: 2**n * math.factorial(n),
+    "SO": lambda n: 2 ** (n // 2 - (n % 2 == 0)) * math.factorial(n // 2) if n % 2 or n > 3 else 1,
+}
+
+
+@pytest.mark.parametrize("kind", _COMPACT_ORDERS)
+def test_compact_innerforms_refuses_exactly_where_its_order_passes_the_limit(kind):
+    # at the least limit, 640: the last size whose |W| has at most 640
+    # digits is answered, and the next refused
+    order, limit = _COMPACT_ORDERS[kind], sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        size = next(n for n in itertools.count(1) if len(str(order(n + 1))) > 640)
+        sys.set_int_max_str_digits(640)
+        report = innerform_sum_compact(f"{kind}({size})")
+        assert report.classes[0].stabilizer_order == order(size)
+        with pytest.raises(UnsupportedGroupError, match="more than 640 digits"):
+            innerform_sum_compact(f"{kind}({size + 1})")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_order_text_counts_digits_past_thirty():

@@ -215,7 +215,7 @@ def test_longest_element_matches_opposition(desc):
     w0 = longest_element(d)
     assert w0.apply(d.rho_check) == -d.rho_check
     for i in range(1, d.rank + 1):
-        assert w0.apply(d.alpha(i)) == -d.alpha(d.iota_index[i - 1])
+        assert w0.apply(d.alpha(i)) == -d.alpha(d._index_map(d.iota_linear)[i - 1])
 
 
 def test_theta_fixed_subgroup_GL4():
@@ -275,7 +275,7 @@ def test_double_cosets_two_block_example():
     cat = compact_weyl_catalog("SL(4,R)")
     p = StandardParabolic(cat.datum, frozenset({1, 3}))
     w_l = levi_weyl_group(p)
-    w_l_theta = theta_fixed_subgroup(w_l, cat.theta_map)
+    w_l_theta = theta_fixed_subgroup(w_l, cat.datum.theta_linear)
     assert len(w_l_theta) == 2
     cosets = double_cosets(cat.k_weyl, w_l_theta, cat.w_theta)
     assert [c.size for c in cosets] == [4, 4]
@@ -331,7 +331,7 @@ def test_double_cosets_partition_and_determinism():
     for desc, S in (("Sp(4,R)", {1}), ("U(2,2)", {1}), ("SO(2,4)", {2})):
         cat = compact_weyl_catalog(desc)
         p = StandardParabolic(cat.datum, frozenset(S))
-        w_l = theta_fixed_subgroup(levi_weyl_group(p), cat.theta_map)
+        w_l = theta_fixed_subgroup(levi_weyl_group(p), cat.datum.theta_linear)
         once = double_cosets(cat.k_weyl, w_l, cat.w_theta)
         twice = double_cosets(cat.k_weyl, w_l, cat.w_theta)
         assert once == twice
@@ -420,9 +420,14 @@ def test_so_odd_odd_gate():
 def test_catalog_deterministic():
     a = compact_weyl_catalog("SO(2,3)")
     b = compact_weyl_catalog("SO(2,3)")
-    assert a is b  # memoized on (descriptor, cap)
+    assert a is b  # memoized on the descriptor alone
     assert a.w_theta == b.w_theta
     assert a.k_weyl == b.k_weyl
+    # the cap decides only whether a call refuses: a cap that admits the
+    # group gets the one catalog, and a cap below it refuses though it is built
+    assert compact_weyl_catalog("SO(2,3)", max_size=len(a.w_theta)) is a
+    with pytest.raises(WeylSizeError, match="over the cap of 7"):
+        compact_weyl_catalog("SO(2,3)", max_size=7)
 
 
 def test_catalog_rejects_twisted_group_not_fixed_by_theta(monkeypatch):
